@@ -136,14 +136,6 @@ def _psd_residual(G: np.ndarray) -> float:
     return float(max(0.0, -w[0]))
 
 
-def _exact_affine_project(G_rat: np.ndarray, t: SymmetricBiquadraticTensor) -> np.ndarray:
-    """The affine projection formula evaluated in exact rational arithmetic."""
-    m, n = t.m, t.n
-    G4 = G_rat.reshape(m, n, m, n)
-    P4 = (G4 - G4.transpose(0, 3, 2, 1)) / 2 + t.entries
-    return P4.reshape(m * n, m * n)
-
-
 def _rationalize(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
     """Round a numeric Gram point to rationals and verify exactly.
 
@@ -160,7 +152,7 @@ def _rationalize(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertificate
                 v = Fraction(float(G[p, q])).limit_denominator(denom)
                 rat[p, q] = v
                 rat[q, p] = v
-        fixed = _exact_affine_project(rat, t)
+        fixed = kernels.project_affine(rat, t.entries)
         res = exactla.ldlt_psd(fixed)
         if not res.ok:
             continue

@@ -1,261 +1,77 @@
-"""Float64 kernels behind the numerical probes.
+"""Array kernels behind the numerical probes.
 
-Three hot loops live here: biquadratic form evaluation, the alternating
-smallest/largest-eigenvector refinement used by ``sample_min`` and the
-M-eigenvalue ascent, and the affine Gram projection used by the alternating
-projection search. Each ships in two variants:
-
-* a numba ``@njit`` version (default when numba imports), and
-* a pure-numpy version.
-
-Set ``BIQUAD_DISABLE_NUMBA=1`` in the environment to force the numpy path;
-``benchmarks/bench_kernels.py`` compares the two. The exact-rational code in
-the rest of the package never routes through this module.
+Two hot loops live here: the alternating smallest/largest-eigenvector
+refinement used by ``sample_min`` and the M-eigenvalue ascent, and the
+affine Gram projection used by the alternating projection search. The
+refinement is float64 only. The projection is one formula for float64
+arrays and for ``Fraction`` object arrays, so ``gram._rationalize`` runs the
+same code exactly on its rounded Gram points.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "NUMBA_ENABLED",
-    "eval_form",
-    "refine_batch",
-    "project_affine",
-    "affine_residual",
-    "eval_form_numpy",
-    "refine_batch_numpy",
-    "project_affine_numpy",
-    "affine_residual_numpy",
-]
+__all__ = ["refine_batch", "project_affine", "affine_residual"]
 
 
-def _numba_wanted() -> bool:
-    return os.environ.get("BIQUAD_DISABLE_NUMBA", "0") in ("", "0")
-
-
-NUMBA_ENABLED = False
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-# ---------------------------------------------------------------------------
-
-def eval_form_numpy(a4: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """P(x, y) = sum a4[i,j,k,l] x_i y_j x_k y_l."""
-    return float(np.einsum("ijkl,i,j,k,l->", a4, x, y, x, y))
-
-
-def _contract_y_numpy(a4, y):
-    return np.einsum("ijkl,j,l->ik", a4, y, y)
-
-
-def _contract_x_numpy(a4, x):
-    return np.einsum("ijkl,i,k->jl", a4, x, x)
-
-
-def _refine_one_numpy(a4, x, y, max_iter, tol, maximize):
-    pick = -1 if maximize else 0
-    prev = np.inf if not maximize else -np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        Q = _contract_y_numpy(a4, y)
-        w, V = np.linalg.eigh(0.5 * (Q + Q.T))
-        x = V[:, pick]
-        R = _contract_x_numpy(a4, x)
-        w, V = np.linalg.eigh(0.5 * (R + R.T))
-        y = V[:, pick]
-        val = w[pick]
-        if abs(val - prev) < tol:
-            prev = val
-            break
-        prev = val
-    return float(prev), x, y, it
-
-
-def refine_batch_numpy(a4, xs, ys, max_iter, tol, maximize):
+def refine_batch(a4, xs, ys, max_iter, tol, maximize):
     """Refine each start (xs[t], ys[t]) by alternating eigenvector iteration.
 
     Fixing y makes the form a quadratic x^T Q_y x on the unit sphere, whose
     extremum over x is the extreme eigenvector of Q_y; alternating the roles
-    is monotone in the form value. Returns (values, xs, ys) after refinement.
+    is monotone in the form value. The starts still moving advance together,
+    one stacked contraction and one batched ``eigh`` per half-step; a start
+    leaves that active set in the iteration where its value moves by less
+    than ``tol``, with that value and pair. Returns (values, xs, ys)
+    after refinement; with ``max_iter = 0`` the values are +inf (minimising)
+    or -inf (maximising) and the pairs come back unchanged.
     """
-    trials = xs.shape[0]
-    vals = np.empty(trials)
+    pick = -1 if maximize else 0
     out_x = np.array(xs, dtype=np.float64)
     out_y = np.array(ys, dtype=np.float64)
-    for t in range(trials):
-        v, x, y, _ = _refine_one_numpy(a4, out_x[t], out_y[t], max_iter, tol, maximize)
-        vals[t] = v
-        out_x[t] = x
-        out_y[t] = y
+    vals = np.full(out_x.shape[0], -np.inf if maximize else np.inf)
+    active = np.arange(out_x.shape[0])
+    x, y, prev = out_x, out_y, vals
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        Q = np.einsum("ijkl,tj,tl->tik", a4, y, y)
+        _, V = np.linalg.eigh(0.5 * (Q + Q.transpose(0, 2, 1)))
+        x = V[:, :, pick]
+        R = np.einsum("ijkl,ti,tk->tjl", a4, x, x)
+        w, V = np.linalg.eigh(0.5 * (R + R.transpose(0, 2, 1)))
+        y = V[:, :, pick]
+        settled = np.abs(w[:, pick] - prev) < tol
+        prev = w[:, pick]
+        if settled.any():
+            done = active[settled]
+            out_x[done], out_y[done], vals[done] = x[settled], y[settled], prev[settled]
+            keep = ~settled
+            active, x, y, prev = active[keep], x[keep], y[keep], prev[keep]
+    out_x[active], out_y[active], vals[active] = x, y, prev
     return vals, out_x, out_y
 
 
-def project_affine_numpy(G: np.ndarray, a4: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of symmetric G onto the Gram affine family.
+def project_affine(G: np.ndarray, a4: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of G onto the Gram affine family.
 
     The family is {G symmetric : G[(i,j),(k,l)] + G[(i,l),(k,j)] = 2 a[i,j,k,l]},
     the constraints induced by the monomial identity
     (x_i y_j)(x_k y_l) = (x_i y_l)(x_k y_j). Entries whose two constraint
     positions coincide (j = l, or i = k under matrix symmetry) get pinned to
     a[i,j,k,l]; genuine pairs are shifted by half the violation each, which
-    in tensor layout collapses to (G4 - G4.swap(j,l))/2 + a4.
+    in tensor layout collapses to (G4 - G4.swap(j,l))/2 + a4 after
+    symmetrising G. Works for float64 and for Fraction object arrays.
     """
     m, n = a4.shape[0], a4.shape[1]
-    Gs = 0.5 * (G + G.T)
-    G4 = Gs.reshape(m, n, m, n)
-    P4 = 0.5 * (G4 - G4.transpose(0, 3, 2, 1)) + a4
+    G4 = ((G + G.T) / 2).reshape(m, n, m, n)
+    P4 = (G4 - G4.transpose(0, 3, 2, 1)) / 2 + a4
     return P4.reshape(m * n, m * n)
 
 
-def affine_residual_numpy(G: np.ndarray, a4: np.ndarray) -> float:
+def affine_residual(G: np.ndarray, a4: np.ndarray) -> float:
     """max over (i,j,k,l) of |G[(i,j),(k,l)] + G[(i,l),(k,j)] - 2 a[i,j,k,l]|."""
     m, n = a4.shape[0], a4.shape[1]
     G4 = G.reshape(m, n, m, n)
     return float(np.abs(G4 + G4.transpose(0, 3, 2, 1) - 2.0 * a4).max())
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _eval_form_nb(a4, x, y):  # pragma: no cover - exercised via dispatch
-        m, n = a4.shape[0], a4.shape[1]
-        total = 0.0
-        for i in range(m):
-            for j in range(n):
-                zij = x[i] * y[j]
-                if zij == 0.0:
-                    continue
-                for k in range(m):
-                    for l in range(n):
-                        total += a4[i, j, k, l] * zij * x[k] * y[l]
-        return total
-
-    @njit(cache=True)
-    def _refine_one_nb(a4, x0, y0, max_iter, tol, maximize):  # pragma: no cover
-        m, n = a4.shape[0], a4.shape[1]
-        x = x0.copy()
-        y = y0.copy()
-        pick = m - 1 if maximize else 0
-        pick_n = n - 1 if maximize else 0
-        prev = -np.inf if maximize else np.inf
-        iters = 0
-        for it in range(1, max_iter + 1):
-            iters = it
-            Q = np.zeros((m, m))
-            for i in range(m):
-                for k in range(m):
-                    s = 0.0
-                    for j in range(n):
-                        for l in range(n):
-                            s += a4[i, j, k, l] * y[j] * y[l]
-                    Q[i, k] = s
-            Q = 0.5 * (Q + Q.T)
-            _, V = np.linalg.eigh(Q)
-            for i in range(m):
-                x[i] = V[i, pick]
-            R = np.zeros((n, n))
-            for j in range(n):
-                for l in range(n):
-                    s = 0.0
-                    for i in range(m):
-                        for k in range(m):
-                            s += a4[i, j, k, l] * x[i] * x[k]
-                    R[j, l] = s
-            R = 0.5 * (R + R.T)
-            w, V = np.linalg.eigh(R)
-            for j in range(n):
-                y[j] = V[j, pick_n]
-            val = w[pick_n]
-            if abs(val - prev) < tol:
-                prev = val
-                break
-            prev = val
-        return prev, x, y, iters
-
-    @njit(cache=True)
-    def _refine_batch_nb(a4, xs, ys, max_iter, tol, maximize):  # pragma: no cover
-        trials = xs.shape[0]
-        vals = np.empty(trials)
-        out_x = xs.copy()
-        out_y = ys.copy()
-        for t in range(trials):
-            v, x, y, _ = _refine_one_nb(a4, xs[t], ys[t], max_iter, tol, maximize)
-            vals[t] = v
-            out_x[t] = x
-            out_y[t] = y
-        return vals, out_x, out_y
-
-    @njit(cache=True)
-    def _project_affine_nb(G, a4):  # pragma: no cover
-        m, n = a4.shape[0], a4.shape[1]
-        mn = m * n
-        Gs = 0.5 * (G + G.T)
-        out = np.empty((mn, mn))
-        for i in range(m):
-            for j in range(n):
-                for k in range(m):
-                    for l in range(n):
-                        out[i * n + j, k * n + l] = (
-                            0.5 * (Gs[i * n + j, k * n + l] - Gs[i * n + l, k * n + j])
-                            + a4[i, j, k, l]
-                        )
-        return out
-
-    @njit(cache=True)
-    def _affine_residual_nb(G, a4):  # pragma: no cover
-        m, n = a4.shape[0], a4.shape[1]
-        worst = 0.0
-        for i in range(m):
-            for j in range(n):
-                for k in range(m):
-                    for l in range(n):
-                        r = abs(
-                            G[i * n + j, k * n + l]
-                            + G[i * n + l, k * n + j]
-                            - 2.0 * a4[i, j, k, l]
-                        )
-                        if r > worst:
-                            worst = r
-        return worst
-
-    def eval_form(a4, x, y):
-        return float(_eval_form_nb(
-            np.ascontiguousarray(a4),
-            np.ascontiguousarray(x, dtype=np.float64),
-            np.ascontiguousarray(y, dtype=np.float64),
-        ))
-
-    def refine_batch(a4, xs, ys, max_iter, tol, maximize):
-        return _refine_batch_nb(
-            np.ascontiguousarray(a4),
-            np.ascontiguousarray(xs, dtype=np.float64),
-            np.ascontiguousarray(ys, dtype=np.float64),
-            max_iter, tol, maximize,
-        )
-
-    def project_affine(G, a4):
-        return _project_affine_nb(np.ascontiguousarray(G), np.ascontiguousarray(a4))
-
-    def affine_residual(G, a4):
-        return float(_affine_residual_nb(np.ascontiguousarray(G), np.ascontiguousarray(a4)))
-
-else:
-    eval_form = eval_form_numpy
-    refine_batch = refine_batch_numpy
-    project_affine = project_affine_numpy
-    affine_residual = affine_residual_numpy

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: exit codes, JSON reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import biquad
 from biquad import jsonio
 from biquad.classes import m_identity
 from biquad.cli import main
@@ -214,6 +219,24 @@ class TestErrorPaths:
         jsonio.save_certificate(vertex_sos(1, 3, 3), cert)
         code, _, err = run(capsys, "verify", str(cert), identity_file)
         assert code == 2
+
+    @pytest.mark.parametrize("command, expected", [("probe", 2), ("classify", 2), ("check-dd", 0)])
+    def test_entry_beyond_float_range(self, tmp_path, command, expected):
+        # 10**400 is a valid rational but overflows float64: the float probes
+        # reject it as bad input, while the exact dominance test answers.
+        huge = "1" + "0" * 400
+        entries = [{"i": i, "j": j, "k": i, "l": j, "v": huge} for i in (1, 2) for j in (1, 2)]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"m": 2, "n": 2, "entries": entries}))
+        src = str(Path(biquad.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "biquad.cli", command, str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == expected
+        assert "Traceback" not in proc.stderr
+        if expected == 2:
+            assert proc.stderr.startswith("error:")
+            assert len(proc.stderr.strip().splitlines()) == 1
 
 
 class TestDeterminism:

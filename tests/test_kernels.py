@@ -1,15 +1,12 @@
-"""Agreement between the compiled kernels and the pure-numpy fallbacks."""
+"""The stacked refinement kernel against a per-start reference, and the affine projection."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from biquad import kernels
 from biquad.core import MonicParams, monic_to_tensor
-from biquad.classes import m_identity
-
-needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_ENABLED, reason="numba disabled or unavailable; paths coincide"
-)
 
 
 def random_symmetric_a4(rng, m, n):
@@ -20,50 +17,108 @@ def random_symmetric_a4(rng, m, n):
     return np.ascontiguousarray(a)
 
 
-class TestEvalForm:
-    def test_identity_value(self):
-        a4 = m_identity(3, 2).to_float()
-        x = np.array([0.6, 0.8, 0.0])
-        y = np.array([1.0, 0.0])
-        assert abs(kernels.eval_form(a4, x, y) - 1.0) < 1e-12
-        assert abs(kernels.eval_form_numpy(a4, x, y) - 1.0) < 1e-12
+def unit_starts(rng, trials, m, n):
+    xs = rng.standard_normal((trials, m))
+    ys = rng.standard_normal((trials, n))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    return xs, ys
 
-    @needs_numba
-    def test_matches_numpy(self, rng):
-        for _ in range(10):
-            m = int(rng.integers(1, 5))
-            n = int(rng.integers(1, 5))
-            a4 = random_symmetric_a4(rng, m, n)
-            x = rng.standard_normal(m)
-            y = rng.standard_normal(n)
-            a = kernels.eval_form(a4, x, y)
-            b = kernels.eval_form_numpy(a4, x, y)
-            assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+
+def refine_one(a4, x, y, max_iter, tol, maximize):
+    """One start at a time: the loop the stacked kernel must reproduce."""
+    pick = -1 if maximize else 0
+    prev = -np.inf if maximize else np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        Q = np.einsum("ijkl,j,l->ik", a4, y, y)
+        _, V = np.linalg.eigh(0.5 * (Q + Q.T))
+        x = V[:, pick]
+        R = np.einsum("ijkl,i,k->jl", a4, x, x)
+        w, V = np.linalg.eigh(0.5 * (R + R.T))
+        y = V[:, pick]
+        settled, prev = abs(w[pick] - prev) < tol, w[pick]
+        if settled:
+            break
+    return prev, x, y, it
+
+
+def refine_reference(a4, xs, ys, max_iter, tol, maximize):
+    runs = [refine_one(a4, x, y, max_iter, tol, maximize) for x, y in zip(xs, ys)]
+    return tuple(np.array([r[k] for r in runs], dtype=np.float64) for k in range(3))
+
+
+class TestRefineMatchesPerStartLoop:
+    @pytest.mark.parametrize("maximize", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_identical(self, m, n, maximize):
+        rng = np.random.default_rng(100 * m + 10 * n + maximize)
+        a4 = random_symmetric_a4(rng, m, n)
+        xs, ys = unit_starts(rng, 12, m, n)
+        got = kernels.refine_batch(a4, xs, ys, 200, 1e-12, maximize)
+        want = refine_reference(a4, xs, ys, 200, 1e-12, maximize)
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        if (m, n) == (2, 1):
+            # R is 1x1 here and np.einsum sums its four products in a
+            # different order for one start than for a stack of three or
+            # more, so the value may move in its last bits.
+            assert np.allclose(got[0], want[0], rtol=8 * np.finfo(float).eps, atol=0.0)
+        else:
+            assert np.array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_some_starts_hit_the_cap(self, maximize):
+        # a cap of 6 iterations leaves some starts still moving while others
+        # have settled; a settled start must keep its value and pair
+        rng = np.random.default_rng(1)
+        a4 = random_symmetric_a4(rng, 3, 3)
+        xs, ys = unit_starts(rng, 40, 3, 3)
+        tol = 1e-4
+        got = kernels.refine_batch(a4, xs, ys, 6, tol, maximize)
+        want = refine_reference(a4, xs, ys, 6, tol, maximize)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        iters = [refine_one(a4, x, y, 6, tol, maximize)[3] for x, y in zip(xs, ys)]
+        assert min(iters) < 6 and max(iters) == 6
+
+    @pytest.mark.parametrize("maximize, bound", [(False, np.inf), (True, -np.inf)])
+    def test_zero_iterations_return_inputs(self, maximize, bound):
+        rng = np.random.default_rng(3)
+        a4 = random_symmetric_a4(rng, 3, 2)
+        xs, ys = unit_starts(rng, 5, 3, 2)
+        vals, X, Y = kernels.refine_batch(a4, xs, ys, 0, 1e-12, maximize)
+        assert np.all(vals == bound)
+        assert np.array_equal(X, xs) and np.array_equal(Y, ys)
+        assert X is not xs and Y is not ys
+
+
+class TestRefine:
+    def test_descent_reaches_known_minimum(self):
+        # the monic form with a = b = c = -1 at m = n = 2 has minimum -2 on
+        # the unit spheres (the all-ones critical pair)
+        a4 = monic_to_tensor(MonicParams(2, 2, -1, -1, -1)).to_float()
+        xs, ys = unit_starts(np.random.default_rng(0), 8, 2, 2)
+        vals, _, _ = kernels.refine_batch(a4, xs, ys, 300, 1e-12, False)
+        assert vals.min() < -2 + 1e-7
+
+    def test_ascent_reaches_known_maximum(self):
+        a4 = monic_to_tensor(MonicParams(2, 2, 1, 1, 1)).to_float()
+        xs, ys = unit_starts(np.random.default_rng(1), 8, 2, 2)
+        # condition (iv): value mn = 4 at the ones pair
+        vals, _, _ = kernels.refine_batch(a4, xs, ys, 300, 1e-12, True)
+        assert vals.max() > 4 - 1e-7
+
+    def test_refined_pairs_stay_unit(self):
+        a4 = monic_to_tensor(MonicParams(3, 2, 0, 0, 0)).to_float()
+        xs, ys = unit_starts(np.random.default_rng(2), 4, 3, 2)
+        _, X, Y = kernels.refine_batch(a4, xs, ys, 100, 1e-12, False)
+        assert np.abs(np.linalg.norm(X, axis=1) - 1).max() < 1e-9
+        assert np.abs(np.linalg.norm(Y, axis=1) - 1).max() < 1e-9
 
 
 class TestProjectAffine:
-    @needs_numba
-    def test_matches_numpy(self, rng):
-        for _ in range(10):
-            m = int(rng.integers(1, 4))
-            n = int(rng.integers(1, 4))
-            a4 = random_symmetric_a4(rng, m, n)
-            G = rng.standard_normal((m * n, m * n))
-            G = 0.5 * (G + G.T)
-            Pa = kernels.project_affine(G, a4)
-            Pb = kernels.project_affine_numpy(G, a4)
-            assert np.abs(Pa - Pb).max() < 1e-12
-
-    @needs_numba
-    def test_residual_matches_numpy(self, rng):
-        m, n = 2, 3
-        a4 = random_symmetric_a4(rng, m, n)
-        G = rng.standard_normal((6, 6))
-        G = 0.5 * (G + G.T)
-        ra = kernels.affine_residual(G, a4)
-        rb = kernels.affine_residual_numpy(G, a4)
-        assert abs(ra - rb) < 1e-12
-
     def test_projection_zeroes_residual(self, rng):
         m, n = 2, 2
         a4 = random_symmetric_a4(rng, m, n)
@@ -72,42 +127,13 @@ class TestProjectAffine:
         P = kernels.project_affine(G, a4)
         assert kernels.affine_residual(P, a4) < 1e-12
 
-
-class TestRefine:
-    def test_descent_reaches_known_minimum(self):
-        # the monic form with a = b = c = -1 at m = n = 2 has minimum -2 on
-        # the unit spheres (the all-ones critical pair)
-        a4 = monic_to_tensor(MonicParams(2, 2, -1, -1, -1)).to_float()
-        rng = np.random.default_rng(0)
-        xs = rng.standard_normal((8, 2))
-        ys = rng.standard_normal((8, 2))
-        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-        vals, _, _ = kernels.refine_batch(a4, xs, ys, 300, 1e-12, False)
-        assert vals.min() < -2 + 1e-7
-        vals_np, _, _ = kernels.refine_batch_numpy(a4, xs, ys, 300, 1e-12, False)
-        assert vals_np.min() < -2 + 1e-7
-
-    def test_ascent_reaches_known_maximum(self):
-        a4 = monic_to_tensor(MonicParams(2, 2, 1, 1, 1)).to_float()
-        rng = np.random.default_rng(1)
-        xs = rng.standard_normal((8, 2))
-        ys = rng.standard_normal((8, 2))
-        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-        # condition (iv): value mn = 4 at the ones pair
-        vals, _, _ = kernels.refine_batch(a4, xs, ys, 300, 1e-12, True)
-        assert vals.max() > 4 - 1e-7
-        vals_np, _, _ = kernels.refine_batch_numpy(a4, xs, ys, 300, 1e-12, True)
-        assert vals_np.max() > 4 - 1e-7
-
-    def test_refined_pairs_stay_unit(self):
-        a4 = monic_to_tensor(MonicParams(3, 2, 0, 0, 0)).to_float()
-        rng = np.random.default_rng(2)
-        xs = rng.standard_normal((4, 3))
-        ys = rng.standard_normal((4, 2))
-        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-        _, X, Y = kernels.refine_batch(a4, xs, ys, 100, 1e-12, False)
-        assert np.abs(np.linalg.norm(X, axis=1) - 1).max() < 1e-9
-        assert np.abs(np.linalg.norm(Y, axis=1) - 1).max() < 1e-9
+    def test_fraction_and_float_agree(self, rng):
+        # one formula serves both dtypes: on dyadic inputs every step is exact
+        # in float64 too, so the two results coincide entry for entry
+        m, n = 2, 3
+        a4 = random_symmetric_a4(rng, m, n).round(0) / 4
+        G = rng.integers(-8, 9, size=(6, 6)) / 8
+        exact = kernels.project_affine(
+            np.vectorize(Fraction, otypes=[object])(G), np.vectorize(Fraction, otypes=[object])(a4))
+        assert all(isinstance(v, Fraction) for v in exact.flat)
+        assert np.array_equal(exact.astype(np.float64), kernels.project_affine(G, a4))
