@@ -24,7 +24,7 @@ from .core import (
     SymmetricBiquadraticTensor,
     symmetrize,
 )
-from .dominance import is_diagonally_dominated, row_bound
+from .dominance import flatten, is_diagonally_dominated, offdiag_row_sums
 
 __all__ = [
     "MTensorReport",
@@ -48,26 +48,21 @@ def m_identity(m: int, n: int) -> SymmetricBiquadraticTensor:
     Its form is (sum x_i^2)(sum y_j^2), identically 1 on unit spheres, and
     its flattening is the (mn) x (mn) identity matrix.
     """
-    arr = np.empty((m, n, m, n), dtype=object)
-    arr[...] = ZERO
-    for i in range(m):
-        for j in range(n):
-            arr[i, j, i, j] = ONE
-    return SymmetricBiquadraticTensor(m, n, arr)
+    arr = np.full((m * n, m * n), ZERO, dtype=object)
+    np.fill_diagonal(arr, ONE)
+    return SymmetricBiquadraticTensor(m, n, arr.reshape(m, n, m, n))
 
 
-def _offdiag_mask(m: int, n: int) -> np.ndarray:
-    mask = np.ones((m, n, m, n), dtype=bool)
-    for i in range(m):
-        for j in range(n):
-            mask[i, j, i, j] = False
-    return mask
+def _flat_entries(t: BiquadraticTensor) -> np.ndarray:
+    # M[(i,j),(k,l)] = a[i,j,k,l]; the diagonal holds the entries a[i,j,i,j].
+    mn = t.m * t.n
+    return t.entries.reshape(mn, mn)
 
 
 def is_z_tensor(t: BiquadraticTensor) -> bool:
     """True iff every off-diagonal entry (not of the form a[i,j,i,j]) is <= 0."""
-    off = t.entries[_offdiag_mask(t.m, t.n)]
-    return all(v <= 0 for v in off)
+    M = _flat_entries(t)
+    return all(v <= 0 for v in M[~np.eye(len(M), dtype=bool)])
 
 
 def z_split(t: BiquadraticTensor) -> tuple[Fraction, BiquadraticTensor]:
@@ -79,7 +74,7 @@ def z_split(t: BiquadraticTensor) -> tuple[Fraction, BiquadraticTensor]:
     """
     if not is_z_tensor(t):
         raise ValueError("not a Z-tensor: some off-diagonal entry is positive")
-    alpha = max(t.entries[i, j, i, j] for i in range(t.m) for j in range(t.n))
+    alpha = max(_flat_entries(t).diagonal())
     B = m_identity(t.m, t.n).entries * alpha - t.entries
     cls = SymmetricBiquadraticTensor if isinstance(t, SymmetricBiquadraticTensor) else BiquadraticTensor
     return alpha, cls(t.m, t.n, B)
@@ -112,54 +107,29 @@ def lambda_max_estimate(B: SymmetricBiquadraticTensor, restarts: int = 20, seed:
     return float(np.max(vals))
 
 
-def _row_mean(t: BiquadraticTensor, i0: int, j0: int) -> Fraction:
-    # S_ij = 1/2 sum_{i2} ( sum_{j2} a[i,j,i2,j2] + sum_{j1} a[i,j1,i2,j] ),
-    # signed (no absolute values, diagonal included).
-    a = t.entries
-    total = Fraction(0)
-    for i2 in range(t.m):
-        for j2 in range(t.n):
-            total += a[i0, j0, i2, j2]
-        for j1 in range(t.n):
-            total += a[i0, j1, i2, j0]
-    return total / 2
-
-
-def _row_offdiag_max(t: BiquadraticTensor, i0: int, j0: int) -> Fraction:
-    # max over the two entry families of abar (diagonal occurrence zeroed),
-    # i.e. max over abar[i,j,i2,j2] and abar[i,j1,i2,j].
-    a = t.entries
-    best = Fraction(0)
-    first = True
-    for i2 in range(t.m):
-        for j2 in range(t.n):
-            v = ZERO if (i2, j2) == (i0, j0) else a[i0, j0, i2, j2]
-            if first or v > best:
-                best, first = v, False
-        for j1 in range(t.n):
-            v = ZERO if (i2, j1) == (i0, j0) else a[i0, j1, i2, j0]
-            if v > best:
-                best = v
-    return best
+def _b0_rows(t: BiquadraticTensor) -> tuple[np.ndarray, np.ndarray]:
+    # Per flattening row p: the signed row sum S_p (diagonal included) and
+    # max(0, off-diagonal entries of row p).
+    M = _flat_entries(t)
+    off = np.where(np.eye(len(M), dtype=bool), ZERO, M)
+    return M.sum(axis=1), off.max(axis=1)
 
 
 def is_b0_tensor(t: BiquadraticTensor) -> bool:
-    """Row-mean membership test.
+    """Row-mean membership test on the rows of the flattening.
 
-    For every (i, j) the signed half row sum S_ij must be nonnegative, and
-    S_ij / (mn) must dominate every off-diagonal entry in the two row
-    families (with the diagonal occurrence zeroed, as in the dominance row
-    bound; the zeroing is applied to both families).
+    For every row p the signed row sum S_p must be nonnegative, and S_p / (mn)
+    must be at least every off-diagonal entry of the row and at least 0, which
+    already implies S_p >= 0. This is the paper's two-family test (half sums
+    over a[i,j,i2,j2] and a[i,j1,i2,j], diagonal occurrence zeroed), to which
+    it reduces under biquadratic symmetry; a tensor without that symmetry
+    raises ValueError.
     """
+    if not isinstance(t, SymmetricBiquadraticTensor) and not t.has_biquadratic_symmetry():
+        raise ValueError("is_b0_tensor needs a tensor with biquadratic symmetry")
     mn = t.m * t.n
-    for i0 in range(t.m):
-        for j0 in range(t.n):
-            s = _row_mean(t, i0, j0)
-            if s < 0:
-                return False
-            if s / mn < _row_offdiag_max(t, i0, j0):
-                return False
-    return True
+    sums, off_max = _b0_rows(t)
+    return all(s / mn >= top for s, top in zip(sums, off_max))
 
 
 @dataclass(frozen=True)
@@ -190,6 +160,7 @@ def classify(t: SymmetricBiquadraticTensor, restarts: int = 20, seed: int = 0,
     """Aggregate membership report for the structured classes."""
     zq = is_z_tensor(t)
     if zq:
+        t.to_float()  # the verdict below is float: name an entry beyond its range
         alpha, B = z_split(t)
         est = lambda_max_estimate(B, restarts=restarts, seed=seed)
         if float(alpha) >= est + margin:
@@ -214,33 +185,27 @@ def _random_symmetric_offdiag(m, n, rng, denom, lo, hi):
     lo_i, hi_i = int(lo * denom), int(hi * denom)
     for idx in np.ndindex(m, n, m, n):
         arr[idx] = Fraction(int(rng.integers(lo_i, hi_i + 1)), denom)
-    for i in range(m):
-        for j in range(n):
-            arr[i, j, i, j] = ZERO
+    np.fill_diagonal(arr.reshape(m * n, m * n), ZERO)
     return symmetrize(BiquadraticTensor(m, n, arr))
 
 
-def _with_diagonal(t, diag_fn):
-    arr = np.array(t.entries, dtype=object)
-    for i in range(t.m):
-        for j in range(t.n):
-            arr[i, j, i, j] = diag_fn(i, j)
-    return SymmetricBiquadraticTensor(t.m, t.n, arr)
+def _with_diagonal(t, diag):
+    """Copy of t with the flattening's diagonal replaced by the mn values diag."""
+    M = np.array(_flat_entries(t))
+    np.fill_diagonal(M, diag)
+    return SymmetricBiquadraticTensor(t.m, t.n, M.reshape(t.m, t.n, t.m, t.n))
 
 
 def _gen_dd(m, n, rng, denom=8):
     base = _random_symmetric_offdiag(m, n, rng, denom, -1, 1)
-    slack = {
-        (i, j): Fraction(int(rng.integers(0, denom + 1)), denom)
-        for i in range(m)
-        for j in range(n)
-    }
-    return _with_diagonal(base, lambda i, j: row_bound(base, i + 1, j + 1) + slack[(i, j)])
+    slack = [Fraction(int(rng.integers(0, denom + 1)), denom) for _ in range(m * n)]
+    return _with_diagonal(base, offdiag_row_sums(flatten(base)) + slack)
 
 
 def _gen_z(m, n, rng, denom=8):
     base = _random_symmetric_offdiag(m, n, rng, denom, -1, 0)
-    return _with_diagonal(base, lambda i, j: Fraction(int(rng.integers(0, 2 * denom + 1)), denom))
+    diag = [Fraction(int(rng.integers(0, 2 * denom + 1)), denom) for _ in range(m * n)]
+    return _with_diagonal(base, diag)
 
 
 def _gen_m(m, n, rng, denom=8):
@@ -258,14 +223,12 @@ def _gen_m(m, n, rng, denom=8):
 def _gen_b0(m, n, rng, denom=8):
     base = _random_symmetric_offdiag(m, n, rng, denom, -1, 1)
     mn = m * n
-    need = Fraction(0)
-    for i in range(m):
-        for j in range(n):
-            h = _row_mean(base, i, j)  # zero diagonal, so this is the off part
-            need = max(need, -h, mn * _row_offdiag_max(base, i, j) - h)
+    # zero diagonal, so the row sums are the off-diagonal parts; a common
+    # diagonal d passes row p iff sums[p] + d >= mn * off_max[p]
+    sums, off_max = _b0_rows(base)
+    need = max([Fraction(0), *(mn * off_max - sums)])
     slack = Fraction(int(rng.integers(0, denom + 1)), denom)
-    diag = need + slack
-    return _with_diagonal(base, lambda i, j: diag)
+    return _with_diagonal(base, need + slack)
 
 
 _GENERATORS = {"dd": _gen_dd, "z": _gen_z, "m": _gen_m, "b0": _gen_b0}

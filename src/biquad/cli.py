@@ -38,11 +38,17 @@ from .core import (
 # like "-1,2/3" pass through to flags like -a/-b/-c/-x/-y.
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$|^-\d*\.\d+$")
 
+# audit-grid runs the exact classifier once per point, a few hundred
+# microseconds each; larger grids are refused before the loop.
+MAX_GRID_POINTS = 100_000
 
-def _new_parser(*args, **kwargs) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(*args, **kwargs)
-    p._negative_number_matcher = _NEGATIVE_RATIONAL
-    return p
+
+class _Parser(argparse.ArgumentParser):
+    # add_subparsers builds subparsers of the parent's class, so every
+    # subcommand gets the widened matcher too.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_RATIONAL
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -82,12 +88,9 @@ def _load_symmetric(path):
 def _cmd_check_dd(args) -> int:
     t = _load_symmetric(args.tensor)
     violations = []
-    for i in range(1, t.m + 1):
-        for j in range(1, t.n + 1):
-            bound = dominance.row_bound(t, i, j)
-            diag = t.entry(i, j, i, j)
-            if diag < bound:
-                violations.append({"i": i, "j": j, "diagonal": _rat(diag), "bound": _rat(bound)})
+    for p, diag, bound in dominance.dominance_violations(dominance.flatten(t)):
+        i, j = divmod(p, t.n)
+        violations.append({"i": i + 1, "j": j + 1, "diagonal": _rat(diag), "bound": _rat(bound)})
     ok = not violations
     _emit(args, {"diagonally_dominated": ok, "violations": violations})
     return 0 if ok else 1
@@ -129,6 +132,7 @@ def _cmd_classify_monic(args) -> int:
 
 
 def _cmd_decompose_monic(args) -> int:
+    jsonio.check_dims(args.m, args.n)
     p = MonicParams(args.m, args.n, args.a, args.b, args.c)
     cert = monic.monic_sos_decompose(p)
     if cert is None:
@@ -153,13 +157,14 @@ def _cmd_audit_grid(args) -> int:
     if step <= 0 or span <= 0:
         raise ValueError("--step and --range must be positive rationals")
     count = int(2 * span / step)
+    points = (count + 1) ** 3
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {points} points exceeds the maximum {MAX_GRID_POINTS}")
     values = [-span + k * step for k in range(count + 1)]
     disagreements = []
-    points = 0
     for a in values:
         for b in values:
             for c in values:
-                points += 1
                 p = MonicParams(args.m, args.n, a, b, c)
                 if not monic.membership_equivalence_check(p):
                     disagreements.append([_rat(a), _rat(b), _rat(c)])
@@ -189,6 +194,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    jsonio.check_dims(args.m, args.n)
     rng = np.random.default_rng(args.seed)
     t = classes.gen_tensor(args.klass, args.m, args.n, rng)
     _write_or_emit(args, jsonio.tensor_to_dict(t))
@@ -213,6 +219,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    jsonio.check_dims(args.m, args.n)
     fixture_dir = None
     if args.output:
         fixture_dir = Path(args.output).resolve().parent
@@ -259,12 +266,6 @@ def _cmd_eval(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--quiet", action="store_true", help="suppress the JSON report")
-    p._negative_number_matcher = _NEGATIVE_RATIONAL
-
-
 def _add_dims(p: argparse.ArgumentParser) -> None:
     p.add_argument("-m", type=int, required=True, help="x dimension")
     p.add_argument("-n", type=int, required=True, help="y dimension")
@@ -277,15 +278,15 @@ def _add_abc(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _new_parser(prog="biquad",
-                         description="Exact certificates for structured biquadratic tensors")
+    parser = _Parser(prog="biquad",
+                     description="Exact certificates for structured biquadratic tensors")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        p._negative_number_matcher = _NEGATIVE_RATIONAL
-        _add_common(p)
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--quiet", action="store_true", help="suppress the JSON report")
         return p
 
     p = add("check-dd", _cmd_check_dd, "test diagonal dominance of a tensor file")

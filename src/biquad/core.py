@@ -98,8 +98,7 @@ class BiquadraticTensor:
 
     @classmethod
     def zeros(cls, m: int, n: int):
-        arr = np.empty((m, n, m, n), dtype=object)
-        arr[...] = ZERO
+        arr = np.full((m, n, m, n), ZERO, dtype=object)
         return cls(m, n, arr)
 
     @classmethod
@@ -112,8 +111,15 @@ class BiquadraticTensor:
         return self.entries[i - 1, j - 1, k - 1, l - 1]
 
     def to_float(self) -> np.ndarray:
-        """Float64 copy of the entries, for the numerical probes."""
-        return self.entries.astype(np.float64)
+        """Float64 copy of the entries, for the numerical probes; an entry
+        beyond the float range raises OverflowError naming it (1-based)."""
+        try:
+            return self.entries.astype(np.float64)
+        except OverflowError:
+            top = np.finfo(np.float64).max
+            idx = next(idx for idx, v in np.ndenumerate(self.entries) if abs(v) > top)
+            raise OverflowError("entry ({},{},{},{}) is beyond the float range".format(
+                *(x + 1 for x in idx))) from None
 
     def has_biquadratic_symmetry(self) -> bool:
         """Check a[i,j,k,l] == a[k,j,i,l] == a[k,l,i,j] == a[i,l,k,j]."""
@@ -212,19 +218,9 @@ def monic_to_tensor(p: MonicParams) -> SymmetricBiquadraticTensor:
     """
     m, n = p.m, p.n
     a, b, c = p.abc
-    arr = np.empty((m, n, m, n), dtype=object)
-    for i in range(m):
-        for j in range(n):
-            for k in range(m):
-                for l in range(n):
-                    if i == k and j == l:
-                        arr[i, j, k, l] = ONE
-                    elif j == l:
-                        arr[i, j, k, l] = a
-                    elif i == k:
-                        arr[i, j, k, l] = b
-                    else:
-                        arr[i, j, k, l] = c
+    same_x = np.eye(m, dtype=bool)[:, None, :, None]  # i == k
+    same_y = np.eye(n, dtype=bool)[None, :, None, :]  # j == l
+    arr = np.where(same_y, np.where(same_x, ONE, a), np.where(same_x, b, c))
     return SymmetricBiquadraticTensor(m, n, arr)
 
 
@@ -248,8 +244,7 @@ class BilinearForm:
     @classmethod
     def unit(cls, m: int, n: int, i: int, j: int):
         """The form x_i y_j (0-based i, j)."""
-        W = np.empty((m, n), dtype=object)
-        W[...] = ZERO
+        W = np.full((m, n), ZERO, dtype=object)
         W[i, j] = ONE
         return cls(m, n, W)
 
@@ -304,8 +299,7 @@ def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
     entries of each form and symmetrizes. Raises on negative weights (also
     enforced at certificate construction).
     """
-    acc = np.empty((cert.m, cert.n, cert.m, cert.n), dtype=object)
-    acc[...] = ZERO
+    acc = np.full((cert.m, cert.n, cert.m, cert.n), ZERO, dtype=object)
     for weight, form in cert.terms:
         if weight < 0:
             raise ValueError(f"certificate weight {weight} is negative")

@@ -29,7 +29,9 @@ __all__ = [
     "DDCertificateRaw",
     "NotDiagonallyDominantError",
     "flatten",
+    "offdiag_row_sums",
     "row_bound",
+    "dominance_violations",
     "is_diagonally_dominated",
     "dd_matrix_decompose",
     "dd_sos_decompose",
@@ -80,45 +82,42 @@ def flatten(t: SymmetricBiquadraticTensor) -> FlatMatrix:
     return FlatMatrix(t.m, t.n, t.entries.reshape(mn, mn))
 
 
+def offdiag_row_sums(flat: FlatMatrix) -> np.ndarray:
+    """Off-diagonal absolute row sums sum_{q != p} |M[p,q]|, one per row p.
+
+    For a symmetric tensor the sum at row p = (i-1)*n + (j-1) is the row
+    bound r_ij of the paper's dominance condition.
+    """
+    M = flat.M
+    return np.abs(M).sum(axis=1) - np.abs(M.diagonal())
+
+
 def row_bound(t: SymmetricBiquadraticTensor, i: int, j: int) -> Fraction:
     """Row bound r_ij (1-based i, j):
 
         r_ij = 1/2 * sum_{i2} ( sum_{j2} |abar[i,j,i2,j2]| + sum_{j1} |abar[i,j1,i2,j]| )
 
     where abar zeroes the diagonal occurrence: abar[i,j,i2,j2] = 0 when
-    (i2,j2) = (i,j), and abar[i,j1,i2,j] = 0 when (i2,j1) = (i,j). For
-    symmetric tensors this equals the off-diagonal absolute row sum of the
-    flattening at row (i,j).
+    (i2,j2) = (i,j), and abar[i,j1,i2,j] = 0 when (i2,j1) = (i,j). Symmetry
+    makes the two families equal, so this is the off-diagonal absolute row
+    sum of the flattening at row (i,j).
     """
     if not (1 <= i <= t.m) or not (1 <= j <= t.n):
         raise IndexError(f"(i, j) = ({i}, {j}) out of range for ({t.m}, {t.n})")
-    a = t.entries
-    i0, j0 = i - 1, j - 1
-    total = Fraction(0)
-    for i2 in range(t.m):
-        for j2 in range(t.n):
-            if (i2, j2) != (i0, j0):
-                total += abs(a[i0, j0, i2, j2])
-        for j1 in range(t.n):
-            if (i2, j1) != (i0, j0):
-                total += abs(a[i0, j1, i2, j0])
-    return total / 2
+    return offdiag_row_sums(flatten(t))[(i - 1) * t.n + (j - 1)]
+
+
+def dominance_violations(flat: FlatMatrix) -> list[tuple[int, Fraction, Fraction]]:
+    """(p, M[p,p], bound) for each row p whose diagonal is below its
+    off-diagonal absolute row sum; p is the 0-based flat index (i*n + j)."""
+    M = flat.M
+    return [(p, M[p, p], bound) for p, bound in enumerate(offdiag_row_sums(flat))
+            if M[p, p] < bound]
 
 
 def is_diagonally_dominated(t: SymmetricBiquadraticTensor) -> bool:
     """True iff a[i,j,i,j] >= r_ij for every (i, j)."""
-    return not _dominance_violations(t)
-
-
-def _dominance_violations(t) -> list[tuple[int, Fraction, Fraction]]:
-    out = []
-    for i in range(1, t.m + 1):
-        for j in range(1, t.n + 1):
-            diag = t.entry(i, j, i, j)
-            bound = row_bound(t, i, j)
-            if diag < bound:
-                out.append(((i - 1) * t.n + (j - 1), diag, bound))
-    return out
+    return not dominance_violations(flatten(t))
 
 
 @dataclass(frozen=True)
@@ -148,23 +147,14 @@ def dd_matrix_decompose(flat: FlatMatrix) -> DDCertificateRaw:
     """
     M = flat.M
     N = M.shape[0]
-    alphas = []
-    violations = []
-    for p in range(N):
-        off = sum(abs(M[p, q]) for q in range(N) if q != p)
-        alpha = M[p, p] - off
-        if alpha < 0:
-            violations.append((p, M[p, p], off))
-        alphas.append(alpha)
-    if violations:
-        raise NotDiagonallyDominantError(violations)
-    pairs = []
-    for p in range(N):
-        for q in range(p + 1, N):
-            v = M[p, q]
-            if v != 0:
-                pairs.append((p, q, abs(v), 1 if v > 0 else -1))
-    return DDCertificateRaw(N, tuple(alphas), tuple(pairs))
+    bounds = offdiag_row_sums(flat)
+    alphas = tuple(M.diagonal() - bounds)
+    if any(alpha < 0 for alpha in alphas):
+        raise NotDiagonallyDominantError(
+            (p, M[p, p], bounds[p]) for p in range(N) if alphas[p] < 0)
+    pairs = tuple((p, q, abs(M[p, q]), 1 if M[p, q] > 0 else -1)
+                  for p in range(N) for q in range(p + 1, N) if M[p, q] != 0)
+    return DDCertificateRaw(N, alphas, pairs)
 
 
 def dd_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate:
@@ -172,17 +162,14 @@ def dd_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate:
 
     Pair terms come first (lexicographic in the flat index pair), then the
     residual diagonal terms; zero weights are dropped. The expansion of the
-    result equals ``t`` exactly.
+    result equals ``t`` exactly. Raises :class:`NotDiagonallyDominantError`
+    when ``t`` is not diagonally dominated.
     """
-    violations = _dominance_violations(t)
-    if violations:
-        raise NotDiagonallyDominantError(violations)
     raw = dd_matrix_decompose(flatten(t))
     m, n = t.m, t.n
     terms = []
     for p, q, beta, s in raw.pairs:
-        W = np.empty((m, n), dtype=object)
-        W[...] = ZERO
+        W = np.full((m, n), ZERO, dtype=object)
         W[divmod(p, n)] = Fraction(1)
         W[divmod(q, n)] = Fraction(s)
         terms.append((beta, BilinearForm(m, n, W)))

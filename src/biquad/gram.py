@@ -21,10 +21,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from . import exactla, kernels
+from . import exactla, jsonio, kernels
 from .classes import gen_tensor
 from .core import (
     BilinearForm,
@@ -63,7 +64,8 @@ RATIONALIZE_DENOMINATORS = (10, 100, 1000, 10_000, 100_000, 1_000_000)
 
 @dataclass
 class GramPoint:
-    """A float Gram candidate with its two feasibility residuals.
+    """A Gram candidate with its two feasibility residuals. G is float, or the
+    exact rational flattening when that is PSD.
 
     residual_affine: max constraint violation |G[(i,j),(k,l)] + G[(i,l),(k,j)]
     - 2 a[i,j,k,l]|. residual_psd: the most negative eigenvalue, clipped at 0.
@@ -88,31 +90,33 @@ class SOSProbeResult:
         return self.status in ("sos_certified", "flattening_psd") and self.certificate is not None
 
 
-def _certificate_from_ldl(m: int, n: int, result: exactla.LDLResult) -> SOSCertificate:
-    terms = []
-    for term in result.terms:
-        if term.pivot == 0:
-            continue
-        W = np.array(term.vector, dtype=object).reshape(m, n)
-        terms.append((term.pivot, BilinearForm(m, n, W)))
-    return SOSCertificate(m, n, tuple(terms))
+def _gram_certificate(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
+    """Exact certificate from a rational Gram point G of ``t``, when G is PSD.
+
+    Runs pivoted rational LDL^T on G; nonzero pivots yield one bilinear form
+    per factor column with the pivot as weight. The certificate is expanded
+    and compared with ``t`` exactly before it is returned. Returns None when
+    G is not PSD.
+    """
+    res = exactla.ldlt_psd(G)
+    if not res.ok:
+        return None
+    m, n = t.m, t.n
+    cert = SOSCertificate(m, n, tuple(
+        (term.pivot, BilinearForm(m, n, np.array(term.vector, dtype=object).reshape(m, n)))
+        for term in res.terms if term.pivot != 0))
+    if not tensors_equal(expand_certificate(cert), t):  # pragma: no cover - defensive
+        raise AssertionError("Gram certificate failed exact round-trip")
+    return cert
 
 
 def flattening_psd_check(t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
     """Exact certificate from the canonical flattening, when it is PSD.
 
-    Runs pivoted rational LDL^T on the flattening; nonnegative pivots yield
-    one bilinear form per factor column with the pivot as weight, and the
-    certificate expands back to ``t`` exactly. Returns None when the
+    The certificate expands back to ``t`` exactly. Returns None when the
     flattening is not PSD, which decides nothing about ``t`` itself.
     """
-    res = exactla.ldlt_psd(flatten(t).M)
-    if not res.ok:
-        return None
-    cert = _certificate_from_ldl(t.m, t.n, res)
-    if not tensors_equal(expand_certificate(cert), t):  # pragma: no cover - defensive
-        raise AssertionError("flattening certificate failed exact round-trip")
-    return cert
+    return _gram_certificate(flatten(t).M, t)
 
 
 def gram_project_affine(G: np.ndarray, t: SymmetricBiquadraticTensor) -> np.ndarray:
@@ -140,24 +144,18 @@ def _rationalize(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertificate
     """Round a numeric Gram point to rationals and verify exactly.
 
     Continued-fraction rounding at an escalating denominator ladder; every
-    candidate is re-projected onto the affine family exactly and passed
-    through rational LDL^T, so no inexact certificate can escape.
+    candidate is re-projected onto the affine family exactly, which makes its
+    expansion equal ``t``, and passed through rational LDL^T, so no inexact
+    certificate can escape.
     """
     mn = t.m * t.n
+    upper = np.triu_indices(mn)
     for denom in RATIONALIZE_DENOMINATORS:
         rat = np.empty((mn, mn), dtype=object)
-        for p in range(mn):
-            rat[p, p] = Fraction(float(G[p, p])).limit_denominator(denom)
-            for q in range(p + 1, mn):
-                v = Fraction(float(G[p, q])).limit_denominator(denom)
-                rat[p, q] = v
-                rat[q, p] = v
-        fixed = kernels.project_affine(rat, t.entries)
-        res = exactla.ldlt_psd(fixed)
-        if not res.ok:
-            continue
-        cert = _certificate_from_ldl(t.m, t.n, res)
-        if tensors_equal(expand_certificate(cert), t):
+        rat[upper] = [Fraction(float(v)).limit_denominator(denom) for v in G[upper]]
+        rat.T[upper] = rat[upper]  # symmetric, from the upper triangle
+        cert = _gram_certificate(kernels.project_affine(rat, t.entries), t)
+        if cert is not None:
             return cert
     return None
 
@@ -176,13 +174,14 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
       (evidence of an empty intersection, not proof)
     * otherwise -> ``inconclusive``
     """
+    mn = t.m * t.n
     cert = flattening_psd_check(t)
-    a4 = t.to_float()
-    M0 = a4.reshape(t.m * t.n, t.m * t.n).copy()
     if cert is not None:
-        return SOSProbeResult("flattening_psd", cert, 0, GramPoint(M0, 0.0, 0.0), [])
+        # exact all the way: no float conversion, so any rational entry works
+        return SOSProbeResult("flattening_psd", cert, 0, GramPoint(t.entries.reshape(mn, mn), 0.0, 0.0))
 
-    X = M0
+    a4 = t.to_float()
+    X = a4.reshape(mn, mn)
     p = np.zeros_like(X)
     q = np.zeros_like(X)
     trace: list[float] = []
@@ -257,9 +256,6 @@ def conjecture_sweep(klass: str, trials: int, seed: int, m: int, n: int,
         rows.append(SweepRow(trial, seed, res.status, res.iterations,
                              res.residuals.residual_affine, res.residuals.residual_psd))
         if res.status == "infeasible_suspected" and fixture_dir is not None:
-            from . import jsonio
-            from pathlib import Path
-
             path = Path(fixture_dir) / f"{klass}_m{m}_n{n}_seed{seed}_trial{trial}.json"
             jsonio.save_tensor(t, path)
     return rows
@@ -301,8 +297,7 @@ def choi_form() -> SymmetricBiquadraticTensor:
     Used as the negative fixture: its flattening is not PSD (exact negative
     pivot) even though sampling finds no negative value.
     """
-    data = np.empty((3, 3, 3, 3), dtype=object)
-    data[...] = Fraction(0)
+    data = np.full((3, 3, 3, 3), Fraction(0), dtype=object)
     for (i, j, k, l), v in _CHOI_NONZERO.items():
         data[i - 1, j - 1, k - 1, l - 1] = Fraction(v)
     return SymmetricBiquadraticTensor(3, 3, rational_array(data))

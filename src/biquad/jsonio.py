@@ -40,7 +40,13 @@ __all__ = [
     "load_certificate",
     "save_certificate",
     "dumps_canonical",
+    "MAX_MN",
+    "check_dims",
 ]
+
+# Largest m*n accepted from outside: the exact layer is sized for (mn) x (mn)
+# flattenings with mn <= 64, and a tensor has (mn)^2 rational entries.
+MAX_MN = 64
 
 
 def rational_to_str(v: Fraction) -> str:
@@ -59,16 +65,17 @@ def dumps_canonical(obj) -> str:
 
 
 def tensor_to_dict(t: BiquadraticTensor) -> dict:
-    entries = []
-    for i in range(t.m):
-        for j in range(t.n):
-            for k in range(t.m):
-                for l in range(t.n):
-                    v = t.entries[i, j, k, l]
-                    if v != 0:
-                        entries.append({"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1,
-                                        "v": rational_to_str(v)})
+    entries = [{"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": rational_to_str(v)}
+               for (i, j, k, l), v in np.ndenumerate(t.entries) if v != 0]
     return {"m": t.m, "n": t.n, "entries": entries}
+
+
+def check_dims(m: int, n: int) -> None:
+    """Reject dimensions below 1 or with m*n above MAX_MN, before any allocation."""
+    if m < 1 or n < 1:
+        raise ValueError(f"dimensions must be >= 1, got m={m}, n={n}")
+    if m * n > MAX_MN:
+        raise ValueError(f"m*n = {m * n} exceeds the supported maximum {MAX_MN}")
 
 
 def _dims(d: dict) -> tuple[int, int]:
@@ -76,15 +83,13 @@ def _dims(d: dict) -> tuple[int, int]:
         m, n = int(d["m"]), int(d["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"missing or malformed dimensions: {exc}") from exc
-    if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be >= 1, got m={m}, n={n}")
+    check_dims(m, n)
     return m, n
 
 
 def tensor_from_dict(d: dict) -> BiquadraticTensor:
     m, n = _dims(d)
-    arr = np.empty((m, n, m, n), dtype=object)
-    arr[...] = Fraction(0)
+    arr = np.full((m, n, m, n), Fraction(0), dtype=object)
     seen = set()
     for entry in d.get("entries", []):
         try:

@@ -1,9 +1,10 @@
 """Shared test helpers: independent oracles and random rational data.
 
 The oracles here deliberately avoid the library's own code paths: the monic
-form is evaluated term by term from its defining four sums, and certificates
-are evaluated as literal weighted squares. Tests compare library output
-against these.
+form is evaluated term by term from its defining four sums, certificates are
+evaluated as literal weighted squares, and the dominance and B0 row
+quantities are computed from their two-family tensor-index formulas. Tests
+compare library output against these.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from biquad.core import BiquadraticTensor, symmetrize
+from biquad.core import BiquadraticTensor, SymmetricBiquadraticTensor, symmetrize
 
 
 def random_rational(rng, denom=12, lo=-3, hi=3) -> Fraction:
@@ -29,6 +30,74 @@ def random_symmetric_tensor(rng, m, n, denom=8):
     for idx in np.ndindex(m, n, m, n):
         arr[idx] = Fraction(int(rng.integers(-denom, denom + 1)), denom)
     return symmetrize(BiquadraticTensor(m, n, arr))
+
+
+def with_flat_diagonal(t, diag):
+    """Copy of a symmetric tensor with a[i,j,i,j] set to diag[(i-1)*n + (j-1)].
+
+    Each diagonal entry is its own symmetry orbit, so the result stays
+    symmetric.
+    """
+    arr = np.array(t.entries, dtype=object)
+    for p, v in enumerate(diag):
+        i, j = divmod(p, t.n)
+        arr[i, j, i, j] = v
+    return SymmetricBiquadraticTensor(t.m, t.n, arr)
+
+
+# The paper states the row conditions on two families of tensor entries,
+# a[i,j,i2,j2] and a[i,j1,i2,j], with the diagonal occurrence zeroed. The
+# library reads rows of the flattening instead; these are the tensor-index
+# formulas, kept as the reference (0-based i0, j0).
+
+def two_family_row_bound(t, i0, j0) -> Fraction:
+    """r_ij = 1/2 sum_{i2} ( sum_{j2} |abar[i,j,i2,j2]| + sum_{j1} |abar[i,j1,i2,j]| )."""
+    a = t.entries
+    total = Fraction(0)
+    for i2 in range(t.m):
+        for j2 in range(t.n):
+            if (i2, j2) != (i0, j0):
+                total += abs(a[i0, j0, i2, j2])
+        for j1 in range(t.n):
+            if (i2, j1) != (i0, j0):
+                total += abs(a[i0, j1, i2, j0])
+    return total / 2
+
+
+def two_family_row_mean(t, i0, j0) -> Fraction:
+    """S_ij = 1/2 sum_{i2} ( sum_{j2} a[i,j,i2,j2] + sum_{j1} a[i,j1,i2,j] ), signed."""
+    a = t.entries
+    total = Fraction(0)
+    for i2 in range(t.m):
+        for j2 in range(t.n):
+            total += a[i0, j0, i2, j2]
+        for j1 in range(t.n):
+            total += a[i0, j1, i2, j0]
+    return total / 2
+
+
+def two_family_row_offdiag_max(t, i0, j0) -> Fraction:
+    """Largest entry of both families, the diagonal occurrence counted as 0."""
+    a = t.entries
+    values = [Fraction(0)]
+    for i2 in range(t.m):
+        for j2 in range(t.n):
+            if (i2, j2) != (i0, j0):
+                values.append(a[i0, j0, i2, j2])
+        for j1 in range(t.n):
+            if (i2, j1) != (i0, j0):
+                values.append(a[i0, j1, i2, j0])
+    return max(values)
+
+
+def two_family_is_b0(t) -> bool:
+    """S_ij >= 0 and S_ij / (mn) >= the off-diagonal maximum, for every (i, j)."""
+    mn = t.m * t.n
+    return all(
+        two_family_row_mean(t, i0, j0) >= 0
+        and two_family_row_mean(t, i0, j0) / mn >= two_family_row_offdiag_max(t, i0, j0)
+        for i0 in range(t.m) for j0 in range(t.n)
+    )
 
 
 def monic_form_value(m, n, a, b, c, x, y):

@@ -29,6 +29,16 @@ from biquad.classes import (
 )
 from biquad.dominance import flatten, is_diagonally_dominated, row_bound
 
+from conftest import (
+    random_symmetric_tensor,
+    two_family_is_b0,
+    two_family_row_mean,
+    two_family_row_offdiag_max,
+    with_flat_diagonal,
+)
+
+ALL_SIZES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
+
 
 class TestMIdentity:
     def test_flattening_is_identity(self):
@@ -135,6 +145,39 @@ class TestB0:
         arr[0, 1, 1, 0] = F(-5)
         t = SymmetricBiquadraticTensor(2, 2, arr)
         assert not is_b0_tensor(t)
+
+
+    def test_rejects_plain_tensor_without_symmetry(self):
+        arr = BiquadraticTensor.zeros(2, 2).entries.copy()
+        arr[0, 0, 1, 1] = F(1)
+        with pytest.raises(ValueError):
+            is_b0_tensor(BiquadraticTensor(2, 2, arr))
+
+    @pytest.mark.parametrize("m,n", ALL_SIZES)
+    def test_matches_two_family_formula(self, rng, m, n):
+        for _ in range(3):
+            t = random_symmetric_tensor(rng, m, n)
+            # diagonal lifted by a random amount so both verdicts occur
+            lift = [v + F(int(rng.integers(0, 8 * m * n)), 4) for v in flatten(t).M.diagonal()]
+            for s in (t, with_flat_diagonal(t, lift)):
+                assert is_b0_tensor(s) == two_family_is_b0(s)
+
+    @pytest.mark.parametrize("m,n", ALL_SIZES)
+    def test_equality_boundary_against_two_family_formula(self, rng, m, n):
+        # every row exactly on its boundary: S = 0 or S / (mn) = off-diagonal
+        # max; one row lowered by 1/64 fails
+        mn = m * n
+        base = with_flat_diagonal(random_symmetric_tensor(rng, m, n), [0] * mn)
+        rows = [(i0, j0) for i0 in range(m) for j0 in range(n)]
+        diag = [max(-two_family_row_mean(base, *r),
+                    mn * two_family_row_offdiag_max(base, *r) - two_family_row_mean(base, *r))
+                for r in rows]
+        tight = with_flat_diagonal(base, diag)
+        assert two_family_is_b0(tight) and is_b0_tensor(tight)
+        diag[int(rng.integers(0, mn))] -= F(1, 64)
+        below = with_flat_diagonal(base, diag)
+        assert not two_family_is_b0(below)
+        assert not is_b0_tensor(below)
 
 
 class TestClassify:

@@ -11,8 +11,9 @@ import pytest
 import biquad
 from biquad import jsonio
 from biquad.classes import m_identity
-from biquad.cli import main
+from biquad.cli import MAX_GRID_POINTS, main
 from biquad.core import MonicParams, monic_to_tensor
+from biquad.jsonio import MAX_MN
 
 
 def run(capsys, *argv):
@@ -23,6 +24,18 @@ def run(capsys, *argv):
 
 def parse(out):
     return json.loads(out)
+
+
+def run_subprocess(*argv, timeout=120):
+    src = str(Path(biquad.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "biquad.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def assert_one_error_line(proc):
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 @pytest.fixture
@@ -220,23 +233,52 @@ class TestErrorPaths:
         code, _, err = run(capsys, "verify", str(cert), identity_file)
         assert code == 2
 
-    @pytest.mark.parametrize("command, expected", [("probe", 2), ("classify", 2), ("check-dd", 0)])
+    @pytest.mark.parametrize("command, expected", [("probe", 0), ("classify", 2), ("check-dd", 0)])
     def test_entry_beyond_float_range(self, tmp_path, command, expected):
-        # 10**400 is a valid rational but overflows float64: the float probes
-        # reject it as bad input, while the exact dominance test answers.
+        # 10**400 is a valid rational but overflows float64. Its flattening is
+        # exactly PSD, so the exact layers answer (probe returns the
+        # flattening certificate before any float conversion), while the
+        # float M-tensor estimate of classify rejects it, naming the entry.
         huge = "1" + "0" * 400
         entries = [{"i": i, "j": j, "k": i, "l": j, "v": huge} for i in (1, 2) for j in (1, 2)]
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"m": 2, "n": 2, "entries": entries}))
-        src = str(Path(biquad.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "biquad.cli", command, str(path)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_subprocess(command, str(path))
         assert proc.returncode == expected
         assert "Traceback" not in proc.stderr
+        if command == "probe":
+            assert '"status": "flattening_psd"' in proc.stdout
         if expected == 2:
-            assert proc.stderr.startswith("error:")
-            assert len(proc.stderr.strip().splitlines()) == 1
+            assert_one_error_line(proc)
+            assert "(1,1,1,1)" in proc.stderr
+
+    def test_oversized_audit_grid_refused_before_the_loop(self):
+        # 4001**3 points would run for hours
+        proc = run_subprocess("audit-grid", "-m", "2", "-n", "2", "--step", "1/1000", timeout=30)
+        assert proc.returncode == 2
+        assert_one_error_line(proc)
+        assert str(MAX_GRID_POINTS) in proc.stderr
+
+    def test_tensor_file_beyond_size_cap(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"m": 9, "n": 9, "entries": [
+            {"i": 1, "j": 1, "k": 1, "l": 1, "v": "1"}]}))
+        for command in ("check-dd", "probe"):
+            proc = run_subprocess(command, str(path), timeout=30)
+            assert proc.returncode == 2
+            assert_one_error_line(proc)
+            assert str(MAX_MN) in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--class", "dd", "-m", "9", "-n", "9"),
+        ("sweep", "--class", "b0", "-m", "9", "-n", "9", "--trials", "1"),
+        ("decompose-monic", "-m", "9", "-n", "9", "-a", "0", "-b", "0", "-c", "0"),
+    ])
+    def test_dimensions_beyond_size_cap(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(MAX_MN) in err
 
 
 class TestDeterminism:

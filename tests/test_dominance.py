@@ -25,12 +25,20 @@ from biquad.dominance import (
     NotDiagonallyDominantError,
     dd_matrix_decompose,
     dd_sos_decompose,
+    dominance_violations,
     flatten,
     is_diagonally_dominated,
     row_bound,
 )
 
-from conftest import random_rational_vector, random_symmetric_tensor
+from conftest import (
+    random_rational_vector,
+    random_symmetric_tensor,
+    two_family_row_bound,
+    with_flat_diagonal,
+)
+
+ALL_SIZES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
 
 
 def flat_offdiag_abs_row_sum(flat: FlatMatrix, p: int) -> F:
@@ -123,6 +131,14 @@ class TestRowBound:
                     p = (i - 1) * n + (j - 1)
                     assert row_bound(t, i, j) == flat_offdiag_abs_row_sum(flat, p)
 
+    @pytest.mark.parametrize("m,n", ALL_SIZES)
+    def test_matches_two_family_formula(self, rng, m, n):
+        for _ in range(3):
+            t = random_symmetric_tensor(rng, m, n)
+            for i in range(1, m + 1):
+                for j in range(1, n + 1):
+                    assert row_bound(t, i, j) == two_family_row_bound(t, i - 1, j - 1)
+
     def test_index_range_checked(self):
         t = m_identity(2, 2)
         with pytest.raises(IndexError):
@@ -153,6 +169,23 @@ class TestIsDiagonallyDominated:
                 flat.M[p, p] >= flat_offdiag_abs_row_sum(flat, p) for p in range(4)
             )
             assert is_diagonally_dominated(t) == flat_dd
+
+
+    @pytest.mark.parametrize("m,n", ALL_SIZES)
+    def test_equality_boundary_against_two_family_formula(self, rng, m, n):
+        # diagonal exactly at the two-family bound: dominated with equality in
+        # every row; one row lowered by 1/64 is the only violation
+        base = with_flat_diagonal(random_symmetric_tensor(rng, m, n), [0] * (m * n))
+        bounds = [two_family_row_bound(base, i0, j0) for i0 in range(m) for j0 in range(n)]
+        tight = with_flat_diagonal(base, bounds)
+        assert is_diagonally_dominated(tight)
+        assert dominance_violations(flatten(tight)) == []
+        p = int(rng.integers(0, m * n))
+        lowered = list(bounds)
+        lowered[p] -= F(1, 64)
+        below = with_flat_diagonal(base, lowered)
+        assert not is_diagonally_dominated(below)
+        assert dominance_violations(flatten(below)) == [(p, lowered[p], bounds[p])]
 
 
 class TestDDMatrixDecompose:
