@@ -42,6 +42,12 @@ _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$|^-\d*\.\d+$")
 # microseconds each; larger grids are refused before the loop.
 MAX_GRID_POINTS = 100_000
 
+# probe and sweep run up to --max-iter Dykstra iterations per tensor (an
+# (mn)x(mn) eigendecomposition each) and sweep does so for --trials tensors;
+# larger counts, and counts below 1, are refused before any work.
+MAX_ITER = 100_000
+MAX_TRIALS = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     # add_subparsers builds subparsers of the parent's class, so every
@@ -56,6 +62,11 @@ def _rational_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational 'p/q': {text!r} ({exc})")
+
+
+def _check_count(flag: str, value: int, cap: int) -> None:
+    if not 1 <= value <= cap:
+        raise ValueError(f"{flag} must be between 1 and {cap}, got {value}")
 
 
 def _rat(v) -> str:
@@ -202,6 +213,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    _check_count("--max-iter", args.max_iter, MAX_ITER)
     t = _load_symmetric(args.tensor)
     res = gram.sos_probe(t, max_iter=args.max_iter, tol=args.tol)
     payload = {
@@ -219,6 +231,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_count("--trials", args.trials, MAX_TRIALS)
+    _check_count("--max-iter", args.max_iter, MAX_ITER)
     jsonio.check_dims(args.m, args.n)
     fixture_dir = None
     if args.output:

@@ -21,6 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import exactla
+
 __all__ = [
     "rational",
     "rational_array",
@@ -156,9 +158,13 @@ def symmetrize(t: BiquadraticTensor) -> SymmetricBiquadraticTensor:
     j=l) are handled by the same average with multiplicity. The output
     evaluates identically to the input at every (x, y).
     """
-    a = t.entries
-    avg = (a + a.transpose(2, 1, 0, 3) + a.transpose(0, 3, 2, 1) + a.transpose(2, 3, 0, 1)) / 4
-    return SymmetricBiquadraticTensor(t.m, t.n, avg)
+    return SymmetricBiquadraticTensor(t.m, t.n, _orbit_sum(t.entries) / 4)
+
+
+def _orbit_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of a rank-4 array over the symmetry orbit of each index: four
+    times the symmetric representative of the same form."""
+    return a + a.transpose(2, 1, 0, 3) + a.transpose(0, 3, 2, 1) + a.transpose(2, 3, 0, 1)
 
 
 def evaluate(t: BiquadraticTensor, x, y):
@@ -295,22 +301,30 @@ class SOSCertificate:
 def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
     """Symmetric tensor of sum_p c_p f_p(x,y)^2, by exact expansion.
 
-    Accumulates T[i1,j1,i2,j2] += c_p W_p[i1,j1] W_p[i2,j2] over the nonzero
-    entries of each form and symmetrizes. Raises on negative weights (also
-    enforced at certificate construction).
+    Works in integers: each form's W is scaled to an integer vector u_p (by
+    the lcm L_p of its denominators) and its weight to c_p / L_p^2; over the
+    common denominator D of those weights, the flattened tensor
+    sum_p c_p vec(W_p) vec(W_p)^T is G / D with G = U^T diag(c) U in
+    integers. Symmetrizing G in integers gives each entry as
+    Fraction(g, 4 D), built once per distinct g. Raises on negative weights
+    (also enforced at certificate construction).
     """
-    acc = np.full((cert.m, cert.n, cert.m, cert.n), ZERO, dtype=object)
+    m, n = cert.m, cert.n
+    rows, weights = [], []
     for weight, form in cert.terms:
         if weight < 0:
             raise ValueError(f"certificate weight {weight} is negative")
         if weight == 0:
             continue
-        nz = form.nonzero_entries()
-        for i1, j1, w1 in nz:
-            ww1 = weight * w1
-            for i2, j2, w2 in nz:
-                acc[i1, j1, i2, j2] += ww1 * w2
-    return symmetrize(BiquadraticTensor(cert.m, cert.n, acc))
+        u, L = exactla.common_denominator(form.W.reshape(-1))
+        rows.append(u)
+        weights.append(Fraction(weight.numerator, weight.denominator * L * L))
+    c, D = exactla.common_denominator(weights)
+    U = np.array(rows, dtype=object).reshape(len(rows), m * n)
+    G = (U.T * np.array(c, dtype=object)) @ U
+    sym = _orbit_sum(G.reshape(m, n, m, n))
+    fractions = {v: Fraction(v, 4 * D) for v in set(sym.reshape(-1).tolist())}
+    return SymmetricBiquadraticTensor(m, n, np.frompyfunc(fractions.__getitem__, 1, 1)(sym))
 
 
 def tensors_equal(s: SymmetricBiquadraticTensor, t: SymmetricBiquadraticTensor) -> bool:

@@ -93,10 +93,10 @@ class SOSProbeResult:
 def _gram_certificate(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
     """Exact certificate from a rational Gram point G of ``t``, when G is PSD.
 
-    Runs pivoted rational LDL^T on G; nonzero pivots yield one bilinear form
-    per factor column with the pivot as weight. The certificate is expanded
-    and compared with ``t`` exactly before it is returned. Returns None when
-    G is not PSD.
+    Runs pivoted rational LDL^T on G; each pivot (all are positive) yields
+    one bilinear form per factor column with the pivot as weight. The
+    certificate is expanded and compared with ``t`` exactly before it is
+    returned. Returns None when G is not PSD.
     """
     res = exactla.ldlt_psd(G)
     if not res.ok:
@@ -104,7 +104,7 @@ def _gram_certificate(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertif
     m, n = t.m, t.n
     cert = SOSCertificate(m, n, tuple(
         (term.pivot, BilinearForm(m, n, np.array(term.vector, dtype=object).reshape(m, n)))
-        for term in res.terms if term.pivot != 0))
+        for term in res.terms))
     if not tensors_equal(expand_certificate(cert), t):  # pragma: no cover - defensive
         raise AssertionError("Gram certificate failed exact round-trip")
     return cert

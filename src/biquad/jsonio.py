@@ -55,7 +55,7 @@ def rational_to_str(v: Fraction) -> str:
 
 def parse_rational(s) -> Fraction:
     """Parse "p/q" or "p" (Fraction's syntax) into an exact rational."""
-    if isinstance(s, (str, int)):
+    if isinstance(s, (str, int)) and not isinstance(s, bool):
         return Fraction(s)
     raise ValueError(f"expected a rational string, got {type(s).__name__}: {s!r}")
 
@@ -78,9 +78,16 @@ def check_dims(m: int, n: int) -> None:
         raise ValueError(f"m*n = {m * n} exceeds the supported maximum {MAX_MN}")
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer; true/false, 2.0 and "2" are not one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _dims(d: dict) -> tuple[int, int]:
     try:
-        m, n = int(d["m"]), int(d["n"])
+        m, n = (_integer(d[key], key) for key in ("m", "n"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"missing or malformed dimensions: {exc}") from exc
     check_dims(m, n)
@@ -93,7 +100,7 @@ def tensor_from_dict(d: dict) -> BiquadraticTensor:
     seen = set()
     for entry in d.get("entries", []):
         try:
-            i, j, k, l = (int(entry[key]) for key in ("i", "j", "k", "l"))
+            i, j, k, l = (_integer(entry[key], key) for key in ("i", "j", "k", "l"))
             v = parse_rational(entry["v"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed tensor entry {entry!r}: {exc}") from exc
@@ -123,8 +130,11 @@ def certificate_from_dict(d: dict) -> SOSCertificate:
         try:
             w = parse_rational(td["weight"])
             rows = td["W"]
-            W = [[parse_rational(rows[i][j]) for j in range(n)] for i in range(m)]
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            if not (isinstance(rows, list) and len(rows) == m
+                    and all(isinstance(row, list) and len(row) == n for row in rows)):
+                raise ValueError(f"W must be {m} rows of {n} entries")
+            W = [[parse_rational(v) for v in row] for row in rows]
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate term: {exc}") from exc
         terms.append((w, BilinearForm.from_entries(m, n, W)))
     return SOSCertificate(m, n, tuple(terms))

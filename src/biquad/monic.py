@@ -11,6 +11,7 @@ taking the barycentric combination of the vertex certificates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -250,27 +251,30 @@ def vertex_sos(v: int, m: int, n: int) -> SOSCertificate:
 def merge_proportional(cert: SOSCertificate) -> SOSCertificate:
     """Combine terms whose bilinear forms are proportional.
 
-    Each form is normalized by its first nonzero entry (row-major scan);
-    terms sharing a normalized form merge into a single weight
-    sum_p c_p * lead_p^2. Zero weights and zero forms are dropped. The
-    expansion is unchanged. This is a cheap tidy-up, not rank minimization.
+    Terms are grouped by the primitive integer vector of W, signed so that
+    its first nonzero entry (row-major scan) is positive. A group becomes
+    one term: its first member's form divided by that entry lead_p, with
+    weight sum_p c_p * lead_p^2. Zero weights and zero forms are dropped.
+    The expansion is unchanged. This is a cheap tidy-up, not rank
+    minimization.
     """
     groups: dict[tuple, Fraction] = {}
-    order: list[tuple] = []
     reps: dict[tuple, BilinearForm] = {}
     for weight, form in cert.terms:
-        if weight == 0 or form.is_zero():
+        if weight == 0:
             continue
-        nz = form.nonzero_entries()
-        lead = nz[0][2]
-        key = tuple((form.W / lead).reshape(-1))
+        u, _ = exactla.common_denominator(form.W.reshape(-1))
+        k = next((k for k, v in enumerate(u) if v), None)
+        if k is None:  # the zero form
+            continue
+        g = math.gcd(*u) if u[k] > 0 else -math.gcd(*u)
+        key = tuple(v // g for v in u)
+        lead = form.W.reshape(-1)[k]
         if key not in groups:
             groups[key] = Fraction(0)
-            order.append(key)
-            reps[key] = BilinearForm(cert.m, cert.n, (form.W / lead).reshape(cert.m, cert.n))
+            reps[key] = BilinearForm(cert.m, cert.n, form.W / lead)
         groups[key] += weight * lead * lead
-    terms = tuple((groups[k], reps[k]) for k in order)
-    return SOSCertificate(cert.m, cert.n, terms)
+    return SOSCertificate(cert.m, cert.n, tuple((groups[k], reps[k]) for k in groups))
 
 
 def monic_sos_decompose(p: MonicParams) -> SOSCertificate | None:

@@ -2,9 +2,14 @@
 
 The oracles here deliberately avoid the library's own code paths: the monic
 form is evaluated term by term from its defining four sums, certificates are
-evaluated as literal weighted squares, and the dominance and B0 row
-quantities are computed from their two-family tensor-index formulas. Tests
-compare library output against these.
+evaluated as literal weighted squares, the dominance and B0 row quantities
+are computed from their two-family tensor-index formulas, and LDL^T,
+certificate expansion and term merging are the all-Fraction implementations
+the integer versions replaced. Tests compare library output against these.
+
+A deterministic hypothesis profile is registered and loaded here, so the
+property tests draw the same examples on every run and their count is
+bounded.
 """
 
 from __future__ import annotations
@@ -13,8 +18,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from biquad.core import BiquadraticTensor, SymmetricBiquadraticTensor, symmetrize
+from biquad.core import BilinearForm, BiquadraticTensor, SOSCertificate, SymmetricBiquadraticTensor, symmetrize
+from biquad.exactla import LDLResult, LDLTerm
+
+settings.register_profile("biquad", derandomize=True, max_examples=40, deadline=None)
+settings.load_profile("biquad")
 
 
 def random_rational(rng, denom=12, lo=-3, hi=3) -> Fraction:
@@ -98,6 +108,109 @@ def two_family_is_b0(t) -> bool:
         and two_family_row_mean(t, i0, j0) / mn >= two_family_row_offdiag_max(t, i0, j0)
         for i0 in range(t.m) for j0 in range(t.n)
     )
+
+
+# All-Fraction reference implementations of the exact layer: every operation
+# on fractions.Fraction, with no common denominator. The library computes the
+# same results in integers.
+
+def fraction_ldlt_psd(M: np.ndarray) -> LDLResult:
+    """Pivoted exact LDL^T of a symmetric rational matrix, as a PSD test.
+
+    Pivots greedily on the largest remaining diagonal entry. Succeeds iff M is
+    positive semidefinite; the returned terms reconstruct M exactly.
+    """
+    N = M.shape[0]
+    A = np.array(M, dtype=object)
+    if not bool((A == A.T).all()):
+        raise ValueError("matrix is not symmetric")
+    active = list(range(N))
+    terms = []
+    while active:
+        p = max(active, key=lambda r: (A[r, r], -r))
+        d = A[p, p]
+        if d < 0:
+            return LDLResult(False, tuple(terms), "negative_pivot", p, d)
+        if d == 0:
+            # All remaining diagonals are <= 0 here; a PSD matrix with a zero
+            # diagonal entry has the whole row zero.
+            for r in active:
+                if A[r, r] < 0:
+                    return LDLResult(False, tuple(terms), "negative_pivot", r, A[r, r])
+            for r in active:
+                for c in active:
+                    if A[r, c] != 0:
+                        return LDLResult(False, tuple(terms), "zero_diagonal_nonzero_row", r, A[r, c])
+            break
+        col = {r: A[r, p] for r in active}
+        vec = [Fraction(0)] * N
+        for r, v in col.items():
+            vec[r] = v / d
+        terms.append(LDLTerm(d, tuple(vec)))
+        active.remove(p)
+        for r in active:
+            if col[r] == 0:
+                continue
+            for c in active:
+                if col[c] != 0:
+                    A[r, c] -= col[r] * col[c] / d
+    return LDLResult(True, tuple(terms))
+
+
+def fraction_expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
+    """Symmetric tensor of sum_p c_p f_p(x,y)^2, by exact expansion.
+
+    Accumulates T[i1,j1,i2,j2] += c_p W_p[i1,j1] W_p[i2,j2] over the nonzero
+    entries of each form and symmetrizes. Raises on negative weights (also
+    enforced at certificate construction).
+    """
+    acc = np.full((cert.m, cert.n, cert.m, cert.n), Fraction(0), dtype=object)
+    for weight, form in cert.terms:
+        if weight < 0:
+            raise ValueError(f"certificate weight {weight} is negative")
+        if weight == 0:
+            continue
+        nz = form.nonzero_entries()
+        for i1, j1, w1 in nz:
+            ww1 = weight * w1
+            for i2, j2, w2 in nz:
+                acc[i1, j1, i2, j2] += ww1 * w2
+    a = acc
+    avg = (a + a.transpose(2, 1, 0, 3) + a.transpose(0, 3, 2, 1) + a.transpose(2, 3, 0, 1)) / 4
+    return SymmetricBiquadraticTensor(cert.m, cert.n, avg)
+
+
+def fraction_merge_proportional(cert: SOSCertificate) -> SOSCertificate:
+    """Combine terms whose bilinear forms are proportional.
+
+    Each form is normalized by its first nonzero entry (row-major scan);
+    terms sharing a normalized form merge into a single weight
+    sum_p c_p * lead_p^2. Zero weights and zero forms are dropped. The
+    expansion is unchanged. This is a cheap tidy-up, not rank minimization.
+    """
+    groups: dict[tuple, Fraction] = {}
+    order: list[tuple] = []
+    reps: dict[tuple, BilinearForm] = {}
+    for weight, form in cert.terms:
+        if weight == 0 or form.is_zero():
+            continue
+        nz = form.nonzero_entries()
+        lead = nz[0][2]
+        key = tuple((form.W / lead).reshape(-1))
+        if key not in groups:
+            groups[key] = Fraction(0)
+            order.append(key)
+            reps[key] = BilinearForm(cert.m, cert.n, (form.W / lead).reshape(cert.m, cert.n))
+        groups[key] += weight * lead * lead
+    terms = tuple((groups[k], reps[k]) for k in order)
+    return SOSCertificate(cert.m, cert.n, terms)
+
+
+def certificates_equal(a: SOSCertificate, b: SOSCertificate) -> bool:
+    """Same dimensions and the same terms in order: equal weights and W."""
+    return (a.m, a.n, len(a.terms)) == (b.m, b.n, len(b.terms)) and all(
+        wa == wb and bool((fa.W == fb.W).all())
+        for (wa, fa), (wb, fb) in zip(a.terms, b.terms))
 
 
 def monic_form_value(m, n, a, b, c, x, y):

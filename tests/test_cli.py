@@ -11,7 +11,7 @@ import pytest
 import biquad
 from biquad import jsonio
 from biquad.classes import m_identity
-from biquad.cli import MAX_GRID_POINTS, main
+from biquad.cli import MAX_GRID_POINTS, MAX_ITER, MAX_TRIALS, main
 from biquad.core import MonicParams, monic_to_tensor
 from biquad.jsonio import MAX_MN
 
@@ -279,6 +279,45 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and str(MAX_MN) in err
+
+
+    @pytest.mark.parametrize("argv,cap", [
+        (("sweep", "--class", "b0", "-m", "8", "-n", "8", "--trials", "100000"), MAX_TRIALS),
+        (("sweep", "--class", "b0", "-m", "2", "-n", "2", "--trials", "0"), MAX_TRIALS),
+        (("sweep", "--class", "b0", "-m", "2", "-n", "2", "--trials", "1", "--max-iter", "0"), MAX_ITER),
+        (("sweep", "--class", "m_tensor", "-m", "8", "-n", "8", "--trials", "2",
+          "--max-iter", str(MAX_ITER + 1)), MAX_ITER),
+    ])
+    def test_sweep_counts_bounded(self, argv, cap):
+        proc = run_subprocess(*argv, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert_one_error_line(proc)
+        assert str(cap) in proc.stderr
+
+    @pytest.mark.parametrize("max_iter", ["0", "-5", str(MAX_ITER + 1)])
+    def test_probe_max_iter_bounded(self, identity_file, max_iter):
+        # --max-iter 0 used to report "inconclusive" with exit 0
+        proc = run_subprocess("probe", identity_file, "--max-iter", max_iter, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert_one_error_line(proc)
+        assert str(MAX_ITER) in proc.stderr
+
+    @pytest.mark.parametrize("command,text", [
+        ("check-dd", '{"m": 2.9, "n": 2, "entries": []}'),
+        ("check-dd", '{"m": 2, "n": 2, "entries": [{"i": 1.5, "j": true, "k": 1, "l": 1, "v": "1"}]}'),
+        ("verify", '{"m": 1, "n": 2, "terms": [{"weight": "1", "W": [["1", "0", "5"]]}]}'),
+    ])
+    def test_malformed_json_shapes(self, tmp_path, command, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        tensor = tmp_path / "t.json"
+        tensor.write_text('{"m": 1, "n": 2, "entries": [{"i": 1, "j": 1, "k": 1, "l": 1, "v": "1"}]}')
+        argv = (command, str(path)) if command == "check-dd" else (command, str(path), str(tensor))
+        proc = run_subprocess(*argv, timeout=30)
+        assert proc.returncode == 2
+        assert_one_error_line(proc)
 
 
 class TestDeterminism:

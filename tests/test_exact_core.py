@@ -1,0 +1,215 @@
+"""The integer exact core against its all-Fraction references.
+
+``ldlt_psd``, ``expand_certificate`` and ``merge_proportional`` compute in
+integers over common denominators; ``tests/conftest.py`` keeps the
+all-Fraction implementations they replaced. Each test here requires equal
+results: the full ``LDLResult`` (terms, failure kind, index and exact
+value), ``tensors_equal`` expansions and equal merged certificates.
+"""
+
+from fractions import Fraction as F
+from itertools import product
+
+import numpy as np
+import pytest
+
+from biquad import exactla
+from biquad.core import BilinearForm, SOSCertificate, expand_certificate, tensors_equal
+from biquad.dominance import dd_sos_decompose, flatten
+from biquad.gram import choi_form
+from biquad.monic import merge_proportional, vertex_sos
+from biquad.classes import gen_tensor
+from conftest import (
+    certificates_equal,
+    fraction_expand_certificate,
+    fraction_ldlt_psd,
+    fraction_merge_proportional,
+    random_symmetric_tensor,
+)
+
+SHAPES = list(product(range(1, 5), repeat=2))
+# denominator bounds: integers, the small fixed 8, and up to 1e3 and 1e6
+DENOMS = (1, 8, 1_000, 1_000_000)
+
+
+def rand_rational(rng, denom, span=4):
+    """A rational with numerator in [-span*q, span*q] and denominator q,
+    where q is ``denom`` itself for 1 and 8 and drawn up to ``denom`` above."""
+    q = denom if denom in (1, 8) else int(rng.integers(1, denom + 1))
+    return F(int(rng.integers(-span * q, span * q + 1)), q)
+
+
+def rand_matrix(rng, rows, cols, denom, density=1.0):
+    out = np.full((rows, cols), F(0), dtype=object)
+    for idx in np.ndindex(rows, cols):
+        if rng.random() < density:
+            out[idx] = rand_rational(rng, denom)
+    return out
+
+
+def rand_symmetric(rng, N, denom):
+    A = rand_matrix(rng, N, N, denom)
+    return np.triu(A) + np.triu(A, 1).T
+
+
+def gram_sum(rng, N, rank, denom):
+    """sum of ``rank`` terms v v^T: PSD by construction, singular for rank < N."""
+    V = rand_matrix(rng, rank, N, denom)
+    return V.T @ V if rank else np.full((N, N), F(0), dtype=object)
+
+
+def permuted(rng, M):
+    perm = rng.permutation(M.shape[0])
+    return M[np.ix_(perm, perm)]
+
+
+def block_diag(*blocks):
+    N = sum(b.shape[0] for b in blocks)
+    out = np.full((N, N), F(0), dtype=object)
+    at = 0
+    for b in blocks:
+        k = b.shape[0]
+        out[at:at + k, at:at + k] = b
+        at += k
+    return out
+
+
+def assert_same_ldlt(M):
+    res = exactla.ldlt_psd(M)
+    ref = fraction_ldlt_psd(M)
+    assert res == ref
+    assert all(t.pivot > 0 for t in res.terms)
+    return res
+
+
+class TestLDLTAgainstFractionReference:
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("denom", DENOMS)
+    def test_random_symmetric(self, m, n, denom):
+        rng = np.random.default_rng([m, n, denom, 1])
+        for _ in range(3):
+            assert_same_ldlt(rand_symmetric(rng, m * n, denom))
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("denom", DENOMS)
+    def test_psd_by_construction_full_and_singular(self, m, n, denom):
+        rng = np.random.default_rng([m, n, denom, 2])
+        N = m * n
+        for rank in sorted({N, max(N - 1, 0), N // 2, 0}):
+            res = assert_same_ldlt(gram_sum(rng, N, rank, denom))
+            assert res.ok
+            assert len(res.terms) <= rank
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("denom", DENOMS)
+    def test_indefinite_negative_pivot(self, m, n, denom):
+        rng = np.random.default_rng([m, n, denom, 3])
+        N = m * n
+        P = gram_sum(rng, N, N, denom)
+        v = rand_matrix(rng, 1, N, denom)
+        v[0, 0] = F(1)
+        M = P - 4 * (v.T @ v) * max(abs(x) for x in P.reshape(-1)) - np.eye(N, dtype=object)
+        res = assert_same_ldlt(permuted(rng, M))
+        assert res.failure == "negative_pivot" and res.value < 0
+
+    @pytest.mark.parametrize("denom", DENOMS)
+    def test_zero_diagonal_nonzero_row(self, denom):
+        rng = np.random.default_rng([denom, 4])
+        for k in range(0, 5):
+            x = rand_rational(rng, denom) or F(1)
+            hole = np.array([[F(0), x], [x, F(0)]], dtype=object)
+            res = assert_same_ldlt(permuted(rng, block_diag(gram_sum(rng, k, k, denom), hole)))
+            assert res.failure == "zero_diagonal_nonzero_row" and res.value == x
+
+    @pytest.mark.parametrize("denom", DENOMS)
+    def test_negative_diagonal_behind_zero_pivot(self, denom):
+        # once the PSD block is eliminated the largest diagonal is 0 and a
+        # negative one remains: the zero-pivot scan reports it
+        rng = np.random.default_rng([denom, 5])
+        for k in range(0, 5):
+            neg = np.array([[-abs(rand_rational(rng, denom)) - 1]], dtype=object)
+            zero = np.full((2, 2), F(0), dtype=object)
+            res = assert_same_ldlt(permuted(rng, block_diag(gram_sum(rng, k, k, denom), zero, neg)))
+            assert res.failure == "negative_pivot" and res.value == neg[0, 0]
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_tensor_flattenings(self, m, n):
+        rng = np.random.default_rng([m, n, 6])
+        for denom in (1, 8, 1000):
+            assert_same_ldlt(flatten(random_symmetric_tensor(rng, m, n, denom=denom)).M)
+        for klass in ("dd", "z", "m", "b0"):
+            assert_same_ldlt(flatten(gen_tensor(klass, m, n, rng)).M)
+
+    def test_choi_flattening(self):
+        res = assert_same_ldlt(flatten(choi_form()).M)
+        assert res.failure == "negative_pivot"
+
+    def test_integer_entries(self):
+        M = np.array([[4, 2, 0], [2, 3, 1], [0, 1, 5]], dtype=object)
+        assert exactla.ldlt_psd(M) == fraction_ldlt_psd(M.astype(object) * F(1))
+
+    def test_asymmetric_rejected(self):
+        M = np.array([[F(1), F(1, 2)], [F(1, 3), F(1)]], dtype=object)
+        with pytest.raises(ValueError):
+            exactla.ldlt_psd(M)
+
+
+class TestCommonDenominator:
+    def test_numerators_over_lcm(self):
+        nums, D = exactla.common_denominator([F(1, 4), F(-5, 6), 3, F(0)])
+        assert D == 12
+        assert nums == [3, -10, 36, 0]
+
+    def test_empty(self):
+        assert exactla.common_denominator([]) == ([], 1)
+
+
+def random_certificate(rng, m, n, denom, n_terms, density):
+    """Random weights (some zero) and forms, with zero forms and forms
+    proportional to earlier ones mixed in."""
+    terms = []
+    for p in range(n_terms):
+        w = abs(rand_rational(rng, denom))
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            W = np.full((m, n), F(0), dtype=object)
+        elif kind == 1 and terms:
+            W = terms[int(rng.integers(0, len(terms)))][1].W * (rand_rational(rng, denom) or F(-2))
+        else:
+            W = rand_matrix(rng, m, n, denom, density)
+        terms.append((w, BilinearForm(m, n, W)))
+    return SOSCertificate(m, n, tuple(terms))
+
+
+class TestExpansionAgainstFractionReference:
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("denom", DENOMS)
+    def test_random_certificates(self, m, n, denom):
+        rng = np.random.default_rng([m, n, denom, 7])
+        for n_terms, density in ((0, 1.0), (1, 1.0), (5, 0.3), (12, 1.0)):
+            cert = random_certificate(rng, m, n, denom, n_terms, density)
+            assert tensors_equal(expand_certificate(cert), fraction_expand_certificate(cert))
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (3, 3), (4, 4)])
+    def test_vertex_and_dd_certificates(self, m, n):
+        rng = np.random.default_rng([m, n, 8])
+        certs = [vertex_sos(v, m, n) for v in range(1, 5)]
+        certs.append(dd_sos_decompose(gen_tensor("dd", m, n, rng)))
+        for cert in certs:
+            assert tensors_equal(expand_certificate(cert), fraction_expand_certificate(cert))
+
+
+class TestMergeAgainstFractionReference:
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("denom", DENOMS)
+    def test_random_certificates(self, m, n, denom):
+        rng = np.random.default_rng([m, n, denom, 9])
+        for n_terms, density in ((0, 1.0), (4, 0.3), (12, 0.6)):
+            cert = random_certificate(rng, m, n, denom, n_terms, density)
+            assert certificates_equal(merge_proportional(cert), fraction_merge_proportional(cert))
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 4)])
+    def test_concatenated_vertex_certificates(self, m, n):
+        terms = tuple(term for v in range(1, 5) for term in vertex_sos(v, m, n).terms)
+        cert = SOSCertificate(m, n, terms + terms)
+        assert certificates_equal(merge_proportional(cert), fraction_merge_proportional(cert))

@@ -72,3 +72,56 @@ def test_canonical_dump_is_stable():
     b = jsonio.dumps_canonical(jsonio.certificate_to_dict(cert))
     assert a == b
     assert a.endswith("\n")
+
+
+ENTRY = {"i": 1, "j": 1, "k": 1, "l": 1, "v": "1"}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("m", 2.9), ("m", 2.0), ("m", True), ("m", "2"), ("n", None), ("n", [2]),
+])
+def test_dimensions_must_be_json_integers(field, value):
+    d = {"m": 2, "n": 2, "entries": [ENTRY]}
+    d[field] = value
+    with pytest.raises(ValueError, match="must be a JSON integer"):
+        jsonio.tensor_from_dict(d)
+    with pytest.raises(ValueError, match="must be a JSON integer"):
+        jsonio.certificate_from_dict({**d, "terms": []})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("i", 1.5), ("j", True), ("k", 1.0), ("l", "1"), ("v", True),
+])
+def test_tensor_entry_fields_strict(field, value):
+    with pytest.raises(ValueError, match="malformed tensor entry"):
+        jsonio.tensor_from_dict({"m": 2, "n": 2, "entries": [{**ENTRY, field: value}]})
+
+
+@pytest.mark.parametrize("W", [
+    [["1", "0", "5"], ["0", "1"]],  # an extra entry in a row
+    [["1", "0"], ["0", "1"], ["0", "0"]],  # an extra row
+    [["1", "0"]],  # a missing row
+    [["1"], ["0", "1"]],  # a missing entry
+    {"1": ["1", "0"]},
+    [["1", "0"], "01"],
+])
+def test_certificate_W_must_be_m_rows_of_n(W):
+    with pytest.raises(ValueError, match="malformed certificate term"):
+        jsonio.certificate_from_dict({"m": 2, "n": 2, "terms": [{"weight": "1", "W": W}]})
+
+
+def test_certificate_weight_bool_rejected():
+    with pytest.raises(ValueError, match="malformed certificate term"):
+        jsonio.certificate_from_dict({"m": 1, "n": 1, "terms": [{"weight": True, "W": [["1"]]}]})
+
+
+def test_valid_files_unchanged(tmp_path):
+    cert = dd_sos_decompose(m_identity(2, 3))
+    text = jsonio.dumps_canonical(jsonio.certificate_to_dict(cert))
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert jsonio.dumps_canonical(jsonio.certificate_to_dict(jsonio.load_certificate(path))) == text
+    t = monic_to_tensor(MonicParams(3, 2, F(-1, 3), F(2, 5), F(1, 7)))
+    text = jsonio.dumps_canonical(jsonio.tensor_to_dict(t))
+    path.write_text(text)
+    assert jsonio.dumps_canonical(jsonio.tensor_to_dict(jsonio.load_tensor(path))) == text

@@ -1,0 +1,137 @@
+"""Property tests: JSON round trips, symmetrization, certificate re-verification.
+
+Examples are drawn by hypothesis under the deterministic profile loaded in
+``tests/conftest.py``, so every run sees the same bounded set.
+"""
+
+import json
+from fractions import Fraction as F
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from biquad import jsonio
+from biquad.core import (
+    BilinearForm,
+    BiquadraticTensor,
+    MonicParams,
+    SOSCertificate,
+    evaluate,
+    expand_certificate,
+    monic_to_tensor,
+    symmetrize,
+    tensors_equal,
+)
+from biquad.dominance import dd_sos_decompose, flatten, offdiag_row_sums
+from biquad.gram import flattening_psd_check
+from biquad.monic import monic_sos_decompose, tetrahedron
+from conftest import certificates_equal, with_flat_diagonal
+
+dims = st.integers(1, 3)
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def tensors(draw, m=None, n=None):
+    m = draw(dims) if m is None else m
+    n = draw(dims) if n is None else n
+    values = draw(st.lists(rationals, min_size=(m * n) ** 2, max_size=(m * n) ** 2))
+    return BiquadraticTensor(m, n, np.array(values, dtype=object).reshape(m, n, m, n))
+
+
+@st.composite
+def certificates(draw):
+    m, n = draw(dims), draw(dims)
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        weight = draw(st.fractions(min_value=0, max_value=4, max_denominator=12))
+        W = draw(st.lists(rationals, min_size=m * n, max_size=m * n))
+        terms.append((weight, BilinearForm(m, n, np.array(W, dtype=object).reshape(m, n))))
+    return SOSCertificate(m, n, tuple(terms))
+
+
+@st.composite
+def points(draw, length):
+    return [draw(rationals) for _ in range(length)]
+
+
+def through_json(obj_to_dict, obj, from_dict):
+    text = jsonio.dumps_canonical(obj_to_dict(obj))
+    back = from_dict(json.loads(text))
+    assert jsonio.dumps_canonical(obj_to_dict(back)) == text
+    return back
+
+
+@given(tensors())
+def test_tensor_json_round_trip(t):
+    back = through_json(jsonio.tensor_to_dict, t, jsonio.tensor_from_dict)
+    assert (back.m, back.n) == (t.m, t.n)
+    assert bool((back.entries == t.entries).all())
+
+
+@given(certificates())
+def test_certificate_json_round_trip(cert):
+    back = through_json(jsonio.certificate_to_dict, cert, jsonio.certificate_from_dict)
+    assert certificates_equal(back, cert)
+
+
+@given(st.data())
+def test_symmetrize_idempotent_and_preserves_values(data):
+    t = data.draw(tensors())
+    s = symmetrize(t)
+    assert tensors_equal(symmetrize(s), s)
+    x, y = data.draw(points(t.m)), data.draw(points(t.n))
+    assert evaluate(s, x, y) == evaluate(t, x, y)
+
+
+@given(certificates())
+def test_expansion_matches_literal_squares(cert):
+    # the expansion's form is the certificate's sum of squares at every point
+    t = expand_certificate(cert)
+    x = [F(k + 1, 3) for k in range(cert.m)]
+    y = [F(2 - k, 5) for k in range(cert.n)]
+    value = sum((w * form.value(x, y) ** 2 for w, form in cert.terms), F(0))
+    assert evaluate(t, x, y) == value
+
+
+@given(st.data())
+def test_dd_certificates_reverify(data):
+    t = symmetrize(data.draw(tensors()))
+    slack = data.draw(st.lists(st.fractions(min_value=0, max_value=2, max_denominator=8),
+                               min_size=t.m * t.n, max_size=t.m * t.n))
+    dd = with_flat_diagonal(t, [r + s for r, s in zip(offdiag_row_sums(flatten(t)), slack)])
+    assert tensors_equal(expand_certificate(dd_sos_decompose(dd)), dd)
+    # a dominated flattening is PSD, so the flattening LDL^T certifies it too
+    cert = flattening_psd_check(dd)
+    assert cert is not None and tensors_equal(expand_certificate(cert), dd)
+
+
+@given(st.data())
+def test_flattening_certificates_reverify(data):
+    # squares of rank-one forms (a.x)(b.y) have the PSD flattening
+    # sum_p c_p vec(a b^T) vec(a b^T)^T, so the flattening LDL^T certifies them
+    m, n = data.draw(dims), data.draw(dims)
+    terms = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        a, b = data.draw(points(m)), data.draw(points(n))
+        weight = data.draw(st.fractions(min_value=0, max_value=4, max_denominator=12))
+        terms.append((weight, BilinearForm(m, n, np.outer(np.array(a, dtype=object), b))))
+    t = expand_certificate(SOSCertificate(m, n, tuple(terms)))
+    cert = flattening_psd_check(t)
+    assert cert is not None and tensors_equal(expand_certificate(cert), t)
+    other = symmetrize(data.draw(tensors(m, n)))
+    cert = flattening_psd_check(other)
+    assert cert is None or tensors_equal(expand_certificate(cert), other)
+
+
+@given(st.integers(2, 4), st.integers(2, 4),
+       st.lists(st.integers(0, 9), min_size=4, max_size=4).filter(any))
+def test_monic_certificates_reverify(m, n, weights):
+    total = sum(weights)
+    lam = [F(w, total) for w in weights]
+    abc = [sum(l * v[k] for l, v in zip(lam, tetrahedron(m, n).vertices)) for k in range(3)]
+    p = MonicParams(m, n, *abc)
+    cert = monic_sos_decompose(p)
+    assert cert is not None
+    assert tensors_equal(expand_certificate(cert), monic_to_tensor(p))
