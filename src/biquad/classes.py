@@ -98,11 +98,7 @@ def lambda_max_estimate(B: SymmetricBiquadraticTensor, restarts: int = 20, seed:
     if neg.size:
         raise ValueError("lambda_max_estimate needs an entrywise nonnegative tensor")
     a4 = np.ascontiguousarray(B.to_float())
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((restarts, B.m))
-    ys = rng.standard_normal((restarts, B.n))
-    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    xs, ys = kernels.random_unit_pairs(seed, restarts, B.m, B.n)
     vals, _, _ = kernels.refine_batch(a4, xs, ys, max_iter, tol, True)
     return float(np.max(vals))
 

@@ -38,15 +38,25 @@ from .core import (
 # like "-1,2/3" pass through to flags like -a/-b/-c/-x/-y.
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$|^-\d*\.\d+$")
 
-# audit-grid runs the exact classifier once per point, a few hundred
-# microseconds each; larger grids are refused before the loop.
+# audit-grid runs the exact classifier once per point, about 0.13 ms each
+# (13 s at the cap on a 2-vCPU VM); larger grids are refused before the loop.
 MAX_GRID_POINTS = 100_000
 
 # probe and sweep run up to --max-iter Dykstra iterations per tensor (an
 # (mn)x(mn) eigendecomposition each) and sweep does so for --trials tensors;
-# larger counts, and counts below 1, are refused before any work.
+# larger counts, counts below 1 and sweeps whose sweep_work exceeds
+# MAX_SWEEP_WORK are refused before any work.
 MAX_ITER = 100_000
 MAX_TRIALS = 10_000
+MAX_SWEEP_WORK = 10**10
+SWEEP_EXACT_ITERS = 2_500
+
+
+def sweep_work(trials: int, m: int, n: int, max_iter: int) -> int:
+    """Estimated sweep cost, trials * (mn)^3 * (max_iter + SWEEP_EXACT_ITERS):
+    (mn)^3 per Dykstra iteration, and a trial's exact path (generation, LDL^T,
+    expansion) costs up to about SWEEP_EXACT_ITERS iterations at m*n = 64."""
+    return trials * (m * n) ** 3 * (max_iter + SWEEP_EXACT_ITERS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,6 +244,9 @@ def _cmd_sweep(args) -> int:
     _check_count("--trials", args.trials, MAX_TRIALS)
     _check_count("--max-iter", args.max_iter, MAX_ITER)
     jsonio.check_dims(args.m, args.n)
+    if (work := sweep_work(args.trials, args.m, args.n, args.max_iter)) > MAX_SWEEP_WORK:
+        raise ValueError(f"sweep estimate trials*(m*n)^3*(max_iter+{SWEEP_EXACT_ITERS}) = {work} "
+                         f"exceeds the maximum {MAX_SWEEP_WORK}; use fewer --trials or --max-iter")
     fixture_dir = None
     if args.output:
         fixture_dir = Path(args.output).resolve().parent

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exactla
+from . import exactla, kernels
 
 __all__ = [
     "rational",
@@ -257,14 +257,6 @@ class BilinearForm:
     def value(self, x, y):
         return np.dot(list(x), np.dot(self.W, list(y)))
 
-    def nonzero_entries(self) -> list[tuple[int, int, Fraction]]:
-        return [
-            (i, j, self.W[i, j])
-            for i in range(self.m)
-            for j in range(self.n)
-            if self.W[i, j] != ZERO
-        ]
-
     def is_zero(self) -> bool:
         return bool((self.W == ZERO).all())
 
@@ -374,17 +366,11 @@ def sample_min(t: BiquadraticTensor, trials: int, seed: int,
     This is a falsification probe: a negative value disproves PSD, while a
     nonnegative one proves nothing.
     """
-    from . import kernels
-
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     sym = t if isinstance(t, SymmetricBiquadraticTensor) else symmetrize(t)
     a4 = np.ascontiguousarray(sym.to_float())
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((trials, t.m))
-    ys = rng.standard_normal((trials, t.n))
-    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    xs, ys = kernels.random_unit_pairs(seed, trials, t.m, t.n)
     vals, xs, ys = kernels.refine_batch(a4, xs, ys, max_iter, tol, False)
     best = int(np.argmin(vals))
     return float(vals[best]), xs[best].copy(), ys[best].copy()

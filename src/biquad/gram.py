@@ -19,6 +19,7 @@ canonical member is the flattening itself. This module provides:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -160,13 +161,18 @@ def _rationalize(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertificate
     return None
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 1e-9) -> SOSProbeResult:
     """Decide-or-probe whether ``t`` admits a square certificate.
 
     Tries the exact canonical flattening first (status ``flattening_psd``).
     Otherwise runs Dykstra's alternating projections between the affine Gram
-    family and the PSD cone starting from the flattening, recording the
-    combined residual each iteration. Outcomes:
+    family and the PSD cone from the flattening, recording the combined
+    residual each iteration; ``tol`` must be finite and > 0. Outcomes:
 
     * combined residual < tol and rationalization verifies -> ``sos_certified``
     * residual < tol but no exact certificate recovered -> ``feasible_numerical``
@@ -174,6 +180,7 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
       (evidence of an empty intersection, not proof)
     * otherwise -> ``inconclusive``
     """
+    _check_tol(tol)
     mn = t.m * t.n
     cert = flattening_psd_check(t)
     if cert is not None:
@@ -241,10 +248,11 @@ def conjecture_sweep(klass: str, trials: int, seed: int, m: int, n: int,
     ``fixture_dir`` is given, any tensor whose probe reports
     ``infeasible_suspected`` is saved there as a JSON fixture for inspection
     (such a tensor would be evidence against the class being closed under
-    square certificates).
+    square certificates). Arguments are checked before the first trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_tol(tol)
     if klass not in SWEEP_CLASSES:
         raise ValueError(f"unknown sweep class {klass!r}; expected one of {tuple(SWEEP_CLASSES)}")
     gen_class = SWEEP_CLASSES[klass]

@@ -12,7 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["refine_batch", "project_affine", "affine_residual"]
+__all__ = ["random_unit_pairs", "refine_batch", "project_affine", "affine_residual"]
+
+
+def random_unit_pairs(seed, count, m, n):
+    """``count`` random starts (xs, ys) on the unit spheres of R^m and R^n:
+    standard normal xs, then ys, from ``default_rng(seed)``, rows normalised."""
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.standard_normal((count, m)), rng.standard_normal((count, n))
+    return xs / np.linalg.norm(xs, axis=1, keepdims=True), ys / np.linalg.norm(ys, axis=1, keepdims=True)
 
 
 def refine_batch(a4, xs, ys, max_iter, tol, maximize):

@@ -2,15 +2,16 @@
 tetrahedron, and constructive square certificates.
 
 A monic symmetric form is determined by (m, n, a, b, c). Its nonnegativity is
-equivalent to four linear inequalities in (a, b, c) (plus one rational
-inequality that turns out to be redundant), and the feasible set is the
-tetrahedron spanned by four explicit vertices, each of which carries a short
-closed-form square certificate. Any interior point inherits a certificate by
-taking the barycentric combination of the vertex certificates.
+equivalent to four linear inequalities (i)-(iv) in (a, b, c) (plus one
+rational inequality that turns out to be redundant). The feasible set is the
+tetrahedron spanned by four explicit vertices, each (i)-(iv) vanishes on one
+facet and, scaled, is a barycentric coordinate. Each vertex carries a short
+closed-form square certificate; any point inherits their barycentric mix.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,8 @@ import numpy as np
 
 from . import exactla
 from .core import (
+    ONE,
+    ZERO,
     BilinearForm,
     MonicParams,
     SOSCertificate,
@@ -106,12 +109,11 @@ def m_eigen_monic(p: MonicParams) -> MEigenReport:
     """
     m, n = p.m, p.n
     a, b, c = p.abc
-    one = Fraction(1)
     vals = [
-        one - b + (m - 1) * (a - c),
-        one - a + (n - 1) * (b - c),
-        one - a - b + c,
-        one + (m - 1) * a + (n - 1) * b + (m - 1) * (n - 1) * c,
+        ONE - b + (m - 1) * (a - c),
+        ONE - a + (n - 1) * (b - c),
+        ONE - a - b + c,
+        ONE + (m - 1) * a + (n - 1) * b + (m - 1) * (n - 1) * c,
     ]
     entries = [MEigenEntry(lab, v, True) for lab, v in zip(CONDITION_LABELS[:4], vals)]
     v_applies = (
@@ -119,7 +121,7 @@ def m_eigen_monic(p: MonicParams) -> MEigenReport:
         and Fraction(1 - n) <= a / c < 1
         and Fraction(1 - m) <= b / c < 1
     )
-    entries.append(MEigenEntry("v", one - a * b / c if v_applies else None, v_applies))
+    entries.append(MEigenEntry("v", ONE - a * b / c if v_applies else None, v_applies))
     return MEigenReport(m, n, tuple(entries))
 
 
@@ -155,12 +157,11 @@ def tetrahedron(m: int, n: int) -> Tetrahedron:
         raise ValueError(f"tetrahedron needs m, n >= 2, got ({m}, {n})")
     im = Fraction(1, m - 1)
     jn = Fraction(1, n - 1)
-    one = Fraction(1)
     verts = (
-        (one, one, one),
+        (ONE, ONE, ONE),
         (-im, -jn, im * jn),
-        (-im, one, -im),
-        (one, -jn, -jn),
+        (-im, ONE, -im),
+        (ONE, -jn, -jn),
     )
     return Tetrahedron(m, n, verts)
 
@@ -168,17 +169,26 @@ def tetrahedron(m: int, n: int) -> Tetrahedron:
 def barycentric(p: MonicParams):
     """Barycentric coordinates of (a, b, c) in the (m, n) tetrahedron.
 
-    Solves the exact 4x4 system [V1..V4; 1 1 1 1] lam = [(a,b,c); 1] (unique
-    by affine independence) and returns the tuple lam when every coordinate
-    is >= 0, else None: the point lies outside, i.e. the form is not PSD.
+    The critical values (i)-(iv) of ``m_eigen_monic`` are affine in (a, b, c)
+    and each vanishes at three vertices; at the fourth, substitution gives
+
+        (iv) = mn at V1,               (iii) = mn/((m-1)(n-1)) at V2,
+        (ii) = mn/(m-1) at V3,         (i)   = mn/(n-1) at V4.
+
+    So each divided by that value is affine, 1 at its vertex and 0 at the
+    other three: the barycentric coordinate, since affine maps agreeing on
+    four affinely independent points are equal. That is
+
+        lam = ((iv)/mn, (iii)(m-1)(n-1)/mn, (ii)(m-1)/mn, (i)(n-1)/mn),
+
+    returned when all are >= 0; None means outside, i.e. not PSD.
     """
-    tet = tetrahedron(p.m, p.n)
-    A = [[tet.vertices[v][coord] for v in range(4)] for coord in range(3)]
-    A.append([Fraction(1)] * 4)
-    lam = exactla.solve_linear(A, [p.a, p.b, p.c, Fraction(1)])
+    m, n = p.m, p.n
+    i, ii, iii, iv = (e.value for e in m_eigen_monic(p).entries[:4])
+    lam = (iv, iii * (m - 1) * (n - 1), ii * (m - 1), i * (n - 1))
     if any(w < 0 for w in lam):
         return None
-    return tuple(lam)
+    return tuple(w / (m * n) for w in lam)
 
 
 def membership_equivalence_check(p: MonicParams) -> bool:
@@ -191,11 +201,18 @@ def membership_equivalence_check(p: MonicParams) -> bool:
     """
     psd, report = psd_conditions(p)
     inside = barycentric(p) is not None
-    first_four = all(report[lab].value >= 0 for lab in CONDITION_LABELS[:4])
     v = report["v"]
-    if first_four and v.applicable and v.value < 0:
+    if inside and v.applicable and v.value < 0:
         raise RuntimeError(f"condition (v) violated inside the tetrahedron at {p}")
     return psd == inside
+
+
+def _sign_vectors(size: int, differences: bool) -> list[np.ndarray]:
+    """[e_i - e_k over i < k, lexicographic] if ``differences``, else [ones]."""
+    E = np.where(np.eye(size, dtype=bool), ONE, ZERO)
+    if differences:
+        return [E[i] - E[k] for i, k in itertools.combinations(range(size), 2)]
+    return [E.sum(axis=0)]
 
 
 def vertex_sos(v: int, m: int, n: int) -> SOSCertificate:
@@ -206,46 +223,19 @@ def vertex_sos(v: int, m: int, n: int) -> SOSCertificate:
         V3: ((x_i - x_k) * sum_j y_j)^2 over i<k, weights 1/(m-1)
         V4: ( sum_i x_i * (y_j - y_l))^2 over j<l, weights 1/(n-1)
 
+    Each W is an outer product of sign vectors: primitive, entries 0 and +-1,
+    leading entry +1, and no two forms (of one vertex or two) proportional.
     The expansion equals monic_to_tensor of the vertex parameters exactly.
     """
     if m < 2 or n < 2:
         raise ValueError(f"vertex certificates need m, n >= 2, got ({m}, {n})")
-    one = Fraction(1)
-    zero = Fraction(0)
-
-    def form(x_signs: dict, y_signs: dict) -> BilinearForm:
-        W = np.empty((m, n), dtype=object)
-        for i in range(m):
-            xi = x_signs.get(i, zero)
-            for j in range(n):
-                W[i, j] = xi * y_signs.get(j, zero)
-        return BilinearForm(m, n, W)
-
-    all_x = {i: one for i in range(m)}
-    all_y = {j: one for j in range(n)}
-    terms = []
-    if v == 1:
-        terms.append((one, form(all_x, all_y)))
-    elif v == 2:
-        w = Fraction(1, (m - 1) * (n - 1))
-        for i in range(m):
-            for k in range(i + 1, m):
-                for j in range(n):
-                    for l in range(j + 1, n):
-                        terms.append((w, form({i: one, k: -one}, {j: one, l: -one})))
-    elif v == 3:
-        w = Fraction(1, m - 1)
-        for i in range(m):
-            for k in range(i + 1, m):
-                terms.append((w, form({i: one, k: -one}, all_y)))
-    elif v == 4:
-        w = Fraction(1, n - 1)
-        for j in range(n):
-            for l in range(j + 1, n):
-                terms.append((w, form(all_x, {j: one, l: -one})))
-    else:
+    if v not in (1, 2, 3, 4):
         raise ValueError(f"vertex id must be 1..4, got {v}")
-    return SOSCertificate(m, n, tuple(terms))
+    dx, dy = v in (2, 3), v in (2, 4)  # differences in x, in y
+    xs, ys = _sign_vectors(m, dx), _sign_vectors(n, dy)
+    weight = Fraction(1, (m - 1 if dx else 1) * (n - 1 if dy else 1))
+    return SOSCertificate(m, n, tuple(
+        (weight, BilinearForm(m, n, np.outer(x, y))) for x in xs for y in ys))
 
 
 def merge_proportional(cert: SOSCertificate) -> SOSCertificate:
@@ -282,19 +272,17 @@ def monic_sos_decompose(p: MonicParams) -> SOSCertificate | None:
 
     Writes (a, b, c) as a convex combination of the tetrahedron vertices and
     concatenates the vertex certificates with weights scaled by the
-    barycentric coordinates (zero-coordinate vertices are skipped), then
-    merges proportional terms. The expansion equals monic_to_tensor(p).
+    barycentric coordinates (zero-coordinate vertices are skipped). No two
+    forms are proportional (``vertex_sos``), so no merge pass is needed.
+    The expansion equals monic_to_tensor(p).
     """
     lam = barycentric(p)
     if lam is None:
         return None
-    terms = []
-    for v, weight in enumerate(lam, start=1):
-        if weight == 0:
-            continue
-        for w, form in vertex_sos(v, p.m, p.n).terms:
-            terms.append((weight * w, form))
-    return merge_proportional(SOSCertificate(p.m, p.n, tuple(terms)))
+    return SOSCertificate(p.m, p.n, tuple(
+        (weight * w, form)
+        for v, weight in enumerate(lam, start=1) if weight != 0
+        for w, form in vertex_sos(v, p.m, p.n).terms))
 
 
 def read_monic_params(t: SymmetricBiquadraticTensor, scale: Fraction) -> MonicParams:

@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the library's own code paths: the monic
 form is evaluated term by term from its defining four sums, certificates are
 evaluated as literal weighted squares, the dominance and B0 row quantities
-are computed from their two-family tensor-index formulas, and LDL^T,
+are computed from their two-family tensor-index formulas, LDL^T,
 certificate expansion and term merging are the all-Fraction implementations
-the integer versions replaced. Tests compare library output against these.
+the integer versions replaced, and the monic barycentric coordinates are
+solved from the vertex table. Tests compare library output against these.
 
 A deterministic hypothesis profile is registered and loaded here, so the
 property tests draw the same examples on every run and their count is
@@ -21,7 +22,8 @@ import pytest
 from hypothesis import settings
 
 from biquad.core import BilinearForm, BiquadraticTensor, SOSCertificate, SymmetricBiquadraticTensor, symmetrize
-from biquad.exactla import LDLResult, LDLTerm
+from biquad.exactla import LDLResult, LDLTerm, solve_linear
+from biquad.monic import tetrahedron
 
 settings.register_profile("biquad", derandomize=True, max_examples=40, deadline=None)
 settings.load_profile("biquad")
@@ -110,6 +112,16 @@ def two_family_is_b0(t) -> bool:
     )
 
 
+def nonzero_entries(form: BilinearForm) -> list[tuple[int, int, Fraction]]:
+    """(i, j, W[i, j]) for every nonzero entry of the form, row-major."""
+    return [
+        (i, j, form.W[i, j])
+        for i in range(form.m)
+        for j in range(form.n)
+        if form.W[i, j] != 0
+    ]
+
+
 # All-Fraction reference implementations of the exact layer: every operation
 # on fractions.Fraction, with no common denominator. The library computes the
 # same results in integers.
@@ -170,7 +182,7 @@ def fraction_expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTen
             raise ValueError(f"certificate weight {weight} is negative")
         if weight == 0:
             continue
-        nz = form.nonzero_entries()
+        nz = nonzero_entries(form)
         for i1, j1, w1 in nz:
             ww1 = weight * w1
             for i2, j2, w2 in nz:
@@ -194,7 +206,7 @@ def fraction_merge_proportional(cert: SOSCertificate) -> SOSCertificate:
     for weight, form in cert.terms:
         if weight == 0 or form.is_zero():
             continue
-        nz = form.nonzero_entries()
+        nz = nonzero_entries(form)
         lead = nz[0][2]
         key = tuple((form.W / lead).reshape(-1))
         if key not in groups:
@@ -204,6 +216,22 @@ def fraction_merge_proportional(cert: SOSCertificate) -> SOSCertificate:
         groups[key] += weight * lead * lead
     terms = tuple((groups[k], reps[k]) for k in order)
     return SOSCertificate(cert.m, cert.n, terms)
+
+
+def fraction_barycentric(p):
+    """Barycentric coordinates of (a, b, c) in the (m, n) tetrahedron.
+
+    Solves the exact 4x4 system [V1..V4; 1 1 1 1] lam = [(a,b,c); 1] (unique
+    by affine independence) and returns the tuple lam when every coordinate
+    is >= 0, else None: the point lies outside, i.e. the form is not PSD.
+    """
+    tet = tetrahedron(p.m, p.n)
+    A = [[tet.vertices[v][coord] for v in range(4)] for coord in range(3)]
+    A.append([Fraction(1)] * 4)
+    lam = solve_linear(A, [p.a, p.b, p.c, Fraction(1)])
+    if any(w < 0 for w in lam):
+        return None
+    return tuple(lam)
 
 
 def certificates_equal(a: SOSCertificate, b: SOSCertificate) -> bool:

@@ -11,8 +11,9 @@ import pytest
 import biquad
 from biquad import jsonio
 from biquad.classes import m_identity
-from biquad.cli import MAX_GRID_POINTS, MAX_ITER, MAX_TRIALS, main
+from biquad.cli import MAX_GRID_POINTS, MAX_ITER, MAX_SWEEP_WORK, MAX_TRIALS, main, sweep_work
 from biquad.core import MonicParams, monic_to_tensor
+from biquad.gram import choi_form
 from biquad.jsonio import MAX_MN
 
 
@@ -294,6 +295,50 @@ class TestErrorPaths:
         assert proc.stdout == ""
         assert_one_error_line(proc)
         assert str(cap) in proc.stderr
+
+    def test_whole_sweep_bounded(self):
+        # at 8x8 a trial takes about a second, so 10,000 of them took hours
+        proc = run_subprocess("sweep", "--class", "b0", "-m", "8", "-n", "8", "--trials", "10000",
+                              timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert_one_error_line(proc)
+        assert str(MAX_SWEEP_WORK) in proc.stderr
+
+    @pytest.mark.parametrize("trials,m,n,max_iter", [
+        (200, 3, 3, 2000),  # the README example
+        (200, 3, 3, 1500),  # acceptance criterion 09
+        (3, 2, 2, 400),
+        (1, 8, 8, 2000),
+    ])
+    def test_sweep_bound_accepts(self, trials, m, n, max_iter):
+        assert sweep_work(trials, m, n, max_iter) <= MAX_SWEEP_WORK
+
+    def test_sweep_bound_refuses(self):
+        assert sweep_work(10_000, 8, 8, 2000) > MAX_SWEEP_WORK
+        assert sweep_work(MAX_TRIALS, 3, 3, MAX_ITER) > MAX_SWEEP_WORK
+
+    @pytest.mark.parametrize("m,n,most", [(8, 8, 8), (3, 3, 3048)])
+    def test_sweep_bound_at_default_max_iter(self, m, n, most):
+        # the largest accepted trial counts the README states
+        assert sweep_work(most, m, n, 2000) <= MAX_SWEEP_WORK < sweep_work(most + 1, m, n, 2000)
+
+    @pytest.mark.parametrize("command", ["probe", "sweep"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, command, tol):
+        # probe --tol inf reported feasible_numerical on Choi with exit 0,
+        # and --tol nan ran to --max-iter
+        if command == "probe":
+            path = tmp_path / "choi.json"
+            jsonio.save_tensor(choi_form(), path)
+            argv = ("probe", str(path))
+        else:
+            argv = ("sweep", "--class", "b0", "-m", "2", "-n", "2", "--trials", "1")
+        proc = run_subprocess(*argv, f"--tol={tol}", timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert_one_error_line(proc)
+        assert "tol must be finite and > 0" in proc.stderr
 
     @pytest.mark.parametrize("max_iter", ["0", "-5", str(MAX_ITER + 1)])
     def test_probe_max_iter_bounded(self, identity_file, max_iter):

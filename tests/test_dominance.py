@@ -32,6 +32,7 @@ from biquad.dominance import (
 )
 
 from conftest import (
+    nonzero_entries,
     random_rational_vector,
     random_symmetric_tensor,
     two_family_row_bound,
@@ -255,7 +256,7 @@ class TestDDSOSDecompose:
         assert len(cert.terms) == 4
         assert all(w == 1 for w, _ in cert.terms)
         for _, form in cert.terms:
-            assert len(form.nonzero_entries()) == 1
+            assert len(nonzero_entries(form)) == 1
 
     def test_ones_flattening_m2_n1(self):
         arr = np.empty((2, 1, 2, 1), dtype=object)
@@ -273,7 +274,7 @@ class TestDDSOSDecompose:
         cert = dd_sos_decompose(t)
         assert tensors_equal(expand_certificate(cert), t)
         # tight dominance leaves no diagonal residue
-        assert all(len(f.nonzero_entries()) == 2 for _, f in cert.terms)
+        assert all(len(nonzero_entries(f)) == 2 for _, f in cert.terms)
 
     def test_rejects_non_dominated(self):
         with pytest.raises(NotDiagonallyDominantError):

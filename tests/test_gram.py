@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from biquad import exactla
+from biquad import exactla, gram
 from biquad.core import (
     BilinearForm,
     MonicParams,
@@ -184,6 +184,15 @@ class TestSOSProbe:
         assert res.certified
         assert tensors_equal(expand_certificate(res.certificate), t)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0, float("-inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # tol=inf reported feasible_numerical on Choi after one iteration,
+        # and tol=nan ran to max_iter
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            sos_probe(choi_form(), max_iter=50, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            sos_probe(m_identity(2, 2), tol=tol)  # even when the flattening decides
+
     def test_monic_inside_never_suspected(self, rng):
         from biquad.monic import tetrahedron
 
@@ -240,6 +249,14 @@ class TestConjectureSweep:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             conjecture_sweep("m_tensor", 0, seed=0, m=2, n=2)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0])
+    def test_bad_tol_rejected_before_the_first_trial(self, monkeypatch, tol):
+        def no_work(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(gram, "gen_tensor", no_work)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            conjecture_sweep("b0", 3, seed=0, m=2, n=2, tol=tol)
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError):

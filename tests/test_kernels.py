@@ -48,6 +48,15 @@ def refine_reference(a4, xs, ys, max_iter, tol, maximize):
     return tuple(np.array([r[k] for r in runs], dtype=np.float64) for k in range(3))
 
 
+class TestRandomUnitPairs:
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (8, 8)])
+    def test_same_bits_as_the_inline_draw(self, m, n):
+        xs, ys = kernels.random_unit_pairs(17, 9, m, n)
+        want_x, want_y = unit_starts(np.random.default_rng(17), 9, m, n)
+        assert np.array_equal(xs, want_x) and np.array_equal(ys, want_y)
+        assert np.allclose(np.linalg.norm(xs, axis=1), 1) and np.allclose(np.linalg.norm(ys, axis=1), 1)
+
+
 class TestRefineMatchesPerStartLoop:
     @pytest.mark.parametrize("maximize", [False, True])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -30,7 +30,9 @@ from biquad.monic import (
     vertex_sos,
 )
 
-from conftest import random_rational
+from conftest import certificates_equal, fraction_barycentric, random_rational
+
+ALL_SIZES = [(m, n) for m in range(2, 9) for n in range(2, 9)]
 
 
 def witness_values(p: MonicParams):
@@ -179,6 +181,45 @@ class TestBarycentric:
                 assert sum(w * tet.vertices[v][k] for v, w in enumerate(lam)) == p.abc[k]
 
 
+def convex_point(rng, m, n, zeros=0):
+    """A point of the (m, n) tetrahedron with random integer barycentric
+    weights, ``zeros`` of them set to 0 (1: a face, 2: an edge)."""
+    tet = tetrahedron(m, n)
+    weights = [F(int(rng.integers(1, 10))) for _ in range(4)]
+    for v in rng.choice(4, zeros, replace=False):
+        weights[v] = F(0)
+    s = sum(weights)
+    return MonicParams(m, n, *(sum(w * vert[k] for w, vert in zip(weights, tet.vertices)) / s
+                               for k in range(3)))
+
+
+class TestClosedFormBarycentric:
+    """The closed form against the solve of [V1..V4; 1 1 1 1] lam = [(a,b,c); 1]."""
+
+    @pytest.mark.parametrize("m,n", ALL_SIZES)
+    def test_equals_solve_at_the_four_vertices(self, m, n):
+        # both sides are affine in (a, b, c) and the vertices are affinely
+        # independent, so agreement here proves the formula for this (m, n)
+        for v, vert in enumerate(tetrahedron(m, n).vertices):
+            p = MonicParams(m, n, *vert)
+            assert barycentric(p) == fraction_barycentric(p)
+            assert barycentric(p) == tuple(F(int(k == v)) for k in range(4))
+
+    @pytest.mark.parametrize("m,n", ALL_SIZES)
+    def test_equals_solve_at_random_points(self, m, n):
+        rng = np.random.default_rng([m, n])
+        points = [convex_point(rng, m, n, zeros=k % 3) for k in range(100)]
+        points += [MonicParams(m, n, *(random_rational(rng, lo=-2, hi=2) for _ in range(3)))
+                   for _ in range(100)]
+        inside = 0
+        for p in points:
+            lam = barycentric(p)
+            assert lam == fraction_barycentric(p)
+            assert lam is None or all(isinstance(w, F) for w in lam)
+            inside += lam is not None
+        assert 100 <= inside < 200  # the box points are not all inside
+
+
 class TestMembershipEquivalence:
     def test_small_grid_3x3(self):
         vals = [F(k, 2) for k in range(-4, 5)]  # -2 .. 2 step 1/2
@@ -266,6 +307,17 @@ class TestMonicSOSDecompose:
             assert cert is not None
             assert all(w >= 0 for w, _ in cert.terms)
             assert tensors_equal(expand_certificate(cert), monic_to_tensor(p))
+
+
+class TestDecomposeNeedsNoMerge:
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 6) for n in range(2, 6)])
+    def test_merge_is_identity(self, m, n):
+        rng = np.random.default_rng([m, n, 7])
+        points = [MonicParams(m, n, *vert) for vert in tetrahedron(m, n).vertices]
+        points += [convex_point(rng, m, n, zeros=z) for z in (0, 0, 0, 1, 1, 1, 1, 2, 2)]
+        for p in points:
+            cert = monic_sos_decompose(p)
+            assert certificates_equal(merge_proportional(cert), cert)
 
 
 class TestMergeProportional:
