@@ -38,8 +38,8 @@ from .core import (
 # like "-1,2/3" pass through to flags like -a/-b/-c/-x/-y.
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$|^-\d*\.\d+$")
 
-# audit-grid runs the exact classifier once per point, about 0.13 ms each
-# (13 s at the cap on a 2-vCPU VM); larger grids are refused before the loop.
+# audit-grid runs the exact classifier once per point, about 0.3 ms each
+# (30 s at the cap on a 2-vCPU VM); larger grids are refused before the loop.
 MAX_GRID_POINTS = 100_000
 
 # probe and sweep run up to --max-iter Dykstra iterations per tensor (an

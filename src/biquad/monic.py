@@ -4,8 +4,8 @@ tetrahedron, and constructive square certificates.
 A monic symmetric form is determined by (m, n, a, b, c). Its nonnegativity is
 equivalent to four linear inequalities (i)-(iv) in (a, b, c) (plus one
 rational inequality that turns out to be redundant). The feasible set is the
-tetrahedron spanned by four explicit vertices, each (i)-(iv) vanishes on one
-facet and, scaled, is a barycentric coordinate. Each vertex carries a short
+tetrahedron of four explicit vertices; each of (i)-(iv) vanishes on a facet
+and, scaled, is a barycentric coordinate. Each vertex carries a short
 closed-form square certificate; any point inherits their barycentric mix.
 """
 
@@ -169,40 +169,42 @@ def tetrahedron(m: int, n: int) -> Tetrahedron:
 def barycentric(p: MonicParams):
     """Barycentric coordinates of (a, b, c) in the (m, n) tetrahedron.
 
-    The critical values (i)-(iv) of ``m_eigen_monic`` are affine in (a, b, c)
-    and each vanishes at three vertices; at the fourth, substitution gives
+    Solves the exact 4x4 system [V1..V4; 1 1 1 1] lam = [(a,b,c); 1] (unique
+    by affine independence) and returns the tuple lam when every coordinate
+    is >= 0, else None: the point lies outside, i.e. the form is not PSD.
 
-        (iv) = mn at V1,               (iii) = mn/((m-1)(n-1)) at V2,
-        (ii) = mn/(m-1) at V3,         (i)   = mn/(n-1) at V4.
-
-    So each divided by that value is affine, 1 at its vertex and 0 at the
-    other three: the barycentric coordinate, since affine maps agreeing on
-    four affinely independent points are equal. That is
-
-        lam = ((iv)/mn, (iii)(m-1)(n-1)/mn, (ii)(m-1)/mn, (i)(n-1)/mn),
-
-    returned when all are >= 0; None means outside, i.e. not PSD.
+    Equivalently lam = ((iv)/mn, (iii)(m-1)(n-1)/mn, (ii)(m-1)/mn,
+    (i)(n-1)/mn) in the critical values of ``m_eigen_monic``: each is affine,
+    vanishes at three vertices, and equals its denominator at the fourth
+    ((iv) = mn at V1, (iii) = mn/((m-1)(n-1)) at V2, (ii) = mn/(m-1) at V3,
+    (i) = mn/(n-1) at V4). The solve stays independent of that formula so
+    that ``membership_equivalence_check`` compares two derivations.
     """
-    m, n = p.m, p.n
-    i, ii, iii, iv = (e.value for e in m_eigen_monic(p).entries[:4])
-    lam = (iv, iii * (m - 1) * (n - 1), ii * (m - 1), i * (n - 1))
+    tet = tetrahedron(p.m, p.n)
+    A = [[tet.vertices[v][coord] for v in range(4)] for coord in range(3)]
+    A.append([ONE] * 4)
+    lam = exactla.solve_linear(A, [p.a, p.b, p.c, ONE])
     if any(w < 0 for w in lam):
         return None
-    return tuple(w / (m * n) for w in lam)
+    return tuple(lam)
 
 
 def membership_equivalence_check(p: MonicParams) -> bool:
     """Audit that the inequality classifier and tetrahedron membership agree.
 
     Returns True iff psd_conditions(p) and (barycentric(p) is not None) give
-    the same verdict. Additionally enforces the redundancy of condition (v):
-    if (i)-(iv) all hold, (v) must hold too; a violation would contradict the
-    convexity argument behind the vertex certificates, so it raises.
+    the same verdict: the first reads the closed-form critical values, the
+    second solves against the vertex table, so a wrong formula or a wrong
+    vertex makes them disagree somewhere. Additionally enforces the
+    redundancy of condition (v): if (i)-(iv) all hold, (v) must hold too; a
+    violation would contradict the convexity argument behind the vertex
+    certificates, so it raises.
     """
     psd, report = psd_conditions(p)
     inside = barycentric(p) is not None
+    first_four = all(report[lab].value >= 0 for lab in CONDITION_LABELS[:4])
     v = report["v"]
-    if inside and v.applicable and v.value < 0:
+    if first_four and v.applicable and v.value < 0:
         raise RuntimeError(f"condition (v) violated inside the tetrahedron at {p}")
     return psd == inside
 
@@ -272,17 +274,18 @@ def monic_sos_decompose(p: MonicParams) -> SOSCertificate | None:
 
     Writes (a, b, c) as a convex combination of the tetrahedron vertices and
     concatenates the vertex certificates with weights scaled by the
-    barycentric coordinates (zero-coordinate vertices are skipped). No two
-    forms are proportional (``vertex_sos``), so no merge pass is needed.
+    barycentric coordinates (zero-coordinate vertices are skipped), then
+    merges proportional terms. No two vertex forms are proportional
+    (``vertex_sos``), so the merge pass returns its input unchanged.
     The expansion equals monic_to_tensor(p).
     """
     lam = barycentric(p)
     if lam is None:
         return None
-    return SOSCertificate(p.m, p.n, tuple(
+    return merge_proportional(SOSCertificate(p.m, p.n, tuple(
         (weight * w, form)
         for v, weight in enumerate(lam, start=1) if weight != 0
-        for w, form in vertex_sos(v, p.m, p.n).terms))
+        for w, form in vertex_sos(v, p.m, p.n).terms)))
 
 
 def read_monic_params(t: SymmetricBiquadraticTensor, scale: Fraction) -> MonicParams:

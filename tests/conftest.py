@@ -6,7 +6,7 @@ evaluated as literal weighted squares, the dominance and B0 row quantities
 are computed from their two-family tensor-index formulas, LDL^T,
 certificate expansion and term merging are the all-Fraction implementations
 the integer versions replaced, and the monic barycentric coordinates are
-solved from the vertex table. Tests compare library output against these.
+the scaled critical values written out, not solved from the vertex table. Tests compare library output against these.
 
 A deterministic hypothesis profile is registered and loaded here, so the
 property tests draw the same examples on every run and their count is
@@ -22,8 +22,7 @@ import pytest
 from hypothesis import settings
 
 from biquad.core import BilinearForm, BiquadraticTensor, SOSCertificate, SymmetricBiquadraticTensor, symmetrize
-from biquad.exactla import LDLResult, LDLTerm, solve_linear
-from biquad.monic import tetrahedron
+from biquad.exactla import LDLResult, LDLTerm
 
 settings.register_profile("biquad", derandomize=True, max_examples=40, deadline=None)
 settings.load_profile("biquad")
@@ -218,20 +217,21 @@ def fraction_merge_proportional(cert: SOSCertificate) -> SOSCertificate:
     return SOSCertificate(cert.m, cert.n, terms)
 
 
-def fraction_barycentric(p):
-    """Barycentric coordinates of (a, b, c) in the (m, n) tetrahedron.
-
-    Solves the exact 4x4 system [V1..V4; 1 1 1 1] lam = [(a,b,c); 1] (unique
-    by affine independence) and returns the tuple lam when every coordinate
-    is >= 0, else None: the point lies outside, i.e. the form is not PSD.
-    """
-    tet = tetrahedron(p.m, p.n)
-    A = [[tet.vertices[v][coord] for v in range(4)] for coord in range(3)]
-    A.append([Fraction(1)] * 4)
-    lam = solve_linear(A, [p.a, p.b, p.c, Fraction(1)])
+def face_barycentric(p):
+    """Barycentric coordinates of (a, b, c) in the (m, n) tetrahedron, as the
+    critical values (i)-(iv) each divided by its value at the one vertex where
+    it does not vanish; None when any is negative (outside, not PSD)."""
+    m, n = p.m, p.n
+    a, b, c = p.abc
+    lam = (
+        (1 + (m - 1) * a + (n - 1) * b + (m - 1) * (n - 1) * c) / (m * n),
+        (1 - a - b + c) * (m - 1) * (n - 1) / (m * n),
+        (1 - a + (n - 1) * (b - c)) * (m - 1) / (m * n),
+        (1 - b + (m - 1) * (a - c)) * (n - 1) / (m * n),
+    )
     if any(w < 0 for w in lam):
         return None
-    return tuple(lam)
+    return lam
 
 
 def certificates_equal(a: SOSCertificate, b: SOSCertificate) -> bool:

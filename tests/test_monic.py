@@ -17,6 +17,7 @@ from biquad.core import (
     sample_min,
     tensors_equal,
 )
+from biquad import monic
 from biquad.classes import m_identity
 from biquad.monic import (
     barycentric,
@@ -30,7 +31,7 @@ from biquad.monic import (
     vertex_sos,
 )
 
-from conftest import certificates_equal, fraction_barycentric, random_rational
+from conftest import certificates_equal, face_barycentric, random_rational
 
 ALL_SIZES = [(m, n) for m in range(2, 9) for n in range(2, 9)]
 
@@ -194,19 +195,20 @@ def convex_point(rng, m, n, zeros=0):
 
 
 class TestClosedFormBarycentric:
-    """The closed form against the solve of [V1..V4; 1 1 1 1] lam = [(a,b,c); 1]."""
+    """The solve of [V1..V4; 1 1 1 1] lam = [(a,b,c); 1] against the scaled
+    critical values (i)-(iv)."""
 
     @pytest.mark.parametrize("m,n", ALL_SIZES)
-    def test_equals_solve_at_the_four_vertices(self, m, n):
+    def test_equals_scaled_critical_values_at_the_four_vertices(self, m, n):
         # both sides are affine in (a, b, c) and the vertices are affinely
-        # independent, so agreement here proves the formula for this (m, n)
+        # independent, so agreement here proves the identity for this (m, n)
         for v, vert in enumerate(tetrahedron(m, n).vertices):
             p = MonicParams(m, n, *vert)
-            assert barycentric(p) == fraction_barycentric(p)
+            assert barycentric(p) == face_barycentric(p)
             assert barycentric(p) == tuple(F(int(k == v)) for k in range(4))
 
     @pytest.mark.parametrize("m,n", ALL_SIZES)
-    def test_equals_solve_at_random_points(self, m, n):
+    def test_equals_scaled_critical_values_at_random_points(self, m, n):
         rng = np.random.default_rng([m, n])
         points = [convex_point(rng, m, n, zeros=k % 3) for k in range(100)]
         points += [MonicParams(m, n, *(random_rational(rng, lo=-2, hi=2) for _ in range(3)))
@@ -214,7 +216,7 @@ class TestClosedFormBarycentric:
         inside = 0
         for p in points:
             lam = barycentric(p)
-            assert lam == fraction_barycentric(p)
+            assert lam == face_barycentric(p)
             assert lam is None or all(isinstance(w, F) for w in lam)
             inside += lam is not None
         assert 100 <= inside < 200  # the box points are not all inside
@@ -240,6 +242,42 @@ class TestMembershipEquivalence:
         psd, report = psd_conditions(p)
         assert not psd
         assert report["iii"].value == -1
+
+
+class TestMembershipAuditCatchesMutants:
+    """The audit compares two derivations, so breaking either one shows."""
+
+    GRID = [MonicParams(3, 4, F(a, 2), F(b, 2), F(c, 2))
+            for a in range(-3, 4) for b in range(-3, 4) for c in range(-3, 4)]
+
+    def disagreements(self):
+        return sum(not membership_equivalence_check(p) for p in self.GRID)
+
+    def test_unmutated_grid_agrees(self):
+        assert self.disagreements() == 0
+
+    def test_wrong_vertex_table(self, monkeypatch):
+        real = monic.tetrahedron
+
+        def moved_v4(m, n):
+            tet = real(m, n)
+            v4 = tet.vertices[3]
+            return monic.Tetrahedron(m, n, tet.vertices[:3] + ((v4[0], v4[1], v4[2] + F(1, 2)),))
+
+        monkeypatch.setattr(monic, "tetrahedron", moved_v4)
+        assert self.disagreements() > 0
+
+    def test_wrong_critical_value(self, monkeypatch):
+        real = monic.m_eigen_monic
+
+        def wrong_iii(p):
+            report = real(p)
+            entries = list(report.entries)
+            entries[2] = monic.MEigenEntry("iii", entries[2].value + F(1, 2), True)
+            return monic.MEigenReport(report.m, report.n, tuple(entries))
+
+        monkeypatch.setattr(monic, "m_eigen_monic", wrong_iii)
+        assert self.disagreements() > 0
 
 
 class TestVertexSOS:
