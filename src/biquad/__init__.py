@@ -44,7 +44,6 @@ from .gram import (
     choi_form,
     conjecture_sweep,
     flattening_psd_check,
-    gram_project_affine,
     gram_project_psd,
     sos_probe,
 )

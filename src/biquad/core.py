@@ -286,9 +286,6 @@ class SOSCertificate:
     def nonzero_terms(self) -> tuple:
         return tuple((w, f) for (w, f) in self.terms if w != 0 and not f.is_zero())
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
     """Symmetric tensor of sum_p c_p f_p(x,y)^2, by exact expansion.

@@ -8,10 +8,10 @@ canonical member is the flattening itself. This module provides:
 
 * ``flattening_psd_check``: exact LDL^T of the canonical point. Sufficient,
   not necessary, for the existence of a certificate.
-* ``sos_probe``: Dykstra alternating projections between the affine family
-  and the PSD cone, followed by rationalization and exact re-verification of
-  any numeric solution. Divergence is reported as *suspected* infeasibility,
-  never as proof.
+* ``sos_probe``: a log-barrier Newton method that maximises the smallest
+  eigenvalue over the affine family, followed by rationalization and exact
+  re-verification of the interior point it ends at. A float optimum below
+  zero is reported as *suspected* infeasibility, never as proof.
 * ``conjecture_sweep``: batch probes over random members of the structured
   classes, tabulated to CSV.
 """
@@ -44,7 +44,6 @@ __all__ = [
     "SOSProbeResult",
     "SweepRow",
     "flattening_psd_check",
-    "gram_project_affine",
     "gram_project_psd",
     "sos_probe",
     "conjecture_sweep",
@@ -120,11 +119,6 @@ def flattening_psd_check(t: SymmetricBiquadraticTensor) -> SOSCertificate | None
     return _gram_certificate(flatten(t).M, t)
 
 
-def gram_project_affine(G: np.ndarray, t: SymmetricBiquadraticTensor) -> np.ndarray:
-    """Project a symmetric float matrix onto the affine Gram family of t."""
-    return kernels.project_affine(np.asarray(G, dtype=np.float64), t.to_float())
-
-
 def gram_project_psd(G: np.ndarray) -> np.ndarray:
     """Project a symmetric float matrix onto the PSD cone (eigenvalue clip)."""
     Gs = 0.5 * (G + G.T)
@@ -134,11 +128,6 @@ def gram_project_psd(G: np.ndarray) -> np.ndarray:
         raise RuntimeError(f"eigendecomposition failed on:\n{Gs!r}") from exc
     out = (V * np.clip(w, 0.0, None)) @ V.T
     return 0.5 * (out + out.T)
-
-
-def _psd_residual(G: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(0.5 * (G + G.T))
-    return float(max(0.0, -w[0]))
 
 
 def _rationalize(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
@@ -166,19 +155,108 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
+BARRIER_GROWTH = 5.0        # tau grows by this factor per outer step
+NEWTON_DECREMENT_STOP = 1e-8  # inner loop ends at lambda^2 / 2 <= this
+
+
+def _gram_at(F: np.ndarray, t: np.ndarray, dirs) -> np.ndarray:
+    """G(t) = F + sum_k t_k N_k, written at the 4K distinct positions."""
+    p, q, r, u = dirs
+    G = F.copy()
+    G[p, q] += t
+    G[q, p] += t
+    G[r, u] -= t
+    G[u, r] -= t
+    return G
+
+
+def _inverse_if_pd(M: np.ndarray) -> np.ndarray | None:
+    """M^-1 through Cholesky, or None when M is not numerically PD."""
+    try:
+        Li = np.linalg.inv(np.linalg.cholesky(M))
+    except np.linalg.LinAlgError:
+        return None
+    return Li.T @ Li
+
+
+def _barrier_max_min_eig(F: np.ndarray, dirs, max_iter: int, tol: float):
+    """Maximise s subject to G(t) - s I PSD by a damped-Newton log-barrier
+    method (Boyd & Vandenberghe, section 11.3).
+
+    For each tau it minimises -tau s - log det(G(t) - s I) from the previous
+    centre, taking damped steps 1/(1 + lambda) (lambda the Newton decrement),
+    until lambda^2/2 <= NEWTON_DECREMENT_STOP; then tau grows by
+    BARRIER_GROWTH. It starts at t = 0, s = lambda_min(F) - 1 and tau = 1,
+    and stops once the duality gap mn/tau is below ``tol``, so the final s is
+    within ``tol`` of the optimum s*. It stops early when ``max_iter``
+    steps ran out or when float64 can no longer centre: a damped step from
+    lambda < 1/2 must give lambda+ <= 2 lambda^2 < lambda (Nesterov), so a
+    decrement that fails to fall there is rounding noise.
+
+    Returns (t, s, trace, bound) with one s in ``trace`` per Newton step and
+    bound = s + mn/tau at the last centre reached (inf before the first),
+    the duality bound s* <= bound.
+    """
+    mn = F.shape[0]
+    eye = np.eye(mn)
+    t = np.zeros(dirs[0].size)
+    s = float(np.linalg.eigvalsh(F)[0]) - 1.0
+    W = _inverse_if_pd(F - s * eye)
+    tau = 1.0
+    trace: list[float] = []
+    g, H = kernels.barrier_newton_system(W, dirs)
+    lam2_prev = bound = math.inf
+    while True:
+        # H does not depend on tau; only the s entry of the gradient does
+        grad = g.copy()
+        grad[-1] -= tau
+        try:
+            step = np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError:  # pragma: no cover - H is PD in exact arithmetic
+            break
+        lam2 = float(-grad @ step)
+        if lam2 / 2 <= NEWTON_DECREMENT_STOP:
+            bound = s + mn / tau
+            if mn / tau < tol:
+                break
+            tau *= BARRIER_GROWTH
+            lam2_prev = math.inf
+            continue
+        stalled = lam2_prev < 0.25 and not lam2 < lam2_prev
+        if stalled or not math.isfinite(lam2) or len(trace) == max_iter:
+            break
+        lam2_prev = lam2
+        # the damped step stays inside the Dikin ellipsoid, so M stays PD
+        # unless rounding has eaten the margin
+        h = 1.0 / (1.0 + math.sqrt(lam2))
+        t_new, s_new = t + h * step[:-1], s + h * float(step[-1])
+        W_new = _inverse_if_pd(_gram_at(F, t_new, dirs) - s_new * eye)
+        if W_new is None:
+            break
+        t, s, W = t_new, s_new, W_new
+        trace.append(s)
+        g, H = kernels.barrier_newton_system(W, dirs)
+    return t, s, trace, bound
+
+
 def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 1e-9) -> SOSProbeResult:
     """Decide-or-probe whether ``t`` admits a square certificate.
 
     Tries the exact canonical flattening first (status ``flattening_psd``).
-    Otherwise runs Dykstra's alternating projections between the affine Gram
-    family and the PSD cone from the flattening, recording the combined
-    residual each iteration; ``tol`` must be finite and > 0. Outcomes:
+    Otherwise it maximises s = lambda_min(G) over the affine Gram family,
+    G(t) = F + sum_k t_k N_k with F the flattening, by a log-barrier method
+    from t = 0. ``iterations`` counts its Newton steps (at most
+    ``max_iter``) and ``trace`` holds s after each one. ``tol`` must be
+    finite and > 0; it is the barrier's duality-gap target and the primal
+    threshold. Outcomes, with s the final value:
 
-    * combined residual < tol and rationalization verifies -> ``sos_certified``
-    * residual < tol but no exact certificate recovered -> ``feasible_numerical``
-    * residual stalls above tol over a max_iter/10 window -> ``infeasible_suspected``
-      (evidence of an empty intersection, not proof)
-    * otherwise -> ``inconclusive``
+    * s >= -tol and rationalization verifies -> ``sos_certified``
+    * s >= -tol but no exact certificate recovered -> ``feasible_numerical``
+    * s < -tol and the duality bound puts the float optimum s* below -tol
+      -> ``infeasible_suspected`` (evidence of an empty spectrahedron, not
+      proof)
+    * otherwise -> ``inconclusive``: ``max_iter`` ran out, or float64 could
+      not close the gap, first
     """
     _check_tol(tol)
     mn = t.m * t.n
@@ -188,42 +266,19 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
         return SOSProbeResult("flattening_psd", cert, 0, GramPoint(t.entries.reshape(mn, mn), 0.0, 0.0))
 
     a4 = t.to_float()
-    X = a4.reshape(mn, mn)
-    p = np.zeros_like(X)
-    q = np.zeros_like(X)
-    trace: list[float] = []
-    window = max(10, max_iter // 10)
-    status = "inconclusive"
-    Y = X
-    it = 0
-    for it in range(1, max_iter + 1):
-        Y = kernels.project_affine(X + p, a4)
-        p = X + p - Y
-        X = gram_project_psd(Y + q)
-        q = Y + q - X
-        r_aff = kernels.affine_residual(X, a4)
-        r_psd = _psd_residual(Y)
-        combined = max(r_aff, r_psd)
-        trace.append(combined)
-        if combined < tol:
-            status = "converged"
-            break
-        if it % window == 0 and it >= 2 * window:
-            recent = min(trace[-window:])
-            before = min(trace[-2 * window:-window])
-            if recent > tol and recent >= 0.999 * before:
-                status = "infeasible_suspected"
-                break
-
-    point = GramPoint(X, kernels.affine_residual(X, a4), _psd_residual(Y))
-    if status == "converged":
-        cert = _rationalize(X, t)
-        if cert is not None:
-            return SOSProbeResult("sos_certified", cert, it, point, trace)
-        return SOSProbeResult("feasible_numerical", None, it, point, trace)
-    if status == "infeasible_suspected":
-        return SOSProbeResult("infeasible_suspected", None, it, point, trace)
-    return SOSProbeResult("inconclusive", None, it, point, trace)
+    F = a4.reshape(mn, mn)
+    dirs = kernels.gram_directions(t.m, t.n)
+    shift, s, trace, bound = _barrier_max_min_eig(F, dirs, max_iter, tol)
+    G = _gram_at(F, shift, dirs)
+    point = GramPoint(G, kernels.affine_residual(G, a4), max(0.0, -float(np.linalg.eigvalsh(G)[0])))
+    it = len(trace)
+    if s < -tol:
+        status = "infeasible_suspected" if bound < -tol else "inconclusive"
+        return SOSProbeResult(status, None, it, point, trace)
+    cert = _rationalize(G, t)
+    if cert is not None:
+        return SOSProbeResult("sos_certified", cert, it, point, trace)
+    return SOSProbeResult("feasible_numerical", None, it, point, trace)
 
 
 @dataclass(frozen=True)

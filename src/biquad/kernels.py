@@ -1,18 +1,20 @@
 """Array kernels behind the numerical probes.
 
-Two hot loops live here: the alternating smallest/largest-eigenvector
-refinement used by ``sample_min`` and the M-eigenvalue ascent, and the
-affine Gram projection used by the alternating projection search. The
-refinement is float64 only. The projection is one formula for float64
-arrays and for ``Fraction`` object arrays, so ``gram._rationalize`` runs the
-same code exactly on its rounded Gram points.
+Three hot spots live here: the alternating smallest/largest-eigenvector
+refinement used by ``sample_min`` and the M-eigenvalue ascent, the Newton
+system of the log-barrier Gram search in ``gram.sos_probe``, and the affine
+Gram projection. The refinement and the Newton system are float64 only. The
+projection is one formula for float64 arrays and for ``Fraction`` object
+arrays, so ``gram._rationalize`` runs the same code exactly on its rounded
+Gram points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["random_unit_pairs", "refine_batch", "project_affine", "affine_residual"]
+__all__ = ["random_unit_pairs", "refine_batch", "gram_directions", "barrier_newton_system",
+           "project_affine", "affine_residual"]
 
 
 def random_unit_pairs(seed, count, m, n):
@@ -59,6 +61,53 @@ def refine_batch(a4, xs, ys, max_iter, tol, maximize):
             active, x, y, prev = active[keep], x[keep], y[keep], prev[keep]
     out_x[active], out_y[active], vals[active] = x, y, prev
     return vals, out_x, out_y
+
+
+def gram_directions(m, n):
+    """Flat index arrays (p, q, r, u) of the K = C(m,2) C(n,2) free directions
+    of the Gram affine family, one per i < k and j < l.
+
+    Direction N_k adds 1 at the matrix positions (p, q) = ((i,j), (k,l)) and
+    (q, p), and subtracts 1 at (r, u) = ((i,l), (k,j)) and (u, r), so every
+    constraint G[(i,j),(k,l)] + G[(i,l),(k,j)] = 2 a[i,j,k,l] keeps its sum.
+    The 4K positions are distinct.
+    """
+    i, k = np.triu_indices(m, 1)
+    j, l = np.triu_indices(n, 1)
+    i, k = np.repeat(i, j.size), np.repeat(k, j.size)
+    j, l = np.tile(j, m * (m - 1) // 2), np.tile(l, m * (m - 1) // 2)
+    return i * n + j, k * n + l, i * n + l, k * n + j
+
+
+def barrier_newton_system(W, dirs):
+    """Gradient and Hessian of -log det M in the variables (t, s), where
+    M = G(t) - s I, G(t) = G0 + sum_k t_k N_k and W = M^-1 (symmetric).
+
+    With A_k = N_k and A_s = -I, the gradient is -tr(W A_k) and the Hessian
+    tr(W A_k W A_l). Each N_k has four nonzeros, so tr(W N_k W N_l) is a sum
+    of products of entries of W gathered once at the 4K direction indices,
+    with no (K, mn, mn) stack: N_k = S(p,q) - S(r,u) in the symmetric pairs
+    S(a,b) = e_a e_b^T + e_b e_a^T, and tr(W S(a,b) W S(c,d)) =
+    2 (W[a,d] W[b,c] + W[a,c] W[b,d]). Returns (g, H) of sizes K+1 and
+    (K+1, K+1), s last.
+    """
+    p, q, r, u = dirs
+    K = p.size
+    idx = np.concatenate(dirs)
+    # B[a, x, k, b, y, l] = W at member x of pair a of direction k and member
+    # y of pair b of direction l, the pairs being (p, q) and (r, u)
+    B = W.take(idx, 0).take(idx, 1).reshape(2, 2, K, 2, 2, K)
+    pair = B[:, 0, :, :, 1] * B[:, 1, :, :, 0] + B[:, 0, :, :, 0] * B[:, 1, :, :, 1]
+    signed = pair[0] - pair[1]
+    W2 = W @ W
+    H = np.empty((K + 1, K + 1))
+    H[:K, :K] = 2.0 * (signed[:, 0] - signed[:, 1])
+    H[:K, K] = H[K, :K] = -2.0 * (W2[p, q] - W2[r, u])
+    H[K, K] = np.trace(W2)
+    g = np.empty(K + 1)
+    g[:K] = -2.0 * (W[p, q] - W[r, u])
+    g[K] = np.trace(W)
+    return g, H
 
 
 def project_affine(G: np.ndarray, a4: np.ndarray) -> np.ndarray:

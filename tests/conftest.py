@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own code paths: the monic
 form is evaluated term by term from its defining four sums, certificates are
 evaluated as literal weighted squares, the dominance and B0 row quantities
-are computed from their two-family tensor-index formulas, LDL^T,
+are computed from their two-family tensor-index formulas, the barrier
+Newton system is contracted from dense direction matrices, LDL^T,
 certificate expansion and term merging are the all-Fraction implementations
 the integer versions replaced, and the monic barycentric coordinates are
 the scaled critical values written out, not solved from the vertex table. Tests compare library output against these.
@@ -239,6 +240,33 @@ def certificates_equal(a: SOSCertificate, b: SOSCertificate) -> bool:
     return (a.m, a.n, len(a.terms)) == (b.m, b.n, len(b.terms)) and all(
         wa == wb and bool((fa.W == fb.W).all())
         for (wa, fa), (wb, fb) in zip(a.terms, b.terms))
+
+
+def gram_direction_stack(m, n) -> np.ndarray:
+    """The free directions of the Gram affine family as dense (mn, mn)
+    matrices, one per i < k and j < l in lexicographic order: +1 at
+    ((i,j),(k,l)) and its mirror, -1 at ((i,l),(k,j)) and its mirror."""
+    mn = m * n
+    mats = []
+    for i in range(m):
+        for k in range(i + 1, m):
+            for j in range(n):
+                for l in range(j + 1, n):
+                    N = np.zeros((mn, mn))
+                    N[i * n + j, k * n + l] = N[k * n + l, i * n + j] = 1.0
+                    N[i * n + l, k * n + j] = N[k * n + j, i * n + l] = -1.0
+                    mats.append(N)
+    return np.array(mats).reshape(-1, mn, mn)
+
+
+def dense_barrier_system(W, m, n):
+    """Gradient -tr(W A_k) and Hessian tr(W A_k W A_l) of -log det(G(t) - s I)
+    at W = (G(t) - s I)^-1, by einsum over the dense directions A_k, with
+    A = -I for s last."""
+    A = np.concatenate([gram_direction_stack(m, n), -np.eye(m * n)[None]])
+    g = -np.einsum("ab,kba->k", W, A)
+    H = np.einsum("ab,kbc,cd,lda->kl", W, A, W, A, optimize=True)
+    return g, H
 
 
 def monic_form_value(m, n, a, b, c, x, y):

@@ -177,6 +177,17 @@ class TestGenClassifyProbe:
         assert report["status"] == "flattening_psd"
         assert report["certified"] is True
 
+    def test_probe_zero_tensor_prints_the_empty_certificate(self, tmp_path):
+        # an empty certificate used to be dropped as falsy: "certified": true
+        # with "certificate": null
+        path = tmp_path / "zero.json"
+        path.write_text('{"m": 2, "n": 2, "entries": []}')
+        proc = run_subprocess("probe", str(path), timeout=30)
+        assert proc.returncode == 0
+        report = parse(proc.stdout)
+        assert report["certified"] is True
+        assert report["certificate"] == {"m": 2, "n": 2, "terms": []}
+
     def test_sweep_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, "sweep", "--class", "m_tensor", "-m", "2", "-n", "2",

@@ -1,13 +1,15 @@
 """Canonical-flattening certificates, the affine/PSD projections, the
-alternating-projection probe, and conjecture sweeps."""
+log-barrier probe and its Newton system, and conjecture sweeps."""
 
 import io
+import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from biquad import exactla, gram
+from biquad import exactla, gram, kernels
 from biquad.core import (
     BilinearForm,
     MonicParams,
@@ -24,20 +26,26 @@ from biquad.gram import (
     choi_form,
     conjecture_sweep,
     flattening_psd_check,
-    gram_project_affine,
     gram_project_psd,
     sos_probe,
     sweep_counts,
     write_sweep_csv,
 )
 
-from conftest import random_symmetric_tensor
+from conftest import dense_barrier_system, gram_direction_stack, random_symmetric_tensor
 
 
 def rank_one_sos_tensor():
     """symmetrize((x1 y2 - x2 y1)^2): certified SOS, indefinite flattening."""
     W = BilinearForm.from_entries(2, 2, [[0, 1], [-1, 0]])
     return expand_certificate(SOSCertificate(2, 2, ((F(1), W),)))
+
+
+def integer_squares_tensor(rng, m, n, count):
+    """Sum of ``count`` squares of bilinear forms with integer coefficients in [-3, 3]."""
+    terms = tuple((F(1), BilinearForm.from_entries(m, n, rng.integers(-3, 4, size=(m, n)).tolist()))
+                  for _ in range(count))
+    return expand_certificate(SOSCertificate(m, n, terms))
 
 
 class TestFlatteningPSDCheck:
@@ -111,12 +119,12 @@ class TestAffineProjection:
     def test_flattening_is_fixed_point(self, rng):
         t = random_symmetric_tensor(rng, 2, 3)
         G = flatten(t).M.astype(np.float64)
-        P = gram_project_affine(G, t)
+        P = kernels.project_affine(G, t.to_float())
         assert np.abs(P - G).max() < 1e-12
 
     def test_zero_matrix_for_identity(self):
         t = m_identity(2, 2)
-        P = gram_project_affine(np.zeros((4, 4)), t)
+        P = kernels.project_affine(np.zeros((4, 4)), t.to_float())
         # diagonal entries are pinned to 1; the off-diagonal constraint pairs
         # balance around 0
         assert np.allclose(np.diag(P), 1.0)
@@ -126,15 +134,15 @@ class TestAffineProjection:
         t = random_symmetric_tensor(rng, 3, 2)
         G = rng.standard_normal((6, 6))
         G = 0.5 * (G + G.T)
-        P1 = gram_project_affine(G, t)
-        P2 = gram_project_affine(P1, t)
+        P1 = kernels.project_affine(G, t.to_float())
+        P2 = kernels.project_affine(P1, t.to_float())
         assert np.abs(P1 - P2).max() < 1e-12
 
     def test_projection_restores_form_identity(self, rng):
         t = random_symmetric_tensor(rng, 2, 2)
         G = rng.standard_normal((4, 4))
         G = 0.5 * (G + G.T)
-        P = gram_project_affine(G, t)
+        P = kernels.project_affine(G, t.to_float())
         for _ in range(10):
             x = rng.standard_normal(2)
             y = rng.standard_normal(2)
@@ -142,6 +150,27 @@ class TestAffineProjection:
             lhs = float(z @ P @ z)
             rhs = float(evaluate(t, [float(v) for v in x], [float(v) for v in y]))
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
+
+
+class TestBarrierNewtonSystem:
+    @pytest.mark.parametrize("m,n", list(itertools.product(range(2, 5), repeat=2)))
+    def test_gather_matches_dense_einsum(self, m, n):
+        rng = np.random.default_rng([31, m, n])
+        A = rng.standard_normal((m * n, m * n))
+        W = np.linalg.inv(A @ A.T + np.eye(m * n))
+        g, H = kernels.barrier_newton_system(W, kernels.gram_directions(m, n))
+        g_ref, H_ref = dense_barrier_system(W, m, n)
+        assert g.shape == g_ref.shape and H.shape == H_ref.shape
+        assert np.abs(g - g_ref).max() <= 1e-12 * max(1.0, np.abs(g_ref).max())
+        assert np.abs(H - H_ref).max() <= 1e-12 * max(1.0, np.abs(H_ref).max())
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 4)])
+    def test_directions_keep_the_form(self, m, n, rng):
+        t = random_symmetric_tensor(rng, m, n)
+        a4 = t.to_float()
+        G = flatten(t).M.astype(np.float64) + np.tensordot(
+            rng.standard_normal(math.comb(m, 2) * math.comb(n, 2)), gram_direction_stack(m, n), 1)
+        assert kernels.affine_residual(G, a4) < 1e-12
 
 
 class TestPSDProjection:
@@ -183,6 +212,49 @@ class TestSOSProbe:
         assert res.status == "sos_certified"
         assert res.certified
         assert tensors_equal(expand_certificate(res.certificate), t)
+
+    def test_rounds_from_just_below_zero(self):
+        # the only Gram point is rank one, so s* = 0 and the barrier ends at
+        # s < 0; rounding is tried for every s >= -tol
+        res = sos_probe(rank_one_sos_tensor(), tol=1e-9)
+        assert -1e-9 <= res.trace[-1] < 0
+        assert res.status == "sos_certified"
+
+    def test_choi_optimum(self):
+        # max over the Gram family of lambda_min is 1 - 2/sqrt(3) for Choi
+        res = sos_probe(choi_form())
+        assert abs(res.trace[-1] - (1 - 2 / math.sqrt(3))) < 1e-7
+        assert res.residuals.residual_psd == pytest.approx(2 / math.sqrt(3) - 1, abs=1e-7)
+        assert res.residuals.residual_affine < 1e-12
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 4)])
+    def test_random_integer_squares_certified(self, m, n):
+        # rounding needs an interior point: from a boundary point (Dykstra's)
+        # 3 of these 12 ended feasible_numerical at each size. Each centring
+        # stops at lambda^2/2 <= 1e-8 (or where the decrement stops falling),
+        # so about 30 Newton steps do, and none takes more than 60.
+        for seed in range(12):
+            t = integer_squares_tensor(np.random.default_rng([77, seed]), m, n, m * n)
+            res = sos_probe(t)
+            assert res.status in ("sos_certified", "flattening_psd"), seed
+            assert tensors_equal(expand_certificate(res.certificate), t)
+            assert res.iterations <= 60
+
+    def test_tol_below_float_resolution_ends_early(self):
+        # float64 cannot close a gap of 1e-14, so the Newton decrement stops
+        # falling; the solve ends there instead of running to max_iter
+        t = integer_squares_tensor(np.random.default_rng([77, 0]), 3, 3, 9)
+        res = sos_probe(t, tol=1e-14)
+        assert res.status == "sos_certified"
+        assert res.iterations < 100
+        res = sos_probe(choi_form(), tol=1e-14)
+        assert res.status == "infeasible_suspected"
+        assert res.iterations < 200
+
+    def test_step_cap_is_inconclusive(self):
+        res = sos_probe(choi_form(), max_iter=10)
+        assert res.status == "inconclusive"
+        assert res.iterations == len(res.trace) == 10
 
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0, float("-inf")])
     def test_tol_must_be_finite_and_positive(self, tol):
@@ -245,6 +317,13 @@ class TestConjectureSweep:
     def test_b0_sweep_runs(self):
         rows = conjecture_sweep("b0", 4, seed=1, m=2, n=2, max_iter=800, tol=1e-7)
         assert len(rows) == 4
+
+    def test_c09_changes_one_trial(self):
+        # criterion 09's 2x2 M-tensor sweep: trial 74 has an indefinite
+        # flattening; Dykstra left it feasible_numerical, the barrier certifies
+        rows = conjecture_sweep("m_tensor", 200, seed=909, m=2, n=2, max_iter=1500, tol=1e-8)
+        assert rows[74].status == "sos_certified"
+        assert sweep_counts(rows) == {"flattening_psd": 199, "sos_certified": 1}
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
