@@ -29,10 +29,7 @@ from .classes import (
     z_split,
 )
 from .dominance import (
-    DDCertificateRaw,
-    FlatMatrix,
     NotDiagonallyDominantError,
-    dd_matrix_decompose,
     dd_sos_decompose,
     flatten,
     is_diagonally_dominated,
@@ -48,7 +45,6 @@ from .gram import (
     sos_probe,
 )
 from .monic import (
-    MEigenReport,
     Tetrahedron,
     barycentric,
     m_eigen_monic,

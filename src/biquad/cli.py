@@ -6,7 +6,8 @@ failures so pipelines can branch on verdicts:
     0  success / affirmative (PSD, dominated, verified, report produced)
     1  negative verdict (not PSD, not dominated, verification failed,
        suspected infeasibility, audit found disagreements)
-    2  usage or I/O error (bad flags, malformed JSON, dimension mismatch)
+    2  usage or I/O error (bad flags, malformed JSON, a zero denominator,
+       an unreadable or unwritable path, dimension mismatch)
 
 All reports are single JSON documents on stdout with sorted keys; identical
 argv and seed give byte-identical output. Rational inputs are written "p/q"
@@ -111,12 +112,15 @@ def _load_symmetric(path):
 # subcommand handlers (each returns the exit code)
 # ---------------------------------------------------------------------------
 
+def _violation_records(violations, n: int) -> list[dict]:
+    """1-based (i, j) records of dominance_violations' (p, diagonal, bound)."""
+    return [{"i": p // n + 1, "j": p % n + 1, "diagonal": _rat(diag), "bound": _rat(bound)}
+            for p, diag, bound in violations]
+
+
 def _cmd_check_dd(args) -> int:
     t = _load_symmetric(args.tensor)
-    violations = []
-    for p, diag, bound in dominance.dominance_violations(dominance.flatten(t)):
-        i, j = divmod(p, t.n)
-        violations.append({"i": i + 1, "j": j + 1, "diagonal": _rat(diag), "bound": _rat(bound)})
+    violations = _violation_records(dominance.dominance_violations(dominance.flatten(t)), t.n)
     ok = not violations
     _emit(args, {"diagonally_dominated": ok, "violations": violations})
     return 0 if ok else 1
@@ -128,7 +132,7 @@ def _cmd_decompose_dd(args) -> int:
         cert = dominance.dd_sos_decompose(t)
     except dominance.NotDiagonallyDominantError as exc:
         _emit(args, {"error": "not diagonally dominated",
-                     "violating_rows": [p for p, _, _ in exc.violations]})
+                     "violations": _violation_records(exc.violations, t.n)})
         return 1
     _write_or_emit(args, jsonio.certificate_to_dict(cert))
     return 0
@@ -144,8 +148,8 @@ def _monic_report(p: MonicParams) -> dict:
         "b": _rat(p.b),
         "c": _rat(p.c),
         "psd": psd,
-        "conditions": {e.label: (e.value >= 0 if e.applicable else None) for e in report.entries},
-        "eigenvalues": {e.label: (_rat(e.value) if e.applicable else None) for e in report.entries},
+        "conditions": {lab: (v >= 0 if v is not None else None) for lab, v in report.items()},
+        "eigenvalues": {lab: (_rat(v) if v is not None else None) for lab, v in report.items()},
         "barycentric": [_rat(w) for w in lam] if lam is not None else None,
     }
 
@@ -284,7 +288,7 @@ def _parse_vector(text: str, length: int, name: str) -> list[Fraction]:
     parts = [s for s in text.split(",") if s.strip()]
     if len(parts) != length:
         raise ValueError(f"{name} needs {length} comma-separated rationals, got {len(parts)}")
-    return [Fraction(s.strip()) for s in parts]
+    return [jsonio.parse_rational(s.strip()) for s in parts]
 
 
 def _cmd_eval(args) -> int:
@@ -394,10 +398,7 @@ def main(argv=None) -> int:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, IndexError, KeyError, OverflowError) as exc:
+    except (OSError, ValueError, TypeError, IndexError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ x_i y_j + s x_k y_l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -25,15 +25,12 @@ from .core import (
 )
 
 __all__ = [
-    "FlatMatrix",
-    "DDCertificateRaw",
     "NotDiagonallyDominantError",
     "flatten",
     "offdiag_row_sums",
     "row_bound",
     "dominance_violations",
     "is_diagonally_dominated",
-    "dd_matrix_decompose",
     "dd_sos_decompose",
 ]
 
@@ -51,44 +48,26 @@ class NotDiagonallyDominantError(ValueError):
         super().__init__(f"matrix is not diagonally dominant with nonnegative diagonal ({rows})")
 
 
-@dataclass(frozen=True, eq=False)
-class FlatMatrix:
-    """(mn) x (mn) rational matrix view of a symmetric biquadratic tensor.
+def flatten(t: SymmetricBiquadraticTensor) -> np.ndarray:
+    """The (mn) x (mn) flattening M of a symmetric tensor, a read-only view of
+    its entries.
 
     Rows and columns are indexed by pairs (i, j) in row-major order
-    (i-1)*n + j (1-based convention). Built from a symmetric tensor it is
-    symmetric and carries the extra internal symmetry
-    M[(i,j),(k,l)] = M[(i,l),(k,j)].
+    (i-1)*n + j (1-based convention). M is symmetric and carries the extra
+    internal symmetry M[(i,j),(k,l)] = M[(i,l),(k,j)].
     """
-
-    m: int
-    n: int
-    M: np.ndarray
-
-    def __post_init__(self):
-        mn = self.m * self.n
-        if self.M.shape != (mn, mn):
-            raise ValueError(f"flat matrix shape {self.M.shape} != ({mn}, {mn})")
-        arr = np.array(self.M, dtype=object)
-        arr.setflags(write=False)
-        object.__setattr__(self, "M", arr)
-
-
-def flatten(t: SymmetricBiquadraticTensor) -> FlatMatrix:
-    """Flatten a symmetric tensor to its (mn) x (mn) matrix M."""
     if not isinstance(t, SymmetricBiquadraticTensor):
         raise TypeError("flatten requires a SymmetricBiquadraticTensor")
     mn = t.m * t.n
-    return FlatMatrix(t.m, t.n, t.entries.reshape(mn, mn))
+    return t.entries.reshape(mn, mn)
 
 
-def offdiag_row_sums(flat: FlatMatrix) -> np.ndarray:
+def offdiag_row_sums(M: np.ndarray) -> np.ndarray:
     """Off-diagonal absolute row sums sum_{q != p} |M[p,q]|, one per row p.
 
     For a symmetric tensor the sum at row p = (i-1)*n + (j-1) is the row
     bound r_ij of the paper's dominance condition.
     """
-    M = flat.M
     return np.abs(M).sum(axis=1) - np.abs(M.diagonal())
 
 
@@ -107,11 +86,10 @@ def row_bound(t: SymmetricBiquadraticTensor, i: int, j: int) -> Fraction:
     return offdiag_row_sums(flatten(t))[(i - 1) * t.n + (j - 1)]
 
 
-def dominance_violations(flat: FlatMatrix) -> list[tuple[int, Fraction, Fraction]]:
+def dominance_violations(M: np.ndarray) -> list[tuple[int, Fraction, Fraction]]:
     """(p, M[p,p], bound) for each row p whose diagonal is below its
     off-diagonal absolute row sum; p is the 0-based flat index (i*n + j)."""
-    M = flat.M
-    return [(p, M[p, p], bound) for p, bound in enumerate(offdiag_row_sums(flat))
+    return [(p, M[p, p], bound) for p, bound in enumerate(offdiag_row_sums(M))
             if M[p, p] < bound]
 
 
@@ -120,61 +98,31 @@ def is_diagonally_dominated(t: SymmetricBiquadraticTensor) -> bool:
     return not dominance_violations(flatten(t))
 
 
-@dataclass(frozen=True)
-class DDCertificateRaw:
-    """Matrix-level dominance decomposition:
-
-        M = sum_p alphas[p] e_p e_p^T
-          + sum beta (e_p + s e_q)(e_p + s e_q)^T over pairs (p, q, beta, s),
-
-    with alphas[p] >= 0, beta > 0, s in {-1, +1} and p < q (0-based flat
-    indices).
-    """
-
-    size: int
-    alphas: tuple
-    pairs: tuple
-
-
-def dd_matrix_decompose(flat: FlatMatrix) -> DDCertificateRaw:
-    """Decompose a diagonally dominant symmetric matrix with nonnegative
-    diagonal into weighted unit and pair rank-1 terms.
-
-    For each unordered p < q with M[p,q] != 0: beta = |M[p,q]|,
-    s = sign(M[p,q]); each alpha_p = M[p,p] - sum_{q != p} |M[p,q]|. Raises
-    :class:`NotDiagonallyDominantError` (identifying the violating rows) if
-    any alpha would be negative.
-    """
-    M = flat.M
-    N = M.shape[0]
-    bounds = offdiag_row_sums(flat)
-    alphas = tuple(M.diagonal() - bounds)
-    if any(alpha < 0 for alpha in alphas):
-        raise NotDiagonallyDominantError(
-            (p, M[p, p], bounds[p]) for p in range(N) if alphas[p] < 0)
-    pairs = tuple((p, q, abs(M[p, q]), 1 if M[p, q] > 0 else -1)
-                  for p in range(N) for q in range(p + 1, N) if M[p, q] != 0)
-    return DDCertificateRaw(N, alphas, pairs)
-
-
 def dd_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate:
     """Square certificate for a diagonally dominated symmetric tensor.
 
+    The flattening M splits into weighted unit and pair rank-1 terms: for
+    each p < q with M[p,q] != 0 the pair term beta (e_p + s e_q)(e_p + s e_q)^T
+    with beta = |M[p,q]| and s = sign(M[p,q]), and for each p the unit term
+    alpha_p e_p e_p^T with alpha_p = M[p,p] - sum_{q != p} |M[p,q]| >= 0.
     Pair terms come first (lexicographic in the flat index pair), then the
-    residual diagonal terms; zero weights are dropped. The expansion of the
-    result equals ``t`` exactly. Raises :class:`NotDiagonallyDominantError`
-    when ``t`` is not diagonally dominated.
+    unit terms; zero weights are dropped. The expansion of the result equals
+    ``t`` exactly. Raises :class:`NotDiagonallyDominantError` (identifying the
+    violating rows) when ``t`` is not diagonally dominated.
     """
-    raw = dd_matrix_decompose(flatten(t))
+    M = flatten(t)
+    alphas = M.diagonal() - offdiag_row_sums(M)
+    if any(alpha < 0 for alpha in alphas):
+        raise NotDiagonallyDominantError(dominance_violations(M))
     m, n = t.m, t.n
     terms = []
-    for p, q, beta, s in raw.pairs:
-        W = np.full((m, n), ZERO, dtype=object)
-        W[divmod(p, n)] = Fraction(1)
-        W[divmod(q, n)] = Fraction(s)
-        terms.append((beta, BilinearForm(m, n, W)))
-    for p, alpha in enumerate(raw.alphas):
+    for p, q in itertools.combinations(range(m * n), 2):
+        if M[p, q] != 0:
+            W = np.full((m, n), ZERO, dtype=object)
+            W[divmod(p, n)] = Fraction(1)
+            W[divmod(q, n)] = Fraction(1 if M[p, q] > 0 else -1)
+            terms.append((abs(M[p, q]), BilinearForm(m, n, W)))
+    for p, alpha in enumerate(alphas):
         if alpha != 0:
-            i, j = divmod(p, n)
-            terms.append((alpha, BilinearForm.unit(m, n, i, j)))
+            terms.append((alpha, BilinearForm.unit(m, n, *divmod(p, n))))
     return SOSCertificate(m, n, tuple(terms))

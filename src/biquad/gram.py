@@ -64,14 +64,12 @@ RATIONALIZE_DENOMINATORS = (10, 100, 1000, 10_000, 100_000, 1_000_000)
 
 @dataclass
 class GramPoint:
-    """A Gram candidate with its two feasibility residuals. G is float, or the
-    exact rational flattening when that is PSD.
+    """The two feasibility residuals of a Gram candidate G.
 
     residual_affine: max constraint violation |G[(i,j),(k,l)] + G[(i,l),(k,j)]
     - 2 a[i,j,k,l]|. residual_psd: the most negative eigenvalue, clipped at 0.
     """
 
-    G: np.ndarray
     residual_affine: float
     residual_psd: float
 
@@ -116,7 +114,7 @@ def flattening_psd_check(t: SymmetricBiquadraticTensor) -> SOSCertificate | None
     The certificate expands back to ``t`` exactly. Returns None when the
     flattening is not PSD, which decides nothing about ``t`` itself.
     """
-    return _gram_certificate(flatten(t).M, t)
+    return _gram_certificate(flatten(t), t)
 
 
 def gram_project_psd(G: np.ndarray) -> np.ndarray:
@@ -259,18 +257,18 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
       not close the gap, first
     """
     _check_tol(tol)
-    mn = t.m * t.n
     cert = flattening_psd_check(t)
     if cert is not None:
         # exact all the way: no float conversion, so any rational entry works
-        return SOSProbeResult("flattening_psd", cert, 0, GramPoint(t.entries.reshape(mn, mn), 0.0, 0.0))
+        return SOSProbeResult("flattening_psd", cert, 0, GramPoint(0.0, 0.0))
 
+    mn = t.m * t.n
     a4 = t.to_float()
     F = a4.reshape(mn, mn)
     dirs = kernels.gram_directions(t.m, t.n)
     shift, s, trace, bound = _barrier_max_min_eig(F, dirs, max_iter, tol)
     G = _gram_at(F, shift, dirs)
-    point = GramPoint(G, kernels.affine_residual(G, a4), max(0.0, -float(np.linalg.eigvalsh(G)[0])))
+    point = GramPoint(kernels.affine_residual(G, a4), max(0.0, -float(np.linalg.eigvalsh(G)[0])))
     it = len(trace)
     if s < -tol:
         status = "infeasible_suspected" if bound < -tol else "inconclusive"

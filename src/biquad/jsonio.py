@@ -56,7 +56,10 @@ def rational_to_str(v: Fraction) -> str:
 def parse_rational(s) -> Fraction:
     """Parse "p/q" or "p" (Fraction's syntax) into an exact rational."""
     if isinstance(s, (str, int)) and not isinstance(s, bool):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
     raise ValueError(f"expected a rational string, got {type(s).__name__}: {s!r}")
 
 
@@ -142,7 +145,10 @@ def certificate_from_dict(d: dict) -> SOSCertificate:
 
 def _load_json(path) -> dict:
     text = Path(path).read_text()
-    data = json.loads(text)  # json.JSONDecodeError carries line/column
+    try:
+        data = json.loads(text)  # json.JSONDecodeError carries line/column
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return data

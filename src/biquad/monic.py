@@ -34,8 +34,6 @@ from .core import (
 
 __all__ = [
     "CONDITION_LABELS",
-    "MEigenEntry",
-    "MEigenReport",
     "Tetrahedron",
     "m_eigen_monic",
     "psd_conditions",
@@ -52,60 +50,21 @@ __all__ = [
 CONDITION_LABELS = ("i", "ii", "iii", "iv", "v")
 
 
-@dataclass(frozen=True)
-class MEigenEntry:
-    """One critical value of the monic form on the unit spheres.
-
-    ``value`` is None exactly when the entry is inapplicable (only possible
-    for label 'v').
-    """
-
-    label: str
-    value: Fraction | None
-    applicable: bool
-
-
-@dataclass(frozen=True)
-class MEigenReport:
-    """The five closed-form critical values of a monic symmetric form.
-
-    Labels 'i'..'iv' are always applicable; 'v' applies only when c != 0 and
-    a/c in [1-n, 1) and b/c in [1-m, 1) (the range in which the interior
-    critical pair with alpha_x^2 = (c-b)/c, alpha_y^2 = (c-a)/c exists on the
-    spheres). The form is PSD iff every applicable value is >= 0.
-    """
-
-    m: int
-    n: int
-    entries: tuple
-
-    def __getitem__(self, label: str) -> MEigenEntry:
-        for e in self.entries:
-            if e.label == label:
-                return e
-        raise KeyError(label)
-
-    def applicable_values(self) -> list[Fraction]:
-        return [e.value for e in self.entries if e.applicable]
-
-    def min_value(self) -> Fraction:
-        return min(self.applicable_values())
-
-    def all_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.applicable_values())
-
-
-def m_eigen_monic(p: MonicParams) -> MEigenReport:
-    """Closed-form critical values of the monic form with parameters p.
+def m_eigen_monic(p: MonicParams) -> dict[str, Fraction | None]:
+    """Closed-form critical values of the monic form with parameters p, by
+    label 'i'..'v':
 
         (i)   1 - b + (m-1)(a - c)
         (ii)  1 - a + (n-1)(b - c)
         (iii) 1 - a - b + c
         (iv)  1 + (m-1)a + (n-1)b + (m-1)(n-1)c
-        (v)   1 - ab/c, when applicable (see MEigenReport).
+        (v)   1 - ab/c, or None where inapplicable.
 
-    Each is the form value at a specific unit-sphere pair, so the form is PSD
-    iff all applicable values are nonnegative.
+    (v) applies only when c != 0 and a/c in [1-n, 1) and b/c in [1-m, 1) (the
+    range in which the interior critical pair with alpha_x^2 = (c-b)/c,
+    alpha_y^2 = (c-a)/c exists on the spheres). Each value is the form value
+    at a specific unit-sphere pair, so the form is PSD iff every value that
+    is not None is nonnegative.
     """
     m, n = p.m, p.n
     a, b, c = p.abc
@@ -115,20 +74,20 @@ def m_eigen_monic(p: MonicParams) -> MEigenReport:
         ONE - a - b + c,
         ONE + (m - 1) * a + (n - 1) * b + (m - 1) * (n - 1) * c,
     ]
-    entries = [MEigenEntry(lab, v, True) for lab, v in zip(CONDITION_LABELS[:4], vals)]
     v_applies = (
         c != 0
         and Fraction(1 - n) <= a / c < 1
         and Fraction(1 - m) <= b / c < 1
     )
-    entries.append(MEigenEntry("v", ONE - a * b / c if v_applies else None, v_applies))
-    return MEigenReport(m, n, tuple(entries))
+    vals.append(ONE - a * b / c if v_applies else None)
+    return dict(zip(CONDITION_LABELS, vals))
 
 
-def psd_conditions(p: MonicParams) -> tuple[bool, MEigenReport]:
-    """Decide PSD-ness of the monic form; returns (verdict, full report)."""
+def psd_conditions(p: MonicParams) -> tuple[bool, dict[str, Fraction | None]]:
+    """Decide PSD-ness of the monic form; returns (verdict, the critical
+    values of ``m_eigen_monic``)."""
     report = m_eigen_monic(p)
-    return report.all_nonnegative(), report
+    return all(v >= 0 for v in report.values() if v is not None), report
 
 
 @dataclass(frozen=True)
@@ -202,9 +161,8 @@ def membership_equivalence_check(p: MonicParams) -> bool:
     """
     psd, report = psd_conditions(p)
     inside = barycentric(p) is not None
-    first_four = all(report[lab].value >= 0 for lab in CONDITION_LABELS[:4])
-    v = report["v"]
-    if first_four and v.applicable and v.value < 0:
+    first_four = all(report[lab] >= 0 for lab in CONDITION_LABELS[:4])
+    if first_four and report["v"] is not None and report["v"] < 0:
         raise RuntimeError(f"condition (v) violated inside the tetrahedron at {p}")
     return psd == inside
 

@@ -42,7 +42,7 @@ ALL_SIZES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
 
 class TestMIdentity:
     def test_flattening_is_identity(self):
-        M = flatten(m_identity(2, 2)).M
+        M = flatten(m_identity(2, 2))
         assert all(M[p, q] == (1 if p == q else 0) for p in range(4) for q in range(4))
 
     def test_unit_value(self):
@@ -158,7 +158,7 @@ class TestB0:
         for _ in range(3):
             t = random_symmetric_tensor(rng, m, n)
             # diagonal lifted by a random amount so both verdicts occur
-            lift = [v + F(int(rng.integers(0, 8 * m * n)), 4) for v in flatten(t).M.diagonal()]
+            lift = [v + F(int(rng.integers(0, 8 * m * n)), 4) for v in flatten(t).diagonal()]
             for s in (t, with_flat_diagonal(t, lift)):
                 assert is_b0_tensor(s) == two_family_is_b0(s)
 

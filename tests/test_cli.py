@@ -89,6 +89,15 @@ class TestDecomposeAndVerify:
         code, out, _ = run(capsys, "decompose-dd", monic_ones_file)
         assert code == 1
 
+    def test_decompose_dd_reports_rows_like_check_dd(self, monic_ones_file):
+        proc = run_subprocess("decompose-dd", monic_ones_file)
+        assert proc.returncode == 1
+        rows = [{"i": i, "j": j, "diagonal": "1", "bound": "3"} for i in (1, 2) for j in (1, 2)]
+        assert proc.stdout == jsonio.dumps_canonical(
+            {"error": "not diagonally dominated", "violations": rows})
+        check = run_subprocess("check-dd", monic_ones_file)
+        assert json.loads(check.stdout)["violations"] == rows
+
     def test_decompose_monic_verify_roundtrip(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         tensor = tmp_path / "tensor.json"
@@ -374,6 +383,41 @@ class TestErrorPaths:
         proc = run_subprocess(*argv, timeout=30)
         assert proc.returncode == 2
         assert_one_error_line(proc)
+
+
+class TestBadInputExitsTwo:
+    """Bad input is a usage error (exit 2, one error line), never a traceback."""
+
+    def assert_usage_error(self, proc):
+        assert proc.returncode == 2
+        assert_one_error_line(proc)
+        assert "Traceback" not in proc.stderr
+
+    def test_zero_denominator_in_tensor_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"m": 1, "n": 1, "entries": [{"i": 1, "j": 1, "k": 1, "l": 1, "v": "1/0"}]}')
+        self.assert_usage_error(run_subprocess("check-dd", str(path), timeout=30))
+
+    def test_zero_denominator_in_certificate_file(self, tmp_path, identity_file):
+        path = tmp_path / "c.json"
+        path.write_text('{"m": 2, "n": 2, "terms": [{"weight": "1/0", "W": [["1", "0"], ["0", "1"]]}]}')
+        self.assert_usage_error(run_subprocess("verify", str(path), identity_file, timeout=30))
+
+    def test_zero_denominator_in_eval_vector(self, identity_file):
+        self.assert_usage_error(run_subprocess("eval", identity_file, "-x", "1/0,1", "-y", "1,1",
+                                               timeout=30))
+
+    def test_directory_as_input_path(self, tmp_path):
+        self.assert_usage_error(run_subprocess("check-dd", str(tmp_path), timeout=30))
+
+    def test_directory_as_output_path(self, tmp_path, identity_file):
+        self.assert_usage_error(run_subprocess("decompose-dd", identity_file, "-o", str(tmp_path),
+                                               timeout=30))
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self.assert_usage_error(run_subprocess("check-dd", str(path), timeout=30))
 
 
 class TestDeterminism:

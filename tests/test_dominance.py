@@ -20,10 +20,7 @@ from biquad.core import (
 )
 from biquad.classes import m_identity
 from biquad.dominance import (
-    DDCertificateRaw,
-    FlatMatrix,
     NotDiagonallyDominantError,
-    dd_matrix_decompose,
     dd_sos_decompose,
     dominance_violations,
     flatten,
@@ -42,13 +39,13 @@ from conftest import (
 ALL_SIZES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
 
 
-def flat_offdiag_abs_row_sum(flat: FlatMatrix, p: int) -> F:
-    return sum(abs(flat.M[p, q]) for q in range(flat.m * flat.n) if q != p)
+def flat_offdiag_abs_row_sum(M: np.ndarray, p: int) -> F:
+    return sum(abs(M[p, q]) for q in range(len(M)) if q != p)
 
 
 class TestFlatten:
     def test_identity_flattens_to_identity_matrix(self):
-        M = flatten(m_identity(2, 2)).M
+        M = flatten(m_identity(2, 2))
         assert M.shape == (4, 4)
         for p in range(4):
             for q in range(4):
@@ -59,7 +56,7 @@ class TestFlatten:
         # diagonal 1, a at x-swap positions ((11),(21)) and ((12),(22)), b at
         # y-swap positions, c at the double-swap positions.
         a, b, c = F(1, 3), F(-2, 5), F(7, 11)
-        M = flatten(monic_to_tensor(MonicParams(2, 2, a, b, c))).M
+        M = flatten(monic_to_tensor(MonicParams(2, 2, a, b, c)))
         expected = [
             [1, b, a, c],
             [b, 1, c, a],
@@ -71,32 +68,40 @@ class TestFlatten:
                 assert M[p, q] == expected[p][q]
 
     def test_zero_tensor(self):
-        M = flatten(symmetrize(BiquadraticTensor.zeros(2, 3))).M
+        M = flatten(symmetrize(BiquadraticTensor.zeros(2, 3)))
         assert all(v == 0 for v in M.flat)
 
     def test_internal_symmetry_invariant(self, rng):
         t = random_symmetric_tensor(rng, 3, 2)
-        flat = flatten(t)
+        M = flatten(t)
         m, n = 3, 2
         for i in range(m):
             for j in range(n):
                 for k in range(m):
                     for l in range(n):
-                        assert flat.M[i * n + j, k * n + l] == flat.M[i * n + l, k * n + j]
+                        assert M[i * n + j, k * n + l] == M[i * n + l, k * n + j]
 
     def test_quadratic_form_identity(self, rng):
         t = random_symmetric_tensor(rng, 2, 3)
-        flat = flatten(t)
+        M = flatten(t)
         for _ in range(10):
             x = random_rational_vector(rng, 2)
             y = random_rational_vector(rng, 3)
             z = [x[i] * y[j] for i in range(2) for j in range(3)]
-            ztMz = sum(z[p] * flat.M[p, q] * z[q] for p in range(6) for q in range(6))
+            ztMz = sum(z[p] * M[p, q] * z[q] for p in range(6) for q in range(6))
             assert ztMz == evaluate(t, x, y)
 
     def test_requires_symmetric_type(self):
         with pytest.raises(TypeError):
             flatten(BiquadraticTensor.zeros(2, 2))
+
+    def test_is_a_read_only_view_of_the_entries(self, rng):
+        t = random_symmetric_tensor(rng, 2, 3)
+        M = flatten(t)
+        assert M.shape == (6, 6)
+        assert np.shares_memory(M, t.entries)
+        with pytest.raises(ValueError):
+            M[0, 0] = F(1)
 
 
 class TestRowBound:
@@ -126,11 +131,11 @@ class TestRowBound:
             m = int(rng.integers(1, 4))
             n = int(rng.integers(1, 4))
             t = random_symmetric_tensor(rng, m, n)
-            flat = flatten(t)
+            M = flatten(t)
             for i in range(1, m + 1):
                 for j in range(1, n + 1):
                     p = (i - 1) * n + (j - 1)
-                    assert row_bound(t, i, j) == flat_offdiag_abs_row_sum(flat, p)
+                    assert row_bound(t, i, j) == flat_offdiag_abs_row_sum(M, p)
 
     @pytest.mark.parametrize("m,n", ALL_SIZES)
     def test_matches_two_family_formula(self, rng, m, n):
@@ -165,9 +170,9 @@ class TestIsDiagonallyDominated:
     def test_matches_flat_matrix_dominance(self, rng):
         for _ in range(20):
             t = random_symmetric_tensor(rng, 2, 2)
-            flat = flatten(t)
+            M = flatten(t)
             flat_dd = all(
-                flat.M[p, p] >= flat_offdiag_abs_row_sum(flat, p) for p in range(4)
+                M[p, p] >= flat_offdiag_abs_row_sum(M, p) for p in range(4)
             )
             assert is_diagonally_dominated(t) == flat_dd
 
@@ -190,49 +195,54 @@ class TestIsDiagonallyDominated:
 
 
 class TestDDMatrixDecompose:
-    def reconstruct(self, raw: DDCertificateRaw):
-        N = raw.size
-        M = np.empty((N, N), dtype=object)
-        M[...] = F(0)
-        for p, alpha in enumerate(raw.alphas):
-            M[p, p] += alpha
-        for p, q, beta, s in raw.pairs:
-            M[p, p] += beta
-            M[q, q] += beta
-            M[p, q] += beta * s
-            M[q, p] += beta * s
-        return M
+    """The matrix-level decomposition, read back from certificates of N x 1
+    tensors: every symmetric N x N matrix is the flattening of one."""
 
-    def rational_matrix(self, rows):
-        arr = np.empty((len(rows), len(rows)), dtype=object)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                arr[i, j] = F(v)
-        return arr
+    def column_tensor(self, rows):
+        M = np.array([[F(v) for v in row] for row in rows], dtype=object)
+        N = len(M)
+        return M, SymmetricBiquadraticTensor(N, 1, M.reshape(N, 1, N, 1))
+
+    def decompose(self, t):
+        """(alphas, pairs) of dd_sos_decompose(t): the unit weight of each
+        row (0 where the term was dropped) and (p, q, beta, s) per pair
+        term, with every pair term ahead of every unit term."""
+        cert = dd_sos_decompose(t)
+        alphas, pairs = [F(0)] * t.m, []
+        for w, form in cert.terms:
+            rows = [p for p in range(t.m) if form.W[p, 0] != 0]
+            assert form.W[rows[0], 0] == 1
+            if len(rows) == 1:
+                alphas[rows[0]] = w
+            else:
+                assert alphas == [0] * t.m, "pair term after a unit term"
+                p, q = rows
+                pairs.append((p, q, w, form.W[q, 0]))
+        assert tensors_equal(expand_certificate(cert), t)
+        return tuple(alphas), tuple(pairs)
 
     def test_identity(self):
-        raw = dd_matrix_decompose(FlatMatrix(2, 2, self.rational_matrix(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])))
-        assert raw.alphas == (1, 1, 1, 1)
-        assert raw.pairs == ()
+        _, t = self.column_tensor([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        alphas, pairs = self.decompose(t)
+        assert alphas == (1, 1, 1, 1)
+        assert pairs == ()
 
     def test_all_ones_2x2(self):
-        raw = dd_matrix_decompose(FlatMatrix(2, 1, self.rational_matrix([[1, 1], [1, 1]])))
-        assert raw.alphas == (0, 0)
-        assert raw.pairs == ((0, 1, 1, 1),)
-        assert (self.reconstruct(raw) == self.rational_matrix([[1, 1], [1, 1]])).all()
+        _, t = self.column_tensor([[1, 1], [1, 1]])
+        alphas, pairs = self.decompose(t)
+        assert alphas == (0, 0)
+        assert pairs == ((0, 1, 1, 1),)
 
     def test_mixed_sign_2x2(self):
-        M = self.rational_matrix([[3, -2], [-2, 5]])
-        raw = dd_matrix_decompose(FlatMatrix(2, 1, M))
-        assert raw.alphas == (1, 3)
-        assert raw.pairs == ((0, 1, 2, -1),)
-        assert (self.reconstruct(raw) == M).all()
+        _, t = self.column_tensor([[3, -2], [-2, 5]])
+        alphas, pairs = self.decompose(t)
+        assert alphas == (1, 3)
+        assert pairs == ((0, 1, 2, -1),)
 
     def test_violation_identifies_row(self):
-        M = self.rational_matrix([[1, 5], [5, 9]])
+        _, t = self.column_tensor([[1, 5], [5, 9]])
         with pytest.raises(NotDiagonallyDominantError) as exc:
-            dd_matrix_decompose(FlatMatrix(2, 1, M))
+            dd_sos_decompose(t)
         assert [p for p, _, _ in exc.value.violations] == [0]
 
     def test_reconstruction_on_random_dominant_matrices(self, rng):
@@ -245,9 +255,8 @@ class TestDDMatrixDecompose:
                     M[p, q] = M[q, p] = F(int(rng.integers(-6, 7)), 6)
             for p in range(N):
                 M[p, p] = sum(abs(M[p, q]) for q in range(N) if q != p) + F(int(rng.integers(0, 4)), 3)
-            raw = dd_matrix_decompose(FlatMatrix(N, 1, M))
-            assert all(a >= 0 for a in raw.alphas)
-            assert (self.reconstruct(raw) == M).all()
+            alphas, _ = self.decompose(self.column_tensor(M)[1])
+            assert all(a >= 0 for a in alphas)
 
 
 class TestDDSOSDecompose:
