@@ -20,6 +20,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -257,19 +258,16 @@ def _cmd_sweep(args) -> int:
     if (work := sweep_work(args.trials, args.m, args.n, args.max_iter)) > MAX_SWEEP_WORK:
         raise ValueError(f"sweep estimate trials*(m*n)^3*(max_iter+{SWEEP_EXACT_ITERS}) = {work} "
                          f"exceeds the maximum {MAX_SWEEP_WORK}; use fewer --trials or --max-iter")
-    fixture_dir = None
+    fixture_dir = Path(args.output).resolve().parent if args.output else None
+    # Open -o first, so an unwritable path fails before the sweep runs.
+    with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as fh:
+        rows = gram.conjecture_sweep(args.klass, args.trials, args.seed, args.m, args.n,
+                                     max_iter=args.max_iter, tol=args.tol,
+                                     fixture_dir=fixture_dir)
+        gram.write_sweep_csv(rows, fh)
     if args.output:
-        fixture_dir = Path(args.output).resolve().parent
-    rows = gram.conjecture_sweep(args.klass, args.trials, args.seed, args.m, args.n,
-                                 max_iter=args.max_iter, tol=args.tol,
-                                 fixture_dir=fixture_dir)
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            gram.write_sweep_csv(rows, fh)
         _emit(args, {"trials": args.trials, "counts": gram.sweep_counts(rows),
                      "csv": str(args.output)})
-    else:
-        gram.write_sweep_csv(rows, sys.stdout)
     return 0
 
 

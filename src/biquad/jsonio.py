@@ -10,14 +10,17 @@ omitted entries are zero. Certificates are dense per term:
 
 Rationals are serialized as decimal-integer strings "p/q" (plain "p" for
 integers); floats never appear in these files. Serialization is canonical
-(sorted keys, sorted entry order) so identical inputs produce identical
-bytes.
+(sorted entry order, and the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2)`` plus a newline) so identical inputs produce identical bytes.
+biquad writes those bytes itself: ``indent`` sends ``json`` to its
+pure-Python encoder, which took most of a certificate round trip's time.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +53,7 @@ MAX_MN = 64
 
 
 def rational_to_str(v: Fraction) -> str:
-    return str(Fraction(v))
+    return str(v if isinstance(v, Fraction) else Fraction(v))
 
 
 def parse_rational(s) -> Fraction:
@@ -63,8 +66,32 @@ def parse_rational(s) -> Fraction:
     raise ValueError(f"expected a rational string, got {type(s).__name__}: {s!r}")
 
 
+class _Rationals(dict):
+    """parse_rational that parses each distinct string once; one per file."""
+
+    def __call__(self, s) -> Fraction:
+        return self[s] if type(s) is str else parse_rational(s)
+
+    def __missing__(self, s: str) -> Fraction:
+        return self.setdefault(s, parse_rational(s))
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``; keys are strings."""
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj, pad: str) -> str:
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        ends, items = "[]", [_dumps(v, inner) for v in obj]
+    elif isinstance(obj, dict):
+        ends, items = "{}", [_quote(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
+    else:
+        return json.dumps(obj)
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
 
 
 def tensor_to_dict(t: BiquadraticTensor) -> dict:
@@ -97,14 +124,21 @@ def _dims(d: dict) -> tuple[int, int]:
     return m, n
 
 
+def _json_list(d: dict, key: str) -> list:
+    if not isinstance(value := d.get(key, []), list):
+        raise ValueError(f"{key} must be a JSON list")
+    return value
+
+
 def tensor_from_dict(d: dict) -> BiquadraticTensor:
     m, n = _dims(d)
     arr = np.full((m, n, m, n), Fraction(0), dtype=object)
     seen = set()
-    for entry in d.get("entries", []):
+    read = _Rationals()
+    for entry in _json_list(d, "entries"):
         try:
             i, j, k, l = (_integer(entry[key], key) for key in ("i", "j", "k", "l"))
-            v = parse_rational(entry["v"])
+            v = read(entry["v"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed tensor entry {entry!r}: {exc}") from exc
         if not (1 <= i <= m and 1 <= k <= m and 1 <= j <= n and 1 <= l <= n):
@@ -117,29 +151,27 @@ def tensor_from_dict(d: dict) -> BiquadraticTensor:
 
 
 def certificate_to_dict(c: SOSCertificate) -> dict:
-    terms = []
-    for w, form in c.terms:
-        terms.append({
-            "weight": rational_to_str(w),
-            "W": [[rational_to_str(form.W[i, j]) for j in range(c.n)] for i in range(c.m)],
-        })
+    terms = [{"weight": rational_to_str(w),
+              "W": [list(map(rational_to_str, row)) for row in form.W.tolist()]}
+             for w, form in c.terms]
     return {"m": c.m, "n": c.n, "terms": terms}
 
 
 def certificate_from_dict(d: dict) -> SOSCertificate:
     m, n = _dims(d)
     terms = []
-    for td in d.get("terms", []):
+    read = _Rationals()
+    for td in _json_list(d, "terms"):
         try:
-            w = parse_rational(td["weight"])
+            w = read(td["weight"])
             rows = td["W"]
             if not (isinstance(rows, list) and len(rows) == m
                     and all(isinstance(row, list) and len(row) == n for row in rows)):
                 raise ValueError(f"W must be {m} rows of {n} entries")
-            W = [[parse_rational(v) for v in row] for row in rows]
+            W = np.array([[read(v) for v in row] for row in rows], dtype=object)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate term: {exc}") from exc
-        terms.append((w, BilinearForm.from_entries(m, n, W)))
+        terms.append((w, BilinearForm(m, n, W)))
     return SOSCertificate(m, n, tuple(terms))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import biquad
-from biquad import jsonio
+from biquad import gram, jsonio
 from biquad.classes import m_identity
 from biquad.cli import MAX_GRID_POINTS, MAX_ITER, MAX_SWEEP_WORK, MAX_TRIALS, main, sweep_work
 from biquad.core import MonicParams, monic_to_tensor
@@ -418,6 +418,31 @@ class TestBadInputExitsTwo:
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
         self.assert_usage_error(run_subprocess("check-dd", str(path), timeout=30))
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("check-dd", '{"m": 2, "n": 2, "entries": 5}', "entries must be a JSON list"),
+        ("verify", '{"m": 2, "n": 2, "terms": {"a": 1}}', "terms must be a JSON list"),
+    ])
+    def test_entries_and_terms_must_be_lists(self, capsys, tmp_path, identity_file,
+                                             command, text, message):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        argv = (command, str(path)) if command == "check-dd" else (command, str(path), identity_file)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("output", [".", "missing/sweep.csv"])
+    def test_unwritable_sweep_output_fails_before_the_sweep(self, capsys, monkeypatch, tmp_path,
+                                                            output):
+        # the whole sweep used to run before -o was opened
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before -o was opened")
+
+        monkeypatch.setattr(gram, "conjecture_sweep", no_sweep)
+        code, out, err = run(capsys, "sweep", "--class", "m_tensor", "-m", "3", "-n", "3",
+                             "--trials", "200", "-o", str(tmp_path / output))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

@@ -1,13 +1,19 @@
 """Round trips and validation of the tensor and certificate JSON formats."""
 
+import json
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biquad import jsonio
+from biquad.cli import main
 from biquad.core import MonicParams, monic_to_tensor, tensors_equal, symmetrize
 from biquad.classes import m_identity
 from biquad.dominance import dd_sos_decompose
+from biquad.gram import choi_form
 from biquad.monic import vertex_sos
 
 
@@ -125,3 +131,149 @@ def test_valid_files_unchanged(tmp_path):
     text = jsonio.dumps_canonical(jsonio.tensor_to_dict(t))
     path.write_text(text)
     assert jsonio.dumps_canonical(jsonio.tensor_to_dict(jsonio.load_tensor(path))) == text
+
+
+@pytest.mark.parametrize("value", [5, None, {"a": 1}, "abc"])
+def test_entries_and_terms_must_be_json_lists(value):
+    with pytest.raises(ValueError, match="^entries must be a JSON list$"):
+        jsonio.tensor_from_dict({"m": 2, "n": 2, "entries": value})
+    with pytest.raises(ValueError, match="^terms must be a JSON list$"):
+        jsonio.certificate_from_dict({"m": 2, "n": 2, "terms": value})
+
+
+# The writer must give the bytes of the standard library's indented encoder.
+def oracle(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+json_scalars = st.one_of(
+    st.text(),
+    st.sampled_from(['', '"', "\\", "\n", 'a"b\\c\nd\t', "é", "ünï cødé", "\U0001f600"]),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-2**200, max_value=-2**64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300]),
+    st.booleans(),
+    st.none(),
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400)
+@given(json_trees)
+def test_writer_matches_the_standard_encoder(obj):
+    assert jsonio.dumps_canonical(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [[], {}, [[]], {"a": {}}, {"b": [], "a": [{}]}, ()])
+def test_writer_on_empty_containers(obj):
+    assert jsonio.dumps_canonical(obj) == oracle(obj)
+
+
+def _cli_writes(monkeypatch, tmp_path, *argv):
+    """(object, text) for each call of dumps_canonical while the CLI runs argv."""
+    writes = []
+    real = jsonio.dumps_canonical
+
+    def spy(obj):
+        writes.append((obj, real(obj)))
+        return writes[-1][1]
+
+    monkeypatch.setattr(jsonio, "dumps_canonical", spy)
+    main([a.replace("TMP", str(tmp_path)) for a in argv])
+    return writes
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-dd", "TMP/dd.json"),
+    ("check-dd", "TMP/choi.json"),
+    ("decompose-dd", "TMP/dd.json"),
+    ("decompose-dd", "TMP/dd.json", "-o", "TMP/cert.json"),
+    ("decompose-dd", "TMP/choi.json"),
+    ("classify-monic", "-m", "2", "-n", "3", "-a", "1/2", "-b", "-1/3", "-c", "1/5"),
+    ("classify-monic", "-m", "2", "-n", "2", "-a", "-3", "-b", "1", "-c", "1"),
+    ("decompose-monic", "-m", "3", "-n", "2", "-a", "1/3", "-b", "1/5", "-c", "-1/7"),
+    ("decompose-monic", "-m", "3", "-n", "2", "-a", "1/3", "-b", "1/5", "-c", "-1/7",
+     "-o", "TMP/cert.json"),
+    ("decompose-monic", "-m", "2", "-n", "2", "-a", "-3", "-b", "1", "-c", "1"),
+    ("vertices", "-m", "3", "-n", "4"),
+    ("audit-grid", "-m", "2", "-n", "2", "--step", "1", "--range", "1"),
+    ("classify", "TMP/choi.json"),
+    ("gen", "--class", "b0", "-m", "2", "-n", "3", "--seed", "4"),
+    ("gen", "--class", "dd", "-m", "2", "-n", "2", "-o", "TMP/gen.json"),
+    ("probe", "TMP/dd.json"),
+    ("probe", "TMP/choi.json", "--max-iter", "20", "--trace"),
+    ("sweep", "--class", "b0", "-m", "2", "-n", "2", "--trials", "2", "-o", "TMP/sweep.csv"),
+    ("verify", "TMP/dd_cert.json", "TMP/dd.json"),
+    ("eval", "TMP/choi.json", "-x", "1,-1/2,3", "-y", "2,0,1"),
+])
+def test_writer_matches_the_standard_encoder_on_cli_payloads(monkeypatch, tmp_path, argv):
+    dd = symmetrize(m_identity(2, 2))
+    jsonio.save_tensor(dd, tmp_path / "dd.json")
+    jsonio.save_certificate(dd_sos_decompose(dd), tmp_path / "dd_cert.json")
+    jsonio.save_tensor(choi_form(), tmp_path / "choi.json")
+    writes = _cli_writes(monkeypatch, tmp_path, *argv)
+    assert writes
+    for obj, text in writes:
+        assert text == oracle(obj)
+
+
+RATIONAL_SPELLINGS = [" 1/2", "1_000", "1.5", "-0", "3/6"]
+
+
+@pytest.mark.parametrize("s", RATIONAL_SPELLINGS)
+def test_reader_values_equal_fraction_of_each_spelling(s):
+    cert = jsonio.certificate_from_dict({"m": 2, "n": 2, "terms": [
+        {"weight": s, "W": [[s, "1"], [s, s]]}, {"weight": "1", "W": [[s, s], ["1", s]]}]})
+    (w0, f0), (w1, f1) = cert.terms
+    assert w0 == F(s) and w1 == 1
+    assert f0.W.tolist() == [[F(s), 1], [F(s), F(s)]]
+    assert f1.W.tolist() == [[F(s), F(s)], [1, F(s)]]
+    t = jsonio.tensor_from_dict({"m": 1, "n": 2, "entries": [
+        {**ENTRY, "v": s}, {**ENTRY, "j": 2, "l": 2, "v": s}]})
+    assert t.entries[0, 0, 0, 0] == F(s) and t.entries[0, 1, 0, 1] == F(s)
+
+
+def _parse_error(value):
+    with pytest.raises(ValueError) as info:
+        jsonio.parse_rational(value)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", ["1/0", True, 2.5])
+@pytest.mark.parametrize("W", [
+    lambda bad: [[bad, bad], [bad, bad]],  # repeated in one term
+    lambda bad: [["1", "1/2"], ["1", bad]],  # after valid entries
+])
+def test_reader_keeps_the_error_for_bad_values(bad, W):
+    expected = f"malformed certificate term: {_parse_error(bad)}"
+    good = {"weight": "1", "W": [["1", "1/2"], ["0", "1"]]}
+    for terms in ([{"weight": "1", "W": W(bad)}], [good, {"weight": "1", "W": W(bad)}],
+                  [good, {"weight": bad, "W": W(bad)}]):
+        with pytest.raises(ValueError) as info:
+            jsonio.certificate_from_dict({"m": 2, "n": 2, "terms": terms})
+        assert str(info.value) == expected
+    entries = [{**ENTRY, "v": "1"}, {**ENTRY, "j": 2, "l": 2, "v": bad},
+               {**ENTRY, "j": 2, "v": bad}]
+    with pytest.raises(ValueError) as info:
+        jsonio.tensor_from_dict({"m": 1, "n": 2, "entries": entries})
+    assert str(info.value) == f"malformed tensor entry {entries[1]!r}: {_parse_error(bad)}"
+
+
+def test_loaded_W_is_a_read_only_array_of_fractions(tmp_path):
+    path = tmp_path / "c.json"
+    jsonio.save_certificate(vertex_sos(2, 3, 2), path)
+    for _, form in jsonio.load_certificate(path).terms:
+        assert form.W.dtype == object and not form.W.flags.writeable
+        assert all(type(v) is F for v in form.W.flat)
+        with pytest.raises(ValueError):
+            form.W[0, 0] = F(7)
