@@ -4,7 +4,6 @@ tensors, with numerical probes for everything the exact layer cannot decide.
 
 from .core import (
     BilinearForm,
-    BiquadraticTensor,
     MonicParams,
     SOSCertificate,
     SymmetricBiquadraticTensor,

@@ -6,6 +6,8 @@ alpha*I - B with B entrywise nonnegative, and membership asks
 alpha >= lambda_max(B), the largest critical value of B on unit spheres. We
 estimate lambda_max by alternating ascent, which yields a certified *lower*
 bound only, so the verdict is three-valued (yes / no / unknown).
+Every test reads the rows of the flattening of a symmetric tensor; each
+generator builds a class member by construction.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
 from .core import (
     ONE,
     ZERO,
-    BiquadraticTensor,
     SymmetricBiquadraticTensor,
+    _refine_best,
     symmetrize,
 )
 from .dominance import flatten, is_diagonally_dominated, offdiag_row_sums
@@ -41,6 +42,14 @@ __all__ = [
 
 GENERATOR_CLASSES = ("dd", "z", "m", "b0")
 
+# classify's ascent: random starts, and the gap between alpha and the
+# estimate below which the M-tensor verdict is 'unknown'.
+RESTARTS = 20
+MARGIN = 1e-6
+
+# Generated entries are multiples of 1/DENOM.
+DENOM = 8
+
 
 def m_identity(m: int, n: int) -> SymmetricBiquadraticTensor:
     """Identity for the class: I[i,j,k,l] = 1 iff i = k and j = l.
@@ -53,19 +62,13 @@ def m_identity(m: int, n: int) -> SymmetricBiquadraticTensor:
     return SymmetricBiquadraticTensor(m, n, arr.reshape(m, n, m, n))
 
 
-def _flat_entries(t: BiquadraticTensor) -> np.ndarray:
-    # M[(i,j),(k,l)] = a[i,j,k,l]; the diagonal holds the entries a[i,j,i,j].
-    mn = t.m * t.n
-    return t.entries.reshape(mn, mn)
-
-
-def is_z_tensor(t: BiquadraticTensor) -> bool:
+def is_z_tensor(t: SymmetricBiquadraticTensor) -> bool:
     """True iff every off-diagonal entry (not of the form a[i,j,i,j]) is <= 0."""
-    M = _flat_entries(t)
+    M = flatten(t)
     return all(v <= 0 for v in M[~np.eye(len(M), dtype=bool)])
 
 
-def z_split(t: BiquadraticTensor) -> tuple[Fraction, BiquadraticTensor]:
+def z_split(t: SymmetricBiquadraticTensor) -> tuple[Fraction, SymmetricBiquadraticTensor]:
     """Write a Z-tensor as alpha*I - B with B entrywise nonnegative.
 
     alpha is the largest diagonal entry, the smallest choice making B
@@ -74,55 +77,45 @@ def z_split(t: BiquadraticTensor) -> tuple[Fraction, BiquadraticTensor]:
     """
     if not is_z_tensor(t):
         raise ValueError("not a Z-tensor: some off-diagonal entry is positive")
-    alpha = max(_flat_entries(t).diagonal())
+    alpha = max(flatten(t).diagonal())
     B = m_identity(t.m, t.n).entries * alpha - t.entries
-    cls = SymmetricBiquadraticTensor if isinstance(t, SymmetricBiquadraticTensor) else BiquadraticTensor
-    return alpha, cls(t.m, t.n, B)
+    return alpha, SymmetricBiquadraticTensor(t.m, t.n, B)
 
 
-def lambda_max_estimate(B: SymmetricBiquadraticTensor, restarts: int = 20, seed: int = 0,
-                        max_iter: int = 500, tol: float = 1e-12) -> float:
+def lambda_max_estimate(B: SymmetricBiquadraticTensor, restarts: int = 20, seed: int = 0) -> float:
     """Lower bound on the largest critical value of B on unit-sphere pairs.
 
     Alternating largest-eigenvector ascent (fix y, take the top eigenvector
     of the contracted m x m matrix; swap roles; repeat until the value moves
-    by less than ``tol`` or ``max_iter`` is hit), restarted from ``restarts``
-    random unit pairs. The per-iteration value is monotone nondecreasing and
-    the result never decreases as restarts are added.
+    by less than ``core.REFINE_TOL`` or for ``core.REFINE_ITERS`` steps),
+    restarted from ``restarts`` random unit pairs. The per-iteration value is
+    monotone nondecreasing and the result never decreases as restarts are
+    added.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if not isinstance(B, SymmetricBiquadraticTensor):
-        raise TypeError("lambda_max_estimate needs a symmetric tensor")
-    neg = B.entries[B.entries < ZERO]
-    if neg.size:
+    if B.entries[B.entries < ZERO].size:
         raise ValueError("lambda_max_estimate needs an entrywise nonnegative tensor")
-    a4 = np.ascontiguousarray(B.to_float())
-    xs, ys = kernels.random_unit_pairs(seed, restarts, B.m, B.n)
-    vals, _, _ = kernels.refine_batch(a4, xs, ys, max_iter, tol, True)
-    return float(np.max(vals))
+    return _refine_best(B, restarts, seed, maximize=True)[0]
 
 
-def _b0_rows(t: BiquadraticTensor) -> tuple[np.ndarray, np.ndarray]:
+def _b0_rows(t: SymmetricBiquadraticTensor) -> tuple[np.ndarray, np.ndarray]:
     # Per flattening row p: the signed row sum S_p (diagonal included) and
     # max(0, off-diagonal entries of row p).
-    M = _flat_entries(t)
+    M = flatten(t)
     off = np.where(np.eye(len(M), dtype=bool), ZERO, M)
     return M.sum(axis=1), off.max(axis=1)
 
 
-def is_b0_tensor(t: BiquadraticTensor) -> bool:
+def is_b0_tensor(t: SymmetricBiquadraticTensor) -> bool:
     """Row-mean membership test on the rows of the flattening.
 
     For every row p the signed row sum S_p must be nonnegative, and S_p / (mn)
     must be at least every off-diagonal entry of the row and at least 0, which
     already implies S_p >= 0. This is the paper's two-family test (half sums
     over a[i,j,i2,j2] and a[i,j1,i2,j], diagonal occurrence zeroed), to which
-    it reduces under biquadratic symmetry; a tensor without that symmetry
-    raises ValueError.
+    it reduces under biquadratic symmetry.
     """
-    if not isinstance(t, SymmetricBiquadraticTensor) and not t.has_biquadratic_symmetry():
-        raise ValueError("is_b0_tensor needs a tensor with biquadratic symmetry")
     mn = t.m * t.n
     sums, off_max = _b0_rows(t)
     return all(s / mn >= top for s, top in zip(sums, off_max))
@@ -151,17 +144,16 @@ class ClassReport:
     m_tensor: MTensorReport
 
 
-def classify(t: SymmetricBiquadraticTensor, restarts: int = 20, seed: int = 0,
-             margin: float = 1e-6) -> ClassReport:
+def classify(t: SymmetricBiquadraticTensor, seed: int = 0) -> ClassReport:
     """Aggregate membership report for the structured classes."""
     zq = is_z_tensor(t)
     if zq:
         t.to_float()  # the verdict below is float: name an entry beyond its range
         alpha, B = z_split(t)
-        est = lambda_max_estimate(B, restarts=restarts, seed=seed)
-        if float(alpha) >= est + margin:
+        est = lambda_max_estimate(B, restarts=RESTARTS, seed=seed)
+        if float(alpha) >= est + MARGIN:
             verdict = "yes"
-        elif est >= float(alpha) + margin:
+        elif est >= float(alpha) + MARGIN:
             verdict = "no"
         else:
             verdict = "unknown"
@@ -175,81 +167,73 @@ def classify(t: SymmetricBiquadraticTensor, restarts: int = 20, seed: int = 0,
 # random generators
 # ---------------------------------------------------------------------------
 
-def _random_symmetric_offdiag(m, n, rng, denom, lo, hi):
+def _random_symmetric_offdiag(m, n, rng, lo, hi):
     """Symmetric tensor with zero diagonal and off-diagonals in [lo, hi]."""
     arr = np.empty((m, n, m, n), dtype=object)
-    lo_i, hi_i = int(lo * denom), int(hi * denom)
     for idx in np.ndindex(m, n, m, n):
-        arr[idx] = Fraction(int(rng.integers(lo_i, hi_i + 1)), denom)
+        arr[idx] = Fraction(int(rng.integers(lo * DENOM, hi * DENOM + 1)), DENOM)
     np.fill_diagonal(arr.reshape(m * n, m * n), ZERO)
-    return symmetrize(BiquadraticTensor(m, n, arr))
+    return symmetrize(arr)
 
 
 def _with_diagonal(t, diag):
-    """Copy of t with the flattening's diagonal replaced by the mn values diag."""
-    M = np.array(_flat_entries(t))
+    """Copy of t with the flattening's diagonal replaced by the mn values diag
+    (each a[i,j,i,j] is its own symmetry orbit)."""
+    M = np.array(flatten(t))
     np.fill_diagonal(M, diag)
     return SymmetricBiquadraticTensor(t.m, t.n, M.reshape(t.m, t.n, t.m, t.n))
 
 
-def _gen_dd(m, n, rng, denom=8):
-    base = _random_symmetric_offdiag(m, n, rng, denom, -1, 1)
-    slack = [Fraction(int(rng.integers(0, denom + 1)), denom) for _ in range(m * n)]
+def _gen_dd(m, n, rng):
+    # each diagonal entry is its row bound plus a slack >= 0
+    base = _random_symmetric_offdiag(m, n, rng, -1, 1)
+    slack = [Fraction(int(rng.integers(0, DENOM + 1)), DENOM) for _ in range(m * n)]
     return _with_diagonal(base, offdiag_row_sums(flatten(base)) + slack)
 
 
-def _gen_z(m, n, rng, denom=8):
-    base = _random_symmetric_offdiag(m, n, rng, denom, -1, 0)
-    diag = [Fraction(int(rng.integers(0, 2 * denom + 1)), denom) for _ in range(m * n)]
+def _gen_z(m, n, rng):
+    # off-diagonals <= 0, any nonnegative diagonal
+    base = _random_symmetric_offdiag(m, n, rng, -1, 0)
+    diag = [Fraction(int(rng.integers(0, 2 * DENOM + 1)), DENOM) for _ in range(m * n)]
     return _with_diagonal(base, diag)
 
 
-def _gen_m(m, n, rng, denom=8):
+def _gen_m(m, n, rng):
     arr = np.empty((m, n, m, n), dtype=object)
     for idx in np.ndindex(m, n, m, n):
-        arr[idx] = Fraction(int(rng.integers(0, denom + 1)), denom)
-    B = symmetrize(BiquadraticTensor(m, n, arr))
+        arr[idx] = Fraction(int(rng.integers(0, DENOM + 1)), DENOM)
+    B = symmetrize(arr)
     est = lambda_max_estimate(B, restarts=10, seed=int(rng.integers(0, 2**31)))
-    # alpha strictly above the estimate + 0.1, as a rational.
+    # alpha strictly above the estimate + 0.1, as a rational; B >= 0 makes
+    # every off-diagonal entry of alpha*I - B nonpositive.
     alpha = Fraction(math.floor((est + 0.1) * 256) + 1, 256)
     entries = m_identity(m, n).entries * alpha - B.entries
     return SymmetricBiquadraticTensor(m, n, entries)
 
 
-def _gen_b0(m, n, rng, denom=8):
-    base = _random_symmetric_offdiag(m, n, rng, denom, -1, 1)
+def _gen_b0(m, n, rng):
+    base = _random_symmetric_offdiag(m, n, rng, -1, 1)
     mn = m * n
     # zero diagonal, so the row sums are the off-diagonal parts; a common
     # diagonal d passes row p iff sums[p] + d >= mn * off_max[p]
     sums, off_max = _b0_rows(base)
     need = max([Fraction(0), *(mn * off_max - sums)])
-    slack = Fraction(int(rng.integers(0, denom + 1)), denom)
+    slack = Fraction(int(rng.integers(0, DENOM + 1)), DENOM)
     return _with_diagonal(base, need + slack)
 
 
 _GENERATORS = {"dd": _gen_dd, "z": _gen_z, "m": _gen_m, "b0": _gen_b0}
-_PREDICATES = {
-    "dd": is_diagonally_dominated,
-    "z": is_z_tensor,
-    "m": lambda t: is_z_tensor(t),  # full M-membership is only estimated
-    "b0": is_b0_tensor,
-}
 
 
 def gen_tensor(klass: str, m: int, n: int, rng) -> SymmetricBiquadraticTensor:
-    """Random member of a structured class (rejection sampling).
+    """Random member of a structured class, by construction.
 
-    Proposals are biased toward the class, then checked against the defining
-    predicate and redrawn on failure. For 'm' the predicate is the Z-shape
-    plus the construction alpha*I - B with alpha above the ascent estimate of
-    lambda_max(B) + 0.1; exact membership is not decidable here.
+    'dd' sets each diagonal entry to its row bound plus a slack >= 0; 'z'
+    draws off-diagonals <= 0; 'b0' puts a common diagonal at the least value
+    the row test allows, plus a slack. 'm' is alpha*I - B with B entrywise
+    nonnegative and alpha above the ascent estimate of lambda_max(B) + 0.1:
+    a Z-tensor, but exact M-membership is not decidable here.
     """
     if klass not in _GENERATORS:
         raise ValueError(f"unknown class {klass!r}; expected one of {GENERATOR_CLASSES}")
-    gen = _GENERATORS[klass]
-    check = _PREDICATES[klass]
-    for _ in range(50):
-        t = gen(m, n, rng)
-        if check(t):
-            return t
-    raise RuntimeError(f"rejection sampling for class {klass!r} failed 50 draws")
+    return _GENERATORS[klass](m, n, rng)

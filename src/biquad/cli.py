@@ -31,7 +31,6 @@ from .core import (
     MonicParams,
     evaluate,
     expand_certificate,
-    symmetrize,
     tensors_equal,
 )
 
@@ -104,11 +103,6 @@ def _write_or_emit(args, payload: dict) -> None:
         _emit(args, payload)
 
 
-def _load_symmetric(path):
-    t = jsonio.load_tensor(path)
-    return symmetrize(t)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns the exit code)
 # ---------------------------------------------------------------------------
@@ -120,7 +114,7 @@ def _violation_records(violations, n: int) -> list[dict]:
 
 
 def _cmd_check_dd(args) -> int:
-    t = _load_symmetric(args.tensor)
+    t = jsonio.load_tensor(args.tensor)
     violations = _violation_records(dominance.dominance_violations(dominance.flatten(t)), t.n)
     ok = not violations
     _emit(args, {"diagonally_dominated": ok, "violations": violations})
@@ -128,7 +122,7 @@ def _cmd_check_dd(args) -> int:
 
 
 def _cmd_decompose_dd(args) -> int:
-    t = _load_symmetric(args.tensor)
+    t = jsonio.load_tensor(args.tensor)
     try:
         cert = dominance.dd_sos_decompose(t)
     except dominance.NotDiagonallyDominantError as exc:
@@ -208,7 +202,7 @@ def _cmd_audit_grid(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    t = _load_symmetric(args.tensor)
+    t = jsonio.load_tensor(args.tensor)
     rep = classes.classify(t, seed=args.seed)
     mt = rep.m_tensor
     _emit(args, {
@@ -234,7 +228,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_probe(args) -> int:
     _check_count("--max-iter", args.max_iter, MAX_ITER)
-    t = _load_symmetric(args.tensor)
+    t = jsonio.load_tensor(args.tensor)
     res = gram.sos_probe(t, max_iter=args.max_iter, tol=args.tol)
     payload = {
         "status": res.status,
@@ -273,7 +267,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     cert = jsonio.load_certificate(args.certificate)
-    t = _load_symmetric(args.tensor)
+    t = jsonio.load_tensor(args.tensor)
     expanded = expand_certificate(cert)
     if (expanded.m, expanded.n) != (t.m, t.n):
         raise ValueError(f"certificate is ({expanded.m},{expanded.n}) but tensor is ({t.m},{t.n})")

@@ -7,8 +7,11 @@ A biquadratic form in x in R^m, y in R^n is
 stored here as a dense rank-4 array of ``fractions.Fraction`` entries so that
 every identity the library produces (certificate expansions, decompositions,
 round trips) can be checked by exact comparison rather than by tolerance.
-Floating point appears only in the numerical probes (``sample_min`` and the
-search code built on :mod:`biquad.kernels`).
+The one tensor type is the symmetric representative of a form, checked on
+construction; coefficient data without the symmetry (tensor files, random
+draws) enters through ``symmetrize``. Floating point appears only in the
+numerical probes (``sample_min`` and the search code built on
+:mod:`biquad.kernels`).
 
 Indices are 0-based internally; all file formats, CLI reports and docstrings
 use 1-based indices.
@@ -26,7 +29,6 @@ from . import exactla, kernels
 __all__ = [
     "rational",
     "rational_array",
-    "BiquadraticTensor",
     "SymmetricBiquadraticTensor",
     "BilinearForm",
     "SOSCertificate",
@@ -79,11 +81,15 @@ def _frozen_object_array(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class BiquadraticTensor:
-    """Dense m x n biquadratic tensor with exact rational entries.
+class SymmetricBiquadraticTensor:
+    """Dense m x n biquadratic tensor with exact rational entries, satisfying
+    a[i,j,k,l] = a[k,j,i,l] = a[k,l,i,j].
 
     ``entries[i, j, k, l]`` holds the coefficient of x_{i+1} y_{j+1} x_{k+1}
-    y_{l+1}. Instances are immutable; the entry array is read-only.
+    y_{l+1}. This is the unique tensor representative of its biquadratic
+    form; the constructor validates the symmetry chain, which implies
+    a[i,j,k,l] = a[i,l,k,j]. Instances are immutable; the entry array is
+    read-only.
     """
 
     m: int
@@ -96,7 +102,10 @@ class BiquadraticTensor:
         shape = (self.m, self.n, self.m, self.n)
         if self.entries.shape != shape:
             raise ValueError(f"entries shape {self.entries.shape} != {shape}")
-        object.__setattr__(self, "entries", _frozen_object_array(self.entries))
+        a = _frozen_object_array(self.entries)
+        if not ((a == a.transpose(2, 1, 0, 3)).all() and (a == a.transpose(2, 3, 0, 1)).all()):
+            raise ValueError("entries violate the biquadratic symmetry a[ijkl]=a[kjil]=a[klij]")
+        object.__setattr__(self, "entries", a)
 
     @classmethod
     def zeros(cls, m: int, n: int):
@@ -123,42 +132,21 @@ class BiquadraticTensor:
             raise OverflowError("entry ({},{},{},{}) is beyond the float range".format(
                 *(x + 1 for x in idx))) from None
 
-    def has_biquadratic_symmetry(self) -> bool:
-        """Check a[i,j,k,l] == a[k,j,i,l] == a[k,l,i,j] == a[i,l,k,j]."""
-        a = self.entries
-        return (
-            bool((a == a.transpose(2, 1, 0, 3)).all())
-            and bool((a == a.transpose(2, 3, 0, 1)).all())
-            and bool((a == a.transpose(0, 3, 2, 1)).all())
-        )
-
     def is_zero(self) -> bool:
         return bool((self.entries == ZERO).all())
 
 
-class SymmetricBiquadraticTensor(BiquadraticTensor):
-    """Biquadratic tensor satisfying a[i,j,k,l] = a[k,j,i,l] = a[k,l,i,j].
-
-    This is the unique tensor representative of its biquadratic form; the
-    constructor validates the symmetry chain (including the implied fourth
-    equality a[i,j,k,l] = a[i,l,k,j]).
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.has_biquadratic_symmetry():
-            raise ValueError("entries violate the biquadratic symmetry a[ijkl]=a[kjil]=a[klij]")
-
-
-def symmetrize(t: BiquadraticTensor) -> SymmetricBiquadraticTensor:
-    """Project onto the symmetric representative of the same form.
+def symmetrize(arr: np.ndarray) -> SymmetricBiquadraticTensor:
+    """Symmetric representative of the form with m x n x m x n coefficient
+    array ``arr``.
 
     Each entry becomes the average of its orbit
     {(i,j,k,l), (k,j,i,l), (i,l,k,j), (k,l,i,j)}; degenerate orbits (i=k or
     j=l) are handled by the same average with multiplicity. The output
-    evaluates identically to the input at every (x, y).
+    evaluates identically to ``arr`` at every (x, y).
     """
-    return SymmetricBiquadraticTensor(t.m, t.n, _orbit_sum(t.entries) / 4)
+    m, n = arr.shape[:2]
+    return SymmetricBiquadraticTensor(m, n, _orbit_sum(arr) / 4)
 
 
 def _orbit_sum(a: np.ndarray) -> np.ndarray:
@@ -167,7 +155,7 @@ def _orbit_sum(a: np.ndarray) -> np.ndarray:
     return a + a.transpose(2, 1, 0, 3) + a.transpose(0, 3, 2, 1) + a.transpose(2, 3, 0, 1)
 
 
-def evaluate(t: BiquadraticTensor, x, y):
+def evaluate(t: SymmetricBiquadraticTensor, x, y):
     """Evaluate the biquadratic form at vectors x (length m) and y (length n).
 
     Exact (returns Fraction) when the tensor and both vectors are rational;
@@ -323,7 +311,7 @@ def tensors_equal(s: SymmetricBiquadraticTensor, t: SymmetricBiquadraticTensor) 
     return bool((s.entries == t.entries).all())
 
 
-def _invariant_under_axis_swaps(t: BiquadraticTensor, axis_pair: tuple[int, int], size: int) -> bool:
+def _invariant_under_axis_swaps(t: SymmetricBiquadraticTensor, axis_pair: tuple[int, int], size: int) -> bool:
     # Adjacent transpositions generate the full symmetric group, so checking
     # sigma = (s, s+1) for all s suffices for invariance under every sigma.
     a = t.entries
@@ -336,7 +324,7 @@ def _invariant_under_axis_swaps(t: BiquadraticTensor, axis_pair: tuple[int, int]
     return True
 
 
-def is_x_symmetric(t: BiquadraticTensor) -> bool:
+def is_x_symmetric(t: SymmetricBiquadraticTensor) -> bool:
     """True iff the tensor is invariant under permuting the x-variables.
 
     For a symmetric tensor this is equivalent to the form being invariant
@@ -346,13 +334,30 @@ def is_x_symmetric(t: BiquadraticTensor) -> bool:
     return _invariant_under_axis_swaps(t, (0, 2), t.m)
 
 
-def is_y_symmetric(t: BiquadraticTensor) -> bool:
+def is_y_symmetric(t: SymmetricBiquadraticTensor) -> bool:
     """True iff the tensor is invariant under permuting the y-variables."""
     return _invariant_under_axis_swaps(t, (1, 3), t.n)
 
 
-def sample_min(t: BiquadraticTensor, trials: int, seed: int,
-               max_iter: int = 500, tol: float = 1e-12):
+# Alternating eigenvector refinement of the float probes (``sample_min``
+# and ``classes.lambda_max_estimate``): at most REFINE_ITERS iterations per
+# start, stopping when the value moves by less than REFINE_TOL.
+REFINE_ITERS = 500
+REFINE_TOL = 1e-12
+
+
+def _refine_best(t: SymmetricBiquadraticTensor, starts: int, seed: int, maximize: bool):
+    """(value, x, y) of the best of ``starts`` random unit-sphere pairs after
+    ``kernels.refine_batch``: the largest value if ``maximize``, else the
+    smallest."""
+    a4 = np.ascontiguousarray(t.to_float())
+    xs, ys = kernels.random_unit_pairs(seed, starts, t.m, t.n)
+    vals, xs, ys = kernels.refine_batch(a4, xs, ys, REFINE_ITERS, REFINE_TOL, maximize)
+    best = int(np.argmax(vals) if maximize else np.argmin(vals))
+    return float(vals[best]), xs[best].copy(), ys[best].copy()
+
+
+def sample_min(t: SymmetricBiquadraticTensor, trials: int, seed: int):
     """Numerical lower probe: smallest form value found on unit-sphere pairs.
 
     Draws ``trials`` random (x, y) pairs on the unit spheres and refines each
@@ -365,9 +370,4 @@ def sample_min(t: BiquadraticTensor, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    sym = t if isinstance(t, SymmetricBiquadraticTensor) else symmetrize(t)
-    a4 = np.ascontiguousarray(sym.to_float())
-    xs, ys = kernels.random_unit_pairs(seed, trials, t.m, t.n)
-    vals, xs, ys = kernels.refine_batch(a4, xs, ys, max_iter, tol, False)
-    best = int(np.argmin(vals))
-    return float(vals[best]), xs[best].copy(), ys[best].copy()
+    return _refine_best(t, trials, seed, maximize=False)

@@ -56,8 +56,6 @@ def flatten(t: SymmetricBiquadraticTensor) -> np.ndarray:
     (i-1)*n + j (1-based convention). M is symmetric and carries the extra
     internal symmetry M[(i,j),(k,l)] = M[(i,l),(k,j)].
     """
-    if not isinstance(t, SymmetricBiquadraticTensor):
-        raise TypeError("flatten requires a SymmetricBiquadraticTensor")
     mn = t.m * t.n
     return t.entries.reshape(mn, mn)
 

@@ -4,7 +4,10 @@ Tensor files are sparse and 1-based:
 
     {"m": 2, "n": 2, "entries": [{"i": 1, "j": 1, "k": 1, "l": 1, "v": "1"}, ...]}
 
-omitted entries are zero. Certificates are dense per term:
+omitted entries are zero. A file is read as the symmetric representative
+of its form (``core.symmetrize``), so any coefficient array is accepted and
+the tensors biquad writes read back unchanged. Certificates are dense per
+term:
 
     {"m": 2, "n": 2, "terms": [{"weight": "1/2", "W": [["1", "0"], ["0", "-1"]]}]}
 
@@ -27,8 +30,9 @@ import numpy as np
 
 from .core import (
     BilinearForm,
-    BiquadraticTensor,
     SOSCertificate,
+    SymmetricBiquadraticTensor,
+    symmetrize,
 )
 
 __all__ = [
@@ -94,7 +98,7 @@ def _dumps(obj, pad: str) -> str:
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
 
 
-def tensor_to_dict(t: BiquadraticTensor) -> dict:
+def tensor_to_dict(t: SymmetricBiquadraticTensor) -> dict:
     entries = [{"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": rational_to_str(v)}
                for (i, j, k, l), v in np.ndenumerate(t.entries) if v != 0]
     return {"m": t.m, "n": t.n, "entries": entries}
@@ -124,18 +128,22 @@ def _dims(d: dict) -> tuple[int, int]:
     return m, n
 
 
-def _json_list(d: dict, key: str) -> list:
-    if not isinstance(value := d.get(key, []), list):
+def _json_objects(d: dict, key: str):
+    """The items of the JSON list d[key] (none when absent), each a JSON object."""
+    if not isinstance(items := d.get(key, []), list):
         raise ValueError(f"{key} must be a JSON list")
-    return value
+    for item in items:
+        if not isinstance(item, dict):
+            raise ValueError(f"{key} item {item!r} is not a JSON object")
+        yield item
 
 
-def tensor_from_dict(d: dict) -> BiquadraticTensor:
+def tensor_from_dict(d: dict) -> SymmetricBiquadraticTensor:
     m, n = _dims(d)
     arr = np.full((m, n, m, n), Fraction(0), dtype=object)
     seen = set()
     read = _Rationals()
-    for entry in _json_list(d, "entries"):
+    for entry in _json_objects(d, "entries"):
         try:
             i, j, k, l = (_integer(entry[key], key) for key in ("i", "j", "k", "l"))
             v = read(entry["v"])
@@ -147,7 +155,7 @@ def tensor_from_dict(d: dict) -> BiquadraticTensor:
             raise ValueError(f"duplicate tensor entry at ({i},{j},{k},{l})")
         seen.add((i, j, k, l))
         arr[i - 1, j - 1, k - 1, l - 1] = v
-    return BiquadraticTensor(m, n, arr)
+    return symmetrize(arr)
 
 
 def certificate_to_dict(c: SOSCertificate) -> dict:
@@ -161,7 +169,7 @@ def certificate_from_dict(d: dict) -> SOSCertificate:
     m, n = _dims(d)
     terms = []
     read = _Rationals()
-    for td in _json_list(d, "terms"):
+    for td in _json_objects(d, "terms"):
         try:
             w = read(td["weight"])
             rows = td["W"]
@@ -186,11 +194,11 @@ def _load_json(path) -> dict:
     return data
 
 
-def load_tensor(path) -> BiquadraticTensor:
+def load_tensor(path) -> SymmetricBiquadraticTensor:
     return tensor_from_dict(_load_json(path))
 
 
-def save_tensor(t: BiquadraticTensor, path) -> None:
+def save_tensor(t: SymmetricBiquadraticTensor, path) -> None:
     Path(path).write_text(dumps_canonical(tensor_to_dict(t)))
 
 

@@ -1,7 +1,8 @@
 """Shared test helpers: independent oracles and random rational data.
 
 The oracles here deliberately avoid the library's own code paths: the monic
-form is evaluated term by term from its defining four sums, certificates are
+form is evaluated term by term from its defining four sums, so is the form
+of any coefficient array, symmetry is checked entry by entry, certificates are
 evaluated as literal weighted squares, the dominance and B0 row quantities
 are computed from their two-family tensor-index formulas, the barrier
 Newton system is contracted from dense direction matrices, LDL^T,
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from biquad.core import BilinearForm, BiquadraticTensor, SOSCertificate, SymmetricBiquadraticTensor, symmetrize
+from biquad.core import BilinearForm, SOSCertificate, SymmetricBiquadraticTensor, symmetrize
 from biquad.exactla import LDLResult, LDLTerm
 
 settings.register_profile("biquad", derandomize=True, max_examples=40, deadline=None)
@@ -37,11 +38,33 @@ def random_rational_vector(rng, length, denom=12, lo=-3, hi=3):
     return [random_rational(rng, denom, lo, hi) for _ in range(length)]
 
 
-def random_symmetric_tensor(rng, m, n, denom=8):
+def random_coefficients(rng, m, n, denom=8):
+    """An m x n x m x n array of rationals in [-1, 1], without symmetry."""
     arr = np.empty((m, n, m, n), dtype=object)
     for idx in np.ndindex(m, n, m, n):
         arr[idx] = Fraction(int(rng.integers(-denom, denom + 1)), denom)
-    return symmetrize(BiquadraticTensor(m, n, arr))
+    return arr
+
+
+def random_symmetric_tensor(rng, m, n, denom=8):
+    return symmetrize(random_coefficients(rng, m, n, denom))
+
+
+def coefficient_form_value(a, x, y):
+    """sum_{i,j,k,l} a[i,j,k,l] x_i y_j x_k y_l, term by term, for any
+    m x n x m x n coefficient array a (symmetric or not)."""
+    m, n = a.shape[:2]
+    return sum((a[i, j, k, l] * x[i] * y[j] * x[k] * y[l]
+                for i in range(m) for j in range(n) for k in range(m) for l in range(n)),
+               Fraction(0))
+
+
+def has_biquadratic_symmetry(a) -> bool:
+    """a[i,j,k,l] == a[k,j,i,l] == a[i,l,k,j] == a[k,l,i,j] at every index,
+    checked entry by entry."""
+    m, n = a.shape[:2]
+    return all(a[i, j, k, l] == a[k, j, i, l] == a[i, l, k, j] == a[k, l, i, j]
+               for i in range(m) for j in range(n) for k in range(m) for l in range(n))
 
 
 def with_flat_diagonal(t, diag):

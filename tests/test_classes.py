@@ -8,17 +8,16 @@ import pytest
 
 from biquad.core import (
     BilinearForm,
-    BiquadraticTensor,
     MonicParams,
     SOSCertificate,
     SymmetricBiquadraticTensor,
     expand_certificate,
     monic_to_tensor,
     sample_min,
-    symmetrize,
     tensors_equal,
 )
 from biquad.classes import (
+    GENERATOR_CLASSES,
     classify,
     gen_tensor,
     is_b0_tensor,
@@ -30,6 +29,7 @@ from biquad.classes import (
 from biquad.dominance import flatten, is_diagonally_dominated, row_bound
 
 from conftest import (
+    has_biquadratic_symmetry,
     random_symmetric_tensor,
     two_family_is_b0,
     two_family_row_mean,
@@ -79,7 +79,7 @@ class TestZTensor:
         assert tensors_equal(SymmetricBiquadraticTensor(3, 2, recon), t)
 
     def test_split_zero_tensor(self):
-        alpha, B = z_split(symmetrize(BiquadraticTensor.zeros(2, 2)))
+        alpha, B = z_split(SymmetricBiquadraticTensor.zeros(2, 2))
         assert alpha == 0
         assert B.is_zero()
 
@@ -100,7 +100,7 @@ class TestLambdaMaxEstimate:
         assert abs(est - 4.0) < 1e-6
 
     def test_zero_tensor(self):
-        B = symmetrize(BiquadraticTensor.zeros(2, 3))
+        B = SymmetricBiquadraticTensor.zeros(2, 3)
         assert abs(lambda_max_estimate(B, restarts=3, seed=0)) < 1e-12
 
     def test_monotone_in_restarts(self):
@@ -124,12 +124,12 @@ class TestB0:
         assert is_b0_tensor(m_identity(3, 4))
 
     def test_zero_tensor(self):
-        assert is_b0_tensor(BiquadraticTensor.zeros(2, 2))
+        assert is_b0_tensor(SymmetricBiquadraticTensor.zeros(2, 2))
 
     def test_large_positive_offdiagonal_fails_b2(self):
         # one big positive off-diagonal entry with zero diagonal: the row mean
         # cannot dominate it
-        arr = BiquadraticTensor.zeros(2, 2).entries.copy()
+        arr = SymmetricBiquadraticTensor.zeros(2, 2).entries.copy()
         arr[0, 0, 1, 1] = F(5)
         arr[1, 1, 0, 0] = F(5)
         arr[1, 0, 0, 1] = F(5)
@@ -138,20 +138,13 @@ class TestB0:
         assert not is_b0_tensor(t)
 
     def test_negative_row_mean_fails_b1(self):
-        arr = BiquadraticTensor.zeros(2, 2).entries.copy()
+        arr = SymmetricBiquadraticTensor.zeros(2, 2).entries.copy()
         arr[0, 0, 1, 1] = F(-5)
         arr[1, 1, 0, 0] = F(-5)
         arr[1, 0, 0, 1] = F(-5)
         arr[0, 1, 1, 0] = F(-5)
         t = SymmetricBiquadraticTensor(2, 2, arr)
         assert not is_b0_tensor(t)
-
-
-    def test_rejects_plain_tensor_without_symmetry(self):
-        arr = BiquadraticTensor.zeros(2, 2).entries.copy()
-        arr[0, 0, 1, 1] = F(1)
-        with pytest.raises(ValueError):
-            is_b0_tensor(BiquadraticTensor(2, 2, arr))
 
     @pytest.mark.parametrize("m,n", ALL_SIZES)
     def test_matches_two_family_formula(self, rng, m, n):
@@ -211,27 +204,32 @@ class TestClassify:
         assert rep.m_tensor.verdict == "no"  # lambda_max = 4 > alpha
 
 
-class TestGenerators:
-    @pytest.mark.parametrize("klass,check", [
-        ("dd", is_diagonally_dominated),
-        ("z", is_z_tensor),
-        ("b0", is_b0_tensor),
-    ])
-    def test_members_satisfy_predicate(self, klass, check):
-        for trial in range(8):
-            rng = np.random.default_rng([3, trial])
-            t = gen_tensor(klass, 2, 3, rng)
-            assert check(t)
-            assert t.has_biquadratic_symmetry()
+def is_z_above_estimate(t, seed):
+    """The Z-shape, with alpha of alpha*I - B above the ascent estimate of
+    lambda_max(B): the part of M-membership decidable here."""
+    if not is_z_tensor(t):
+        return False
+    alpha, B = z_split(t)
+    return float(alpha) > lambda_max_estimate(B, restarts=10, seed=seed)
 
-    def test_m_members_are_z_with_margin(self):
-        for trial in range(6):
-            rng = np.random.default_rng([4, trial])
-            t = gen_tensor("m", 3, 2, rng)
-            assert is_z_tensor(t)
-            alpha, B = z_split(t)
-            est = lambda_max_estimate(B, restarts=10, seed=trial)
-            assert float(alpha) > est  # constructed above the ascent estimate
+
+class TestGenerators:
+    # Each generator builds a member by construction, with no rejection step.
+    MEMBERSHIP = {
+        "dd": lambda t, seed: is_diagonally_dominated(t),
+        "z": lambda t, seed: is_z_tensor(t),
+        "m": is_z_above_estimate,
+        "b0": lambda t, seed: is_b0_tensor(t),
+    }
+
+    @pytest.mark.parametrize("m,n", ALL_SIZES)
+    @pytest.mark.parametrize("klass", GENERATOR_CLASSES)
+    def test_members_satisfy_predicate(self, klass, m, n):
+        for seed in range(4):
+            t = gen_tensor(klass, m, n, np.random.default_rng([3, m, n, seed]))
+            assert (t.m, t.n) == (m, n)
+            assert has_biquadratic_symmetry(t.entries)
+            assert self.MEMBERSHIP[klass](t, seed)
 
     def test_deterministic_per_seed(self):
         a = gen_tensor("dd", 2, 2, np.random.default_rng(77))

@@ -8,14 +8,12 @@ import pytest
 
 from biquad.core import (
     BilinearForm,
-    BiquadraticTensor,
     MonicParams,
     SOSCertificate,
     SymmetricBiquadraticTensor,
     evaluate,
     expand_certificate,
     monic_to_tensor,
-    symmetrize,
     tensors_equal,
 )
 from biquad.classes import m_identity
@@ -68,7 +66,7 @@ class TestFlatten:
                 assert M[p, q] == expected[p][q]
 
     def test_zero_tensor(self):
-        M = flatten(symmetrize(BiquadraticTensor.zeros(2, 3)))
+        M = flatten(SymmetricBiquadraticTensor.zeros(2, 3))
         assert all(v == 0 for v in M.flat)
 
     def test_internal_symmetry_invariant(self, rng):
@@ -90,10 +88,6 @@ class TestFlatten:
             z = [x[i] * y[j] for i in range(2) for j in range(3)]
             ztMz = sum(z[p] * M[p, q] * z[q] for p in range(6) for q in range(6))
             assert ztMz == evaluate(t, x, y)
-
-    def test_requires_symmetric_type(self):
-        with pytest.raises(TypeError):
-            flatten(BiquadraticTensor.zeros(2, 2))
 
     def test_is_a_read_only_view_of_the_entries(self, rng):
         t = random_symmetric_tensor(rng, 2, 3)

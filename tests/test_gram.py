@@ -32,7 +32,12 @@ from biquad.gram import (
     write_sweep_csv,
 )
 
-from conftest import dense_barrier_system, gram_direction_stack, random_symmetric_tensor
+from conftest import (
+    dense_barrier_system,
+    gram_direction_stack,
+    has_biquadratic_symmetry,
+    random_symmetric_tensor,
+)
 
 
 def rank_one_sos_tensor():
@@ -286,7 +291,7 @@ class TestChoiFixture:
     def test_tensor_shape_and_symmetry(self):
         t = choi_form()
         assert (t.m, t.n) == (3, 3)
-        assert t.has_biquadratic_symmetry()
+        assert has_biquadratic_symmetry(t.entries)
 
     def test_spot_values(self):
         t = choi_form()

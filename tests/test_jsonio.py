@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,13 +17,41 @@ from biquad.dominance import dd_sos_decompose
 from biquad.gram import choi_form
 from biquad.monic import vertex_sos
 
+from conftest import coefficient_form_value, random_coefficients
+
 
 def test_tensor_roundtrip(tmp_path):
     t = monic_to_tensor(MonicParams(3, 2, F(-1, 3), F(2, 5), F(1, 7)))
     path = tmp_path / "t.json"
     jsonio.save_tensor(t, path)
     back = jsonio.load_tensor(path)
-    assert tensors_equal(symmetrize(back), t)
+    assert tensors_equal(back, t)
+
+
+def _write_coefficients(a, path):
+    m, n = a.shape[:2]
+    entries = [{"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": str(v)}
+               for (i, j, k, l), v in np.ndenumerate(a) if v != 0]
+    path.write_text(json.dumps({"m": m, "n": n, "entries": entries}))
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_asymmetric_file_reads_as_its_symmetric_representative(tmp_path, rng, m, n):
+    a = random_coefficients(rng, m, n)
+    path = tmp_path / "a.json"
+    _write_coefficients(a, path)
+    assert tensors_equal(jsonio.load_tensor(path), symmetrize(a))
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_eval_of_asymmetric_file_is_the_raw_form_value(tmp_path, capsys, rng, m, n):
+    a = random_coefficients(rng, m, n)
+    path = tmp_path / "a.json"
+    _write_coefficients(a, path)
+    x = [F(int(rng.integers(-9, 10)), 3) for _ in range(m)]
+    y = [F(int(rng.integers(-9, 10)), 4) for _ in range(n)]
+    assert main(["eval", str(path), "-x", ",".join(map(str, x)), "-y", ",".join(map(str, y))]) == 0
+    assert json.loads(capsys.readouterr().out) == {"value": str(coefficient_form_value(a, x, y))}
 
 
 def test_sparse_entries_are_one_based_and_omit_zeros(tmp_path):
@@ -141,6 +170,33 @@ def test_entries_and_terms_must_be_json_lists(value):
         jsonio.certificate_from_dict({"m": 2, "n": 2, "terms": value})
 
 
+def _cli_error(capsys, *argv):
+    """(exit code, stderr) of the CLI on argv; stdout must stay empty."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert out == ""
+    return code, err
+
+
+@pytest.mark.parametrize("item", [[1, 1, 1, 1], 5, "x", None])
+def test_entries_item_that_is_not_an_object_is_named(tmp_path, capsys, item):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"m": 1, "n": 1, "entries": [ENTRY, item]}))
+    code, err = _cli_error(capsys, "check-dd", str(path))
+    assert code == 2
+    assert err == f"error: entries item {item!r} is not a JSON object\n"
+
+
+@pytest.mark.parametrize("item", [5, [1], "x", None])
+def test_terms_item_that_is_not_an_object_is_named(tmp_path, capsys, item):
+    good = {"weight": "1", "W": [["1"]]}
+    (tmp_path / "c.json").write_text(json.dumps({"m": 1, "n": 1, "terms": [good, item]}))
+    jsonio.save_tensor(m_identity(1, 1), tmp_path / "t.json")
+    code, err = _cli_error(capsys, "verify", str(tmp_path / "c.json"), str(tmp_path / "t.json"))
+    assert code == 2
+    assert err == f"error: terms item {item!r} is not a JSON object\n"
+
+
 # The writer must give the bytes of the standard library's indented encoder.
 def oracle(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -217,7 +273,7 @@ def _cli_writes(monkeypatch, tmp_path, *argv):
     ("eval", "TMP/choi.json", "-x", "1,-1/2,3", "-y", "2,0,1"),
 ])
 def test_writer_matches_the_standard_encoder_on_cli_payloads(monkeypatch, tmp_path, argv):
-    dd = symmetrize(m_identity(2, 2))
+    dd = m_identity(2, 2)
     jsonio.save_tensor(dd, tmp_path / "dd.json")
     jsonio.save_certificate(dd_sos_decompose(dd), tmp_path / "dd_cert.json")
     jsonio.save_tensor(choi_form(), tmp_path / "choi.json")

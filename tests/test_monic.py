@@ -374,9 +374,7 @@ class TestMergeProportional:
 
 class TestSymmetricSOSDecompose:
     def test_zero_tensor_empty_certificate(self):
-        from biquad.core import BiquadraticTensor, symmetrize
-
-        t = symmetrize(BiquadraticTensor.zeros(2, 2))
+        t = SymmetricBiquadraticTensor.zeros(2, 2)
         cert = symmetric_sos_decompose(t)
         assert cert is not None
         assert len(cert.terms) == 0

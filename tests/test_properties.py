@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from biquad import jsonio
 from biquad.core import (
     BilinearForm,
-    BiquadraticTensor,
     MonicParams,
     SOSCertificate,
     evaluate,
@@ -26,18 +25,23 @@ from biquad.core import (
 from biquad.dominance import dd_sos_decompose, flatten, offdiag_row_sums
 from biquad.gram import flattening_psd_check
 from biquad.monic import monic_sos_decompose, tetrahedron
-from conftest import certificates_equal, with_flat_diagonal
+from conftest import certificates_equal, coefficient_form_value, with_flat_diagonal
 
 dims = st.integers(1, 3)
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
 @st.composite
-def tensors(draw, m=None, n=None):
+def coefficients(draw, m=None, n=None):
+    """An m x n x m x n coefficient array, without symmetry."""
     m = draw(dims) if m is None else m
     n = draw(dims) if n is None else n
     values = draw(st.lists(rationals, min_size=(m * n) ** 2, max_size=(m * n) ** 2))
-    return BiquadraticTensor(m, n, np.array(values, dtype=object).reshape(m, n, m, n))
+    return np.array(values, dtype=object).reshape(m, n, m, n)
+
+
+def tensors(m=None, n=None):
+    return coefficients(m, n).map(symmetrize)
 
 
 @st.composite
@@ -78,11 +82,11 @@ def test_certificate_json_round_trip(cert):
 
 @given(st.data())
 def test_symmetrize_idempotent_and_preserves_values(data):
-    t = data.draw(tensors())
-    s = symmetrize(t)
-    assert tensors_equal(symmetrize(s), s)
-    x, y = data.draw(points(t.m)), data.draw(points(t.n))
-    assert evaluate(s, x, y) == evaluate(t, x, y)
+    a = data.draw(coefficients())
+    s = symmetrize(a)
+    assert tensors_equal(symmetrize(s.entries), s)
+    x, y = data.draw(points(s.m)), data.draw(points(s.n))
+    assert evaluate(s, x, y) == coefficient_form_value(a, x, y)
 
 
 @given(certificates())
@@ -97,7 +101,7 @@ def test_expansion_matches_literal_squares(cert):
 
 @given(st.data())
 def test_dd_certificates_reverify(data):
-    t = symmetrize(data.draw(tensors()))
+    t = data.draw(tensors())
     slack = data.draw(st.lists(st.fractions(min_value=0, max_value=2, max_denominator=8),
                                min_size=t.m * t.n, max_size=t.m * t.n))
     dd = with_flat_diagonal(t, [r + s for r, s in zip(offdiag_row_sums(flatten(t)), slack)])
@@ -120,7 +124,7 @@ def test_flattening_certificates_reverify(data):
     t = expand_certificate(SOSCertificate(m, n, tuple(terms)))
     cert = flattening_psd_check(t)
     assert cert is not None and tensors_equal(expand_certificate(cert), t)
-    other = symmetrize(data.draw(tensors(m, n)))
+    other = data.draw(tensors(m, n))
     cert = flattening_psd_check(other)
     assert cert is None or tensors_equal(expand_certificate(cert), other)
 
