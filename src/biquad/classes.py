@@ -88,9 +88,12 @@ def lambda_max_estimate(B: SymmetricBiquadraticTensor, restarts: int = 20, seed:
     Alternating largest-eigenvector ascent (fix y, take the top eigenvector
     of the contracted m x m matrix; swap roles; repeat until the value moves
     by less than ``core.REFINE_TOL`` or for ``core.REFINE_ITERS`` steps),
-    restarted from ``restarts`` random unit pairs. The per-iteration value is
-    monotone nondecreasing and the result never decreases as restarts are
-    added.
+    restarted from ``restarts`` random unit pairs. A restart still at or
+    below the value some restart has settled at after
+    ``kernels.STALL_ITERS`` steps is dropped there. Each restart's value is
+    monotone nondecreasing in its steps. The result need not grow with
+    ``restarts``: ``kernels.random_unit_pairs`` draws all xs before all ys,
+    so a larger count changes the ys of the first restarts too.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")

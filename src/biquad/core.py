@@ -112,11 +112,6 @@ class SymmetricBiquadraticTensor:
         arr = np.full((m, n, m, n), ZERO, dtype=object)
         return cls(m, n, arr)
 
-    @classmethod
-    def from_entries(cls, m: int, n: int, data):
-        """Construct from nested data, coercing every entry to Fraction."""
-        return cls(m, n, rational_array(data, (m, n, m, n)))
-
     def entry(self, i: int, j: int, k: int, l: int) -> Fraction:
         """1-based entry accessor matching the external index convention."""
         return self.entries[i - 1, j - 1, k - 1, l - 1]
@@ -143,10 +138,11 @@ def symmetrize(arr: np.ndarray) -> SymmetricBiquadraticTensor:
     Each entry becomes the average of its orbit
     {(i,j,k,l), (k,j,i,l), (i,l,k,j), (k,l,i,j)}; degenerate orbits (i=k or
     j=l) are handled by the same average with multiplicity. The output
-    evaluates identically to ``arr`` at every (x, y).
+    evaluates identically to ``arr`` at every (x, y). Entries are coerced
+    by ``rational``: ints become Fractions and floats raise TypeError.
     """
     m, n = arr.shape[:2]
-    return SymmetricBiquadraticTensor(m, n, _orbit_sum(arr) / 4)
+    return SymmetricBiquadraticTensor(m, n, _orbit_sum(rational_array(arr)) / 4)
 
 
 def _orbit_sum(a: np.ndarray) -> np.ndarray:
@@ -271,9 +267,6 @@ class SOSCertificate:
                 raise ValueError(f"form dimensions ({f.m},{f.n}) != certificate ({self.m},{self.n})")
         object.__setattr__(self, "terms", terms)
 
-    def nonzero_terms(self) -> tuple:
-        return tuple((w, f) for (w, f) in self.terms if w != 0 and not f.is_zero())
-
 
 def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
     """Symmetric tensor of sum_p c_p f_p(x,y)^2, by exact expansion.
@@ -341,7 +334,9 @@ def is_y_symmetric(t: SymmetricBiquadraticTensor) -> bool:
 
 # Alternating eigenvector refinement of the float probes (``sample_min``
 # and ``classes.lambda_max_estimate``): at most REFINE_ITERS iterations per
-# start, stopping when the value moves by less than REFINE_TOL.
+# start, stopping when the value moves by less than REFINE_TOL, or after
+# ``kernels.STALL_ITERS`` once the value is no better than one a start has
+# settled at.
 REFINE_ITERS = 500
 REFINE_TOL = 1e-12
 
@@ -363,7 +358,10 @@ def sample_min(t: SymmetricBiquadraticTensor, trials: int, seed: int):
     Draws ``trials`` random (x, y) pairs on the unit spheres and refines each
     by alternating smallest-eigenvector descent (fix y, replace x by the
     bottom eigenvector of the contracted m x m matrix, then swap roles).
-    Deterministic for a fixed seed. Returns (value, x, y) for the best pair.
+    A start that stalls behind a settled start, still at or above its value
+    after ``kernels.STALL_ITERS`` iterations, is dropped there (see
+    ``kernels.refine_batch``). Deterministic for a fixed seed. Returns
+    (value, x, y) for the best pair.
 
     This is a falsification probe: a negative value disproves PSD, while a
     nonnegative one proves nothing.

@@ -91,10 +91,6 @@ class LDLResult:
     index: int | None = None
     value: Fraction | None = None
 
-    @property
-    def pivots(self) -> tuple:
-        return tuple(t.pivot for t in self.terms)
-
 
 def ldlt_psd(M: np.ndarray) -> LDLResult:
     """Pivoted exact LDL^T of a symmetric rational matrix, as a PSD test.

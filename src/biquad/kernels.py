@@ -16,6 +16,10 @@ import numpy as np
 __all__ = ["random_unit_pairs", "refine_batch", "gram_directions", "barrier_newton_system",
            "project_affine", "affine_residual"]
 
+# ``refine_batch`` drops a start that has run this many iterations once its
+# value is no better than the best value a start has settled at.
+STALL_ITERS = 20
+
 
 def random_unit_pairs(seed, count, m, n):
     """``count`` random starts (xs, ys) on the unit spheres of R^m and R^n:
@@ -31,11 +35,18 @@ def refine_batch(a4, xs, ys, max_iter, tol, maximize):
     Fixing y makes the form a quadratic x^T Q_y x on the unit sphere, whose
     extremum over x is the extreme eigenvector of Q_y; alternating the roles
     is monotone in the form value. The starts still moving advance together,
-    one stacked contraction and one batched ``eigh`` per half-step; a start
-    leaves that active set in the iteration where its value moves by less
-    than ``tol``, with that value and pair. Returns (values, xs, ys)
-    after refinement; with ``max_iter = 0`` the values are +inf (minimising)
-    or -inf (maximising) and the pairs come back unchanged.
+    one stacked contraction and one batched ``eigh`` per half-step. A start
+    leaves that active set, with its current value and pair, in the first
+    iteration k where either
+      * its value moves by less than ``tol`` (it *settles*), or
+      * k >= ``STALL_ITERS`` and its value is no better (>= when minimising,
+        <= when maximising) than the best value any start has settled at in
+        iterations 1..k, this one included (it is *dropped*).
+    A dropped start is already beaten by a settled one, so dropping it
+    changes the best returned value only where it would later have
+    overtaken that settled start. Returns (values, xs, ys) after refinement;
+    with ``max_iter = 0`` the values are +inf (minimising) or -inf
+    (maximising) and the pairs come back unchanged.
     """
     pick = -1 if maximize else 0
     out_x = np.array(xs, dtype=np.float64)
@@ -43,7 +54,8 @@ def refine_batch(a4, xs, ys, max_iter, tol, maximize):
     vals = np.full(out_x.shape[0], -np.inf if maximize else np.inf)
     active = np.arange(out_x.shape[0])
     x, y, prev = out_x, out_y, vals
-    for _ in range(max_iter):
+    best = -np.inf if maximize else np.inf  # best settled value so far
+    for it in range(max_iter):
         if active.size == 0:
             break
         Q = np.einsum("ijkl,tj,tl->tik", a4, y, y)
@@ -54,6 +66,10 @@ def refine_batch(a4, xs, ys, max_iter, tol, maximize):
         y = V[:, :, pick]
         settled = np.abs(w[:, pick] - prev) < tol
         prev = w[:, pick]
+        if settled.any():
+            best = max(best, prev[settled].max()) if maximize else min(best, prev[settled].min())
+        if it + 1 >= STALL_ITERS:
+            settled |= (prev <= best) if maximize else (prev >= best)
         if settled.any():
             done = active[settled]
             out_x[done], out_y[done], vals[done] = x[settled], y[settled], prev[settled]

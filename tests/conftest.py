@@ -135,6 +135,17 @@ def two_family_is_b0(t) -> bool:
     )
 
 
+def nonzero_terms(cert: SOSCertificate) -> tuple:
+    """The (weight, form) terms of a certificate with a nonzero weight and a
+    nonzero form."""
+    return tuple((w, f) for (w, f) in cert.terms if w != 0 and not f.is_zero())
+
+
+def ldl_pivots(res: LDLResult) -> tuple:
+    """The pivots of an LDL^T result, in elimination order."""
+    return tuple(t.pivot for t in res.terms)
+
+
 def nonzero_entries(form: BilinearForm) -> list[tuple[int, int, Fraction]]:
     """(i, j, W[i, j]) for every nonzero entry of the form, row-major."""
     return [

@@ -83,6 +83,19 @@ class TestSymmetrize:
                 y = random_rational_vector(rng, n)
                 assert coefficient_form_value(arr, x, y) == evaluate(s, x, y)
 
+    def test_int_entries_give_fractions(self):
+        arr = np.zeros((1, 2, 1, 2), dtype=object)
+        arr[0, 0, 0, 1] = 1
+        s = symmetrize(arr)
+        assert s.entries.reshape(-1).tolist() == [0, F(1, 2), F(1, 2), 0]
+        assert all(type(v) is F for v in s.entries.flat)
+
+    def test_float_entries_rejected(self):
+        arr = np.zeros((1, 2, 1, 2), dtype=object)
+        arr[0, 0, 0, 1] = 0.5
+        with pytest.raises(TypeError):
+            symmetrize(arr)
+
     def test_output_satisfies_full_symmetry_chain(self, rng):
         arr = np.empty((3, 3, 3, 3), dtype=object)
         for idx in np.ndindex(3, 3, 3, 3):

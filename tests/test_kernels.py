@@ -7,6 +7,7 @@ import pytest
 
 from biquad import kernels
 from biquad.core import MonicParams, monic_to_tensor
+from biquad.gram import choi_form
 
 
 def random_symmetric_a4(rng, m, n):
@@ -25,11 +26,13 @@ def unit_starts(rng, trials, m, n):
     return xs, ys
 
 
-def refine_one(a4, x, y, max_iter, tol, maximize):
-    """One start at a time: the loop the stacked kernel must reproduce."""
+def refine_trace(a4, x, y, max_iter, tol, maximize):
+    """One start alone, with no drop rule: the (value, x, y) after each
+    iteration run, and the 1-based iteration at which the value moved by
+    less than ``tol`` (None if it never did within ``max_iter``)."""
     pick = -1 if maximize else 0
     prev = -np.inf if maximize else np.inf
-    it = 0
+    trace = []
     for it in range(1, max_iter + 1):
         Q = np.einsum("ijkl,j,l->ik", a4, y, y)
         _, V = np.linalg.eigh(0.5 * (Q + Q.T))
@@ -38,14 +41,46 @@ def refine_one(a4, x, y, max_iter, tol, maximize):
         w, V = np.linalg.eigh(0.5 * (R + R.T))
         y = V[:, pick]
         settled, prev = abs(w[pick] - prev) < tol, w[pick]
+        trace.append((prev, x, y))
         if settled:
-            break
-    return prev, x, y, it
+            return trace, it
+    return trace, None
 
 
-def refine_reference(a4, xs, ys, max_iter, tol, maximize):
-    runs = [refine_one(a4, x, y, max_iter, tol, maximize) for x, y in zip(xs, ys)]
-    return tuple(np.array([r[k] for r in runs], dtype=np.float64) for k in range(3))
+def replay_ends(traces, settle, max_iter, maximize, stall_iters):
+    """The 1-based iteration at which each start leaves the batch, replayed
+    from the single-start records with the kernel's order within iteration
+    k: first every start still in the batch that settles at k does so, and
+    the best settled value takes in their values; then, if k >=
+    ``stall_iters``, every start still in the batch whose value at k is no
+    better than that best is dropped. A start dropped before its own
+    settling iteration never counts as settled. Returns (ends, dropped)."""
+    better = (lambda a, b: a > b) if maximize else (lambda a, b: a < b)
+    ends = [None] * len(traces)
+    dropped = set()
+    best = None
+    for k in range(1, max_iter + 1):
+        alive = [t for t, e in enumerate(ends) if e is None]
+        for t in alive:
+            if settle[t] == k:
+                ends[t] = k
+                value = traces[t][k - 1][0]
+                best = value if best is None or better(value, best) else best
+        if k >= stall_iters and best is not None:
+            for t in alive:
+                if ends[t] is None and not better(traces[t][k - 1][0], best):
+                    ends[t] = k
+                    dropped.add(t)
+    return [len(tr) if e is None else e for tr, e in zip(traces, ends)], dropped
+
+
+def refine_reference(a4, xs, ys, max_iter, tol, maximize, stall_iters=kernels.STALL_ITERS):
+    """Per-start loops replayed under the drop rule: (values, xs, ys, dropped)."""
+    runs = [refine_trace(a4, x, y, max_iter, tol, maximize) for x, y in zip(xs, ys)]
+    traces = [tr for tr, _ in runs]
+    ends, dropped = replay_ends(traces, [s for _, s in runs], max_iter, maximize, stall_iters)
+    picked = [tr[e - 1] for tr, e in zip(traces, ends)]
+    return tuple(np.array([p[k] for p in picked], dtype=np.float64) for k in range(3)) + (dropped,)
 
 
 class TestRandomUnitPairs:
@@ -66,7 +101,7 @@ class TestRefineMatchesPerStartLoop:
         a4 = random_symmetric_a4(rng, m, n)
         xs, ys = unit_starts(rng, 12, m, n)
         got = kernels.refine_batch(a4, xs, ys, 200, 1e-12, maximize)
-        want = refine_reference(a4, xs, ys, 200, 1e-12, maximize)
+        want = refine_reference(a4, xs, ys, 200, 1e-12, maximize)[:3]
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
         if (m, n) == (2, 1):
@@ -86,11 +121,29 @@ class TestRefineMatchesPerStartLoop:
         xs, ys = unit_starts(rng, 40, 3, 3)
         tol = 1e-4
         got = kernels.refine_batch(a4, xs, ys, 6, tol, maximize)
-        want = refine_reference(a4, xs, ys, 6, tol, maximize)
+        want = refine_reference(a4, xs, ys, 6, tol, maximize)[:3]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-        iters = [refine_one(a4, x, y, 6, tol, maximize)[3] for x, y in zip(xs, ys)]
+        iters = [len(refine_trace(a4, x, y, 6, tol, maximize)[0]) for x, y in zip(xs, ys)]
         assert min(iters) < 6 and max(iters) == 6
+
+    def test_choi_drops_stalled_starts_and_keeps_the_best(self):
+        # On Choi's form many starts creep towards its degenerate zeros for
+        # all 500 iterations while others settle early; the rule drops the
+        # creeping ones, and the best start is the one the full 500-iteration
+        # loop with no drop returns.
+        a4 = choi_form().to_float()
+        xs, ys = kernels.random_unit_pairs(808, 64, 3, 3)
+        got = kernels.refine_batch(a4, xs, ys, 500, 1e-12, False)
+        want = refine_reference(a4, xs, ys, 500, 1e-12, False)
+        for a, b in zip(got, want[:3]):
+            assert np.array_equal(a, b)
+        assert want[3]
+        full = refine_reference(a4, xs, ys, 500, 1e-12, False, stall_iters=np.inf)
+        assert not full[3]
+        best, full_best = np.argmin(got[0]), np.argmin(full[0])
+        assert np.array_equal([got[0][best], *got[1][best], *got[2][best]],
+                              [full[0][full_best], *full[1][full_best], *full[2][full_best]])
 
     @pytest.mark.parametrize("maximize, bound", [(False, np.inf), (True, -np.inf)])
     def test_zero_iterations_return_inputs(self, maximize, bound):
