@@ -18,11 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import kernels
 from .core import (
     ONE,
     ZERO,
     SymmetricBiquadraticTensor,
-    _refine_best,
     symmetrize,
 )
 from .dominance import flatten, is_diagonally_dominated, offdiag_row_sums
@@ -39,8 +39,6 @@ __all__ = [
     "gen_tensor",
     "GENERATOR_CLASSES",
 ]
-
-GENERATOR_CLASSES = ("dd", "z", "m", "b0")
 
 # classify's ascent: random starts, and the gap between alpha and the
 # estimate below which the M-tensor verdict is 'unknown'.
@@ -87,7 +85,7 @@ def lambda_max_estimate(B: SymmetricBiquadraticTensor, restarts: int = 20, seed:
 
     Alternating largest-eigenvector ascent (fix y, take the top eigenvector
     of the contracted m x m matrix; swap roles; repeat until the value moves
-    by less than ``core.REFINE_TOL`` or for ``core.REFINE_ITERS`` steps),
+    by less than ``kernels.REFINE_TOL`` or for ``kernels.REFINE_ITERS`` steps),
     restarted from ``restarts`` random unit pairs. A restart still at or
     below the value some restart has settled at after
     ``kernels.STALL_ITERS`` steps is dropped there. Each restart's value is
@@ -99,7 +97,7 @@ def lambda_max_estimate(B: SymmetricBiquadraticTensor, restarts: int = 20, seed:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if B.entries[B.entries < ZERO].size:
         raise ValueError("lambda_max_estimate needs an entrywise nonnegative tensor")
-    return _refine_best(B, restarts, seed, maximize=True)[0]
+    return kernels.refine_best(B.to_float(), restarts, seed, maximize=True)[0]
 
 
 def _b0_rows(t: SymmetricBiquadraticTensor) -> tuple[np.ndarray, np.ndarray]:
@@ -129,9 +127,10 @@ class MTensorReport:
     """Three-valued M-tensor verdict with the evidence behind it.
 
     verdict 'yes' means alpha >= estimate + margin (heuristic: the estimate
-    is a lower bound, so this is confidence, not proof); 'no' means a witness
-    pair certifies lambda_max > alpha; 'unknown' otherwise. Non-Z tensors are
-    definitionally 'no' with empty evidence.
+    is a lower bound, so this is confidence, not proof); 'no' means
+    estimate >= alpha + margin, a float comparison with no witness pair
+    stored; 'unknown' otherwise. Non-Z tensors are definitionally 'no'
+    with empty evidence.
     """
 
     alpha: Fraction | None
@@ -226,6 +225,7 @@ def _gen_b0(m, n, rng):
 
 
 _GENERATORS = {"dd": _gen_dd, "z": _gen_z, "m": _gen_m, "b0": _gen_b0}
+GENERATOR_CLASSES = tuple(_GENERATORS)
 
 
 def gen_tensor(klass: str, m: int, n: int, rng) -> SymmetricBiquadraticTensor:

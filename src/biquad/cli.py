@@ -314,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--quiet", action="store_true", help="suppress the JSON report")
         return p
 
@@ -344,10 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", _cmd_classify, "structured-class membership report")
     p.add_argument("tensor")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
     p = add("gen", _cmd_gen, "generate a random member of a structured class")
     p.add_argument("--class", dest="klass", required=True, choices=classes.GENERATOR_CLASSES)
     _add_dims(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("-o", "--output", help="write the tensor JSON here")
 
     p = add("probe", _cmd_probe, "log-barrier Gram search for a certificate")
@@ -361,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass", required=True, choices=tuple(gram.SWEEP_CLASSES))
     _add_dims(p)
     p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("-o", "--output", help="write the CSV here (infeasible fixtures go beside it)")

@@ -19,6 +19,7 @@ use 1-based indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,16 +63,15 @@ def rational(value) -> Fraction:
     raise TypeError(f"expected an exact rational value, got {type(value).__name__}: {value!r}")
 
 
+_rational_ufunc = np.frompyfunc(rational, 1, 1)
+
+
 def rational_array(data, shape=None) -> np.ndarray:
-    """Build an object ndarray of Fractions from nested data."""
-    arr = np.empty(np.shape(data) if shape is None else shape, dtype=object)
-    flat_src = np.asarray(data, dtype=object).reshape(-1)
-    if flat_src.size != arr.size:
-        raise ValueError(f"expected {arr.size} entries, got {flat_src.size}")
-    flat = arr.reshape(-1)
-    for idx in range(arr.size):
-        flat[idx] = rational(flat_src[idx])
-    return arr
+    """Build a new object ndarray of Fractions from nested data."""
+    src = np.asarray(data, dtype=object)
+    if shape is not None and src.size != math.prod(shape):
+        raise ValueError(f"expected {math.prod(shape)} entries, got {src.size}")
+    return _rational_ufunc(src.reshape(src.shape if shape is None else shape))
 
 
 def _frozen_object_array(arr: np.ndarray) -> np.ndarray:
@@ -88,8 +88,9 @@ class SymmetricBiquadraticTensor:
     ``entries[i, j, k, l]`` holds the coefficient of x_{i+1} y_{j+1} x_{k+1}
     y_{l+1}. This is the unique tensor representative of its biquadratic
     form; the constructor validates the symmetry chain, which implies
-    a[i,j,k,l] = a[i,l,k,j]. Instances are immutable; the entry array is
-    read-only.
+    a[i,j,k,l] = a[i,l,k,j]. Entries are coerced by ``rational``: ints
+    become Fractions and floats raise TypeError. Instances are immutable;
+    the entry array is read-only.
     """
 
     m: int
@@ -102,7 +103,8 @@ class SymmetricBiquadraticTensor:
         shape = (self.m, self.n, self.m, self.n)
         if self.entries.shape != shape:
             raise ValueError(f"entries shape {self.entries.shape} != {shape}")
-        a = _frozen_object_array(self.entries)
+        a = rational_array(self.entries)
+        a.setflags(write=False)
         if not ((a == a.transpose(2, 1, 0, 3)).all() and (a == a.transpose(2, 3, 0, 1)).all()):
             raise ValueError("entries violate the biquadratic symmetry a[ijkl]=a[kjil]=a[klij]")
         object.__setattr__(self, "entries", a)
@@ -276,14 +278,11 @@ def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
     common denominator D of those weights, the flattened tensor
     sum_p c_p vec(W_p) vec(W_p)^T is G / D with G = U^T diag(c) U in
     integers. Symmetrizing G in integers gives each entry as
-    Fraction(g, 4 D), built once per distinct g. Raises on negative weights
-    (also enforced at certificate construction).
+    Fraction(g, 4 D), built once per distinct g.
     """
     m, n = cert.m, cert.n
     rows, weights = [], []
     for weight, form in cert.terms:
-        if weight < 0:
-            raise ValueError(f"certificate weight {weight} is negative")
         if weight == 0:
             continue
         u, L = exactla.common_denominator(form.W.reshape(-1))
@@ -332,34 +331,16 @@ def is_y_symmetric(t: SymmetricBiquadraticTensor) -> bool:
     return _invariant_under_axis_swaps(t, (1, 3), t.n)
 
 
-# Alternating eigenvector refinement of the float probes (``sample_min``
-# and ``classes.lambda_max_estimate``): at most REFINE_ITERS iterations per
-# start, stopping when the value moves by less than REFINE_TOL, or after
-# ``kernels.STALL_ITERS`` once the value is no better than one a start has
-# settled at.
-REFINE_ITERS = 500
-REFINE_TOL = 1e-12
-
-
-def _refine_best(t: SymmetricBiquadraticTensor, starts: int, seed: int, maximize: bool):
-    """(value, x, y) of the best of ``starts`` random unit-sphere pairs after
-    ``kernels.refine_batch``: the largest value if ``maximize``, else the
-    smallest."""
-    a4 = np.ascontiguousarray(t.to_float())
-    xs, ys = kernels.random_unit_pairs(seed, starts, t.m, t.n)
-    vals, xs, ys = kernels.refine_batch(a4, xs, ys, REFINE_ITERS, REFINE_TOL, maximize)
-    best = int(np.argmax(vals) if maximize else np.argmin(vals))
-    return float(vals[best]), xs[best].copy(), ys[best].copy()
-
-
 def sample_min(t: SymmetricBiquadraticTensor, trials: int, seed: int):
     """Numerical lower probe: smallest form value found on unit-sphere pairs.
 
     Draws ``trials`` random (x, y) pairs on the unit spheres and refines each
     by alternating smallest-eigenvector descent (fix y, replace x by the
-    bottom eigenvector of the contracted m x m matrix, then swap roles).
-    A start that stalls behind a settled start, still at or above its value
-    after ``kernels.STALL_ITERS`` iterations, is dropped there (see
+    bottom eigenvector of the contracted m x m matrix, then swap roles),
+    for at most ``kernels.REFINE_ITERS`` iterations or until the value
+    moves by less than ``kernels.REFINE_TOL``. A start that stalls behind a
+    settled start, still at or above its value after
+    ``kernels.STALL_ITERS`` iterations, is dropped there (see
     ``kernels.refine_batch``). Deterministic for a fixed seed. Returns
     (value, x, y) for the best pair.
 
@@ -368,4 +349,4 @@ def sample_min(t: SymmetricBiquadraticTensor, trials: int, seed: int):
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    return _refine_best(t, trials, seed, maximize=False)
+    return kernels.refine_best(t.to_float(), trials, seed, maximize=False)

@@ -33,7 +33,7 @@ from .core import (
     SOSCertificate,
     SymmetricBiquadraticTensor,
     expand_certificate,
-    rational_array,
+    symmetrize,
     tensors_equal,
 )
 from .dominance import flatten
@@ -337,17 +337,6 @@ def sweep_counts(rows) -> dict:
     return counts
 
 
-_CHOI_NONZERO = {
-    # diagonal block: x_i^2 y_i^2 and the cyclic x_i^2 y_{i+1}^2
-    (1, 1, 1, 1): "1", (2, 2, 2, 2): "1", (3, 3, 3, 3): "1",
-    (1, 2, 1, 2): "1", (2, 3, 2, 3): "1", (3, 1, 3, 1): "1",
-    # -2 x_i x_{i+1} y_i y_{i+1}, spread over the symmetry orbit of four slots
-    (1, 1, 2, 2): "-1/2", (1, 2, 2, 1): "-1/2", (2, 1, 1, 2): "-1/2", (2, 2, 1, 1): "-1/2",
-    (2, 2, 3, 3): "-1/2", (2, 3, 3, 2): "-1/2", (3, 2, 2, 3): "-1/2", (3, 3, 2, 2): "-1/2",
-    (1, 1, 3, 3): "-1/2", (1, 3, 3, 1): "-1/2", (3, 1, 1, 3): "-1/2", (3, 3, 1, 1): "-1/2",
-}
-
-
 def choi_form() -> SymmetricBiquadraticTensor:
     """The classical 3 x 3 nonnegative biquadratic form with no bilinear
     square representation (Choi, 1975), as its symmetric tensor:
@@ -358,7 +347,9 @@ def choi_form() -> SymmetricBiquadraticTensor:
     Used as the negative fixture: its flattening is not PSD (exact negative
     pivot) even though sampling finds no negative value.
     """
-    data = np.full((3, 3, 3, 3), Fraction(0), dtype=object)
-    for (i, j, k, l), v in _CHOI_NONZERO.items():
-        data[i - 1, j - 1, k - 1, l - 1] = Fraction(v)
-    return SymmetricBiquadraticTensor(3, 3, rational_array(data))
+    data = np.zeros((3, 3, 3, 3), dtype=int)
+    for i in range(3):
+        k = (i + 1) % 3
+        data[i, i, i, i] = data[i, k, i, k] = 1  # x_i^2 y_i^2, x_i^2 y_k^2
+        data[i, i, k, k] = -2  # x_i y_i x_k y_k
+    return symmetrize(data)

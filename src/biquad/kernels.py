@@ -13,11 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["random_unit_pairs", "refine_batch", "gram_directions", "barrier_newton_system",
-           "project_affine", "affine_residual"]
+__all__ = ["random_unit_pairs", "refine_batch", "refine_best", "gram_directions",
+           "barrier_newton_system", "project_affine", "affine_residual"]
 
-# ``refine_batch`` drops a start that has run this many iterations once its
+# The refinement policy of the float probes (``core.sample_min`` and
+# ``classes.lambda_max_estimate``), applied by ``refine_best``: at most
+# REFINE_ITERS iterations per start, a start settling when its value moves by
+# less than REFINE_TOL, and dropped after STALL_ITERS iterations once its
 # value is no better than the best value a start has settled at.
+REFINE_ITERS = 500
+REFINE_TOL = 1e-12
 STALL_ITERS = 20
 
 
@@ -77,6 +82,17 @@ def refine_batch(a4, xs, ys, max_iter, tol, maximize):
             active, x, y, prev = active[keep], x[keep], y[keep], prev[keep]
     out_x[active], out_y[active], vals[active] = x, y, prev
     return vals, out_x, out_y
+
+
+def refine_best(a4, starts, seed, maximize):
+    """(value, x, y) of the best of ``starts`` random unit-sphere pairs
+    (``random_unit_pairs(seed, ...)``) after ``refine_batch`` with
+    REFINE_ITERS and REFINE_TOL, on the float64 tensor ``a4``: the largest
+    value if ``maximize``, else the smallest."""
+    xs, ys = random_unit_pairs(seed, starts, a4.shape[0], a4.shape[1])
+    vals, xs, ys = refine_batch(a4, xs, ys, REFINE_ITERS, REFINE_TOL, maximize)
+    best = int(np.argmax(vals) if maximize else np.argmin(vals))
+    return float(vals[best]), xs[best].copy(), ys[best].copy()
 
 
 def gram_directions(m, n):

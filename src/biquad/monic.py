@@ -44,7 +44,6 @@ __all__ = [
     "monic_sos_decompose",
     "symmetric_sos_decompose",
     "merge_proportional",
-    "read_monic_params",
 ]
 
 CONDITION_LABELS = ("i", "ii", "iii", "iv", "v")
@@ -246,14 +245,6 @@ def monic_sos_decompose(p: MonicParams) -> SOSCertificate | None:
         for w, form in vertex_sos(v, p.m, p.n).terms)))
 
 
-def read_monic_params(t: SymmetricBiquadraticTensor, scale: Fraction) -> MonicParams:
-    """Read (a, b, c) of ``t / scale`` from the canonical entry slots."""
-    a = t.entries[0, 0, 1, 0] / scale
-    b = t.entries[0, 0, 0, 1] / scale
-    c = t.entries[0, 0, 1, 1] / scale
-    return MonicParams(t.m, t.n, a, b, c)
-
-
 def symmetric_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
     """Square certificate for any PSD tensor of a fully symmetric form.
 
@@ -272,7 +263,8 @@ def symmetric_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate | N
         return None
     if t.m < 2 or t.n < 2:
         raise ValueError("positive-diagonal decomposition needs m, n >= 2")
-    p = read_monic_params(t, d)
+    e = t.entries[0, 0] / d  # (a, b, c) of t / d sit at e[1, 0], e[0, 1], e[1, 1]
+    p = MonicParams(t.m, t.n, e[1, 0], e[0, 1], e[1, 1])
     if not tensors_equal(monic_to_tensor(p), SymmetricBiquadraticTensor(t.m, t.n, t.entries / d)):
         raise ValueError("tensor is not a scaled monic symmetric tensor")
     cert = monic_sos_decompose(p)

@@ -11,10 +11,20 @@ import pytest
 import biquad
 from biquad import gram, jsonio
 from biquad.classes import m_identity
-from biquad.cli import MAX_GRID_POINTS, MAX_ITER, MAX_SWEEP_WORK, MAX_TRIALS, main, sweep_work
+from biquad.cli import (
+    MAX_GRID_POINTS,
+    MAX_ITER,
+    MAX_SWEEP_WORK,
+    MAX_TRIALS,
+    build_parser,
+    main,
+    sweep_work,
+)
 from biquad.core import MonicParams, monic_to_tensor
 from biquad.gram import choi_form
 from biquad.jsonio import MAX_MN
+
+from conftest import suspected_probe
 
 
 def run(capsys, *argv):
@@ -207,6 +217,18 @@ class TestGenClassifyProbe:
         assert len(lines) == 4
         report = parse(out)
         assert report["trials"] == 3
+
+    def test_sweep_output_puts_fixtures_beside_the_csv(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(gram, "sos_probe", suspected_probe)
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        code, out, _ = run(capsys, "sweep", "--class", "m_tensor", "-m", "2", "-n", "2",
+                           "--trials", "2", "--seed", "6", "-o", str(runs / "sweep.csv"))
+        assert code == 0
+        assert parse(out)["counts"] == {"infeasible_suspected": 2}
+        assert sorted(p.name for p in runs.iterdir()) == [
+            "m_tensor_m2_n2_seed6_trial0.json", "m_tensor_m2_n2_seed6_trial1.json", "sweep.csv"]
+        assert jsonio.load_tensor(runs / "m_tensor_m2_n2_seed6_trial1.json").m == 2
 
 
 class TestEval:
@@ -443,6 +465,19 @@ class TestBadInputExitsTwo:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSeedOption:
+    def test_only_seeded_commands_accept_seed(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        seeded = {name for name, p in sub.choices.items()
+                  if any("--seed" in a.option_strings for a in p._actions)}
+        assert seeded == {"classify", "gen", "sweep"}
+
+    def test_seed_elsewhere_is_a_usage_error(self, capsys, identity_file):
+        code, out, err = run(capsys, "check-dd", identity_file, "--seed", "3")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --seed 3" in err
 
 
 class TestDeterminism:

@@ -46,6 +46,18 @@ def test_entries_are_read_only():
         t.entries[0, 0, 0, 0] = F(2)
 
 
+def test_constructor_rejects_float_entries():
+    # this tensor used to build, and evaluate returned the float 0.5
+    with pytest.raises(TypeError):
+        SymmetricBiquadraticTensor(1, 1, np.array([[[[0.5]]]], dtype=object))
+
+
+def test_constructor_turns_ints_into_fractions():
+    t = SymmetricBiquadraticTensor(1, 2, np.array([[[[1, 2]], [[2, 3]]]]))
+    assert t.entries.reshape(-1).tolist() == [1, 2, 2, 3]
+    assert all(type(v) is F for v in t.entries.flat)
+
+
 def test_symmetric_constructor_rejects_asymmetry():
     arr = SymmetricBiquadraticTensor.zeros(2, 2).entries.copy()
     arr[0, 0, 1, 0] = F(1)  # partner slot (1,0,0,0) left at 0

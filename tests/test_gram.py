@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from biquad import exactla, gram, kernels
+from biquad import exactla, gram, jsonio, kernels
 from biquad.core import (
     BilinearForm,
     MonicParams,
@@ -38,6 +38,7 @@ from conftest import (
     has_biquadratic_symmetry,
     ldl_pivots,
     random_symmetric_tensor,
+    suspected_probe,
 )
 
 
@@ -226,6 +227,15 @@ class TestSOSProbe:
         assert -1e-9 <= res.trace[-1] < 0
         assert res.status == "sos_certified"
 
+    def test_no_rounding_leaves_feasible_numerical(self, monkeypatch):
+        # the barrier reaches s >= -tol, but with no denominator to round
+        # at, no exact certificate is recovered
+        monkeypatch.setattr(gram, "RATIONALIZE_DENOMINATORS", ())
+        res = sos_probe(rank_one_sos_tensor(), tol=1e-9)
+        assert res.status == "feasible_numerical"
+        assert res.certificate is None and not res.certified
+        assert res.iterations == len(res.trace) > 0
+
     def test_choi_optimum(self):
         # max over the Gram family of lambda_min is 1 - 2/sqrt(3) for Choi
         res = sos_probe(choi_form())
@@ -330,6 +340,22 @@ class TestConjectureSweep:
         rows = conjecture_sweep("m_tensor", 200, seed=909, m=2, n=2, max_iter=1500, tol=1e-8)
         assert rows[74].status == "sos_certified"
         assert sweep_counts(rows) == {"flattening_psd": 199, "sos_certified": 1}
+
+    def test_suspected_tensor_saved_as_fixture(self, monkeypatch, tmp_path):
+        generated = []
+
+        def recording_gen(*args):
+            generated.append(gen_tensor(*args))
+            return generated[-1]
+
+        monkeypatch.setattr(gram, "gen_tensor", recording_gen)
+        monkeypatch.setattr(gram, "sos_probe", suspected_probe)
+        rows = conjecture_sweep("b0", 2, seed=4, m=2, n=3, fixture_dir=tmp_path)
+        assert [r.status for r in rows] == ["infeasible_suspected"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"b0_m2_n3_seed4_trial{k}.json" for k in range(2)]
+        for k, t in enumerate(generated):
+            assert tensors_equal(jsonio.load_tensor(tmp_path / f"b0_m2_n3_seed4_trial{k}.json"), t)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):

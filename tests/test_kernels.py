@@ -127,6 +127,33 @@ class TestRefineMatchesPerStartLoop:
         iters = [len(refine_trace(a4, x, y, 6, tol, maximize)[0]) for x, y in zip(xs, ys)]
         assert min(iters) < 6 and max(iters) == 6
 
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_tie_with_the_best_settled_value_drops(self, monkeypatch, maximize):
+        # Scripted values on a 1x1 form, negated when maximising: start 0
+        # reads 5 and settles at iteration 2; start 1 descends 24, 23, ...
+        # and reads exactly 5 at iteration STALL_ITERS, so the tie drops it
+        # there. Were ties kept, it would run on to 0.
+        sign = -1.0 if maximize else 1.0
+        stall = kernels.STALL_ITERS
+
+        def value(start, k):
+            return sign * (5.0 if start == 0 else max(5.0 + stall - k, 0.0))
+
+        calls = []
+
+        def scripted_eigh(a):
+            # two calls per iteration; start 0 leaves the batch first
+            calls.append(a.shape[0])
+            k = (len(calls) + 1) // 2
+            w = [[value(start, k)] for start in range(2 - a.shape[0], 2)]
+            return np.array(w), np.ones((a.shape[0], 1, 1))
+
+        monkeypatch.setattr(np.linalg, "eigh", scripted_eigh)
+        vals, _, _ = kernels.refine_batch(np.ones((1, 1, 1, 1)), np.ones((2, 1)), np.ones((2, 1)),
+                                          100, 1e-12, maximize)
+        assert vals.tolist() == [sign * 5.0, sign * 5.0]
+        assert len(calls) == 2 * stall
+
     def test_choi_drops_stalled_starts_and_keeps_the_best(self):
         # On Choi's form many starts creep towards its degenerate zeros for
         # all 500 iterations while others settle early; the rule drops the

@@ -394,6 +394,12 @@ class TestSymmetricSOSDecompose:
         t = SymmetricBiquadraticTensor(2, 2, m_identity(2, 2).entries * F(-1))
         assert symmetric_sos_decompose(t) is None
 
+    def test_scaled_non_psd_monic_returns_none(self):
+        p = MonicParams(2, 3, F(2), F(0), F(0))
+        assert not psd_conditions(p)[0]
+        t = SymmetricBiquadraticTensor(2, 3, monic_to_tensor(p).entries * F(7, 2))
+        assert symmetric_sos_decompose(t) is None
+
     def test_non_symmetric_form_rejected(self):
         arr = m_identity(2, 2).entries.copy()
         arr[0, 0, 0, 0] = F(2)  # unequal diagonal breaks x-permutation symmetry
