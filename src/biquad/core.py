@@ -74,12 +74,6 @@ def rational_array(data, shape=None) -> np.ndarray:
     return _rational_ufunc(src.reshape(src.shape if shape is None else shape))
 
 
-def _frozen_object_array(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=object)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class SymmetricBiquadraticTensor:
     """Dense m x n biquadratic tensor with exact rational entries, satisfying
@@ -218,7 +212,13 @@ def monic_to_tensor(p: MonicParams) -> SymmetricBiquadraticTensor:
 
 @dataclass(frozen=True, eq=False)
 class BilinearForm:
-    """Bilinear form f(x, y) = sum_{i,j} W[i,j] x_i y_j with rational W."""
+    """Bilinear form f(x, y) = sum_{i,j} W[i,j] x_i y_j with rational W.
+
+    The constructor keeps a read-only object copy of W and refuses float
+    entries with TypeError. It checks their types and does not coerce them
+    (``from_entries`` does): coercion doubled the cost of a form, and the
+    exact layer builds hundreds of forms per certificate.
+    """
 
     m: int
     n: int
@@ -227,7 +227,13 @@ class BilinearForm:
     def __post_init__(self):
         if self.W.shape != (self.m, self.n):
             raise ValueError(f"W shape {self.W.shape} != ({self.m}, {self.n})")
-        object.__setattr__(self, "W", _frozen_object_array(self.W))
+        W = self.W.astype(object)
+        kinds = set(map(type, W.flat))
+        if kinds != {Fraction} and any(issubclass(kind, (float, np.floating)) for kind in kinds):
+            value = next(v for v in W.flat if isinstance(v, (float, np.floating)))
+            raise TypeError(f"expected an exact rational value, got {type(value).__name__}: {value!r}")
+        W.setflags(write=False)
+        object.__setattr__(self, "W", W)
 
     @classmethod
     def from_entries(cls, m: int, n: int, data):

@@ -128,21 +128,26 @@ def gram_project_psd(G: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _rationalize(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
-    """Round a numeric Gram point to rationals and verify exactly.
+def _round_at(G: np.ndarray, t: SymmetricBiquadraticTensor, denom: int) -> SOSCertificate | None:
+    """Round a numeric Gram point to rationals at one denominator and verify.
 
-    Continued-fraction rounding at an escalating denominator ladder; every
-    candidate is re-projected onto the affine family exactly, which makes its
-    expansion equal ``t``, and passed through rational LDL^T, so no inexact
-    certificate can escape.
+    Continued-fraction rounding of each entry to denominator <= ``denom``;
+    the candidate is re-projected onto the affine family exactly, which
+    makes its expansion equal ``t``, and passed through rational LDL^T, so
+    no inexact certificate can escape.
     """
     mn = t.m * t.n
     upper = np.triu_indices(mn)
+    rat = np.empty((mn, mn), dtype=object)
+    rat[upper] = [Fraction(float(v)).limit_denominator(denom) for v in G[upper]]
+    rat.T[upper] = rat[upper]  # symmetric, from the upper triangle
+    return _gram_certificate(kernels.project_affine(rat, t.entries), t)
+
+
+def _rationalize(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
+    """``_round_at`` at each denominator of the escalating ladder in turn."""
     for denom in RATIONALIZE_DENOMINATORS:
-        rat = np.empty((mn, mn), dtype=object)
-        rat[upper] = [Fraction(float(v)).limit_denominator(denom) for v in G[upper]]
-        rat.T[upper] = rat[upper]  # symmetric, from the upper triangle
-        cert = _gram_certificate(kernels.project_affine(rat, t.entries), t)
+        cert = _round_at(G, t, denom)
         if cert is not None:
             return cert
     return None
@@ -177,23 +182,25 @@ def _inverse_if_pd(M: np.ndarray) -> np.ndarray | None:
     return Li.T @ Li
 
 
-def _barrier_max_min_eig(F: np.ndarray, dirs, max_iter: int, tol: float):
+def _barrier_max_min_eig(F: np.ndarray, dirs, max_iter: int, tol: float, stop_at: float = math.inf):
     """Maximise s subject to G(t) - s I PSD by a damped-Newton log-barrier
     method (Boyd & Vandenberghe, section 11.3).
 
     For each tau it minimises -tau s - log det(G(t) - s I) from the previous
     centre, taking damped steps 1/(1 + lambda) (lambda the Newton decrement),
     until lambda^2/2 <= NEWTON_DECREMENT_STOP; then tau grows by
-    BARRIER_GROWTH. It starts at t = 0, s = lambda_min(F) - 1 and tau = 1,
-    and stops once the duality gap mn/tau is below ``tol``, so the final s is
-    within ``tol`` of the optimum s*. It stops early when ``max_iter``
+    BARRIER_GROWTH. It starts at t = 0, s = lambda_min(F) - 1 and tau = 1.
+    It stops at the first accepted Newton step with s >= ``stop_at``;
+    failing that, once the duality gap mn/tau is below ``tol``, so the final
+    s is within ``tol`` of the optimum s*. ``tol`` is thus the gap target
+    only when ``stop_at`` is never reached. It also stops when ``max_iter``
     steps ran out or when float64 can no longer centre: a damped step from
     lambda < 1/2 must give lambda+ <= 2 lambda^2 < lambda (Nesterov), so a
     decrement that fails to fall there is rounding noise.
 
-    Returns (t, s, trace, bound) with one s in ``trace`` per Newton step and
-    bound = s + mn/tau at the last centre reached (inf before the first),
-    the duality bound s* <= bound.
+    Returns (t, s, trace, bound) with one s in ``trace`` per Newton step,
+    up to the step that stopped the solve, and bound = s + mn/tau at the
+    last centre reached (inf before the first), the duality bound s* <= bound.
     """
     mn = F.shape[0]
     eye = np.eye(mn)
@@ -233,6 +240,8 @@ def _barrier_max_min_eig(F: np.ndarray, dirs, max_iter: int, tol: float):
             break
         t, s, W = t_new, s_new, W_new
         trace.append(s)
+        if s >= stop_at:
+            break
         g, H = kernels.barrier_newton_system(W, dirs)
     return t, s, trace, bound
 
@@ -244,10 +253,21 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
     Otherwise it maximises s = lambda_min(G) over the affine Gram family,
     G(t) = F + sum_k t_k N_k with F the flattening, by a log-barrier method
     from t = 0. ``iterations`` counts its Newton steps (at most
-    ``max_iter``) and ``trace`` holds s after each one. ``tol`` must be
-    finite and > 0; it is the barrier's duality-gap target and the primal
-    threshold. Outcomes, with s the final value:
+    ``max_iter``) and ``trace`` holds s after each one.
 
+    The solve stops at the first Newton step with s >= mn / D0, D0 the first
+    rationalization denominator, and rounds that point at D0 alone: each
+    entry moves by at most 1/(2 D0), the exact affine projection does not
+    lengthen that move, so by Weyl's inequality the rounded point keeps
+    lambda_min >= s - mn/(2 D0) > 0. When the exact LDL^T refuses it anyway,
+    the solve runs again without the stop. ``trace`` and ``iterations`` end
+    at the step that stopped the solve.
+
+    ``tol`` must be finite and > 0. When no early certificate ends the
+    solve, it is the barrier's duality-gap target and the primal threshold.
+    Outcomes, with s the final value:
+
+    * s >= mn / D0 and rounding at D0 verifies -> ``sos_certified``
     * s >= -tol and rationalization verifies -> ``sos_certified``
     * s >= -tol but no exact certificate recovered -> ``feasible_numerical``
     * s < -tol and the duality bound puts the float optimum s* below -tol
@@ -266,14 +286,20 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
     a4 = t.to_float()
     F = a4.reshape(mn, mn)
     dirs = kernels.gram_directions(t.m, t.n)
-    shift, s, trace, bound = _barrier_max_min_eig(F, dirs, max_iter, tol)
+    sure = mn / RATIONALIZE_DENOMINATORS[0] if RATIONALIZE_DENOMINATORS else math.inf
+    shift, s, trace, bound = _barrier_max_min_eig(F, dirs, max_iter, tol, sure)
     G = _gram_at(F, shift, dirs)
+    cert = _round_at(G, t, RATIONALIZE_DENOMINATORS[0]) if s >= sure else None
+    if s >= sure and cert is None:  # float error ate the margin: solve in full
+        shift, s, trace, bound = _barrier_max_min_eig(F, dirs, max_iter, tol)
+        G = _gram_at(F, shift, dirs)
     point = GramPoint(kernels.affine_residual(G, a4), max(0.0, -float(np.linalg.eigvalsh(G)[0])))
     it = len(trace)
     if s < -tol:
         status = "infeasible_suspected" if bound < -tol else "inconclusive"
         return SOSProbeResult(status, None, it, point, trace)
-    cert = _rationalize(G, t)
+    if cert is None:
+        cert = _rationalize(G, t)
     if cert is not None:
         return SOSProbeResult("sos_certified", cert, it, point, trace)
     return SOSProbeResult("feasible_numerical", None, it, point, trace)

@@ -5,7 +5,8 @@ form is evaluated term by term from its defining four sums, so is the form
 of any coefficient array, symmetry is checked entry by entry, certificates are
 evaluated as literal weighted squares, the dominance and B0 row quantities
 are computed from their two-family tensor-index formulas, the barrier
-Newton system is contracted from dense direction matrices, LDL^T,
+Newton system is contracted from dense direction matrices, the Gram probe
+runs its barrier to the full duality gap before it rounds, LDL^T,
 certificate expansion and term merging are the all-Fraction implementations
 the integer versions replaced, and the monic barycentric coordinates are
 the scaled critical values written out, not solved from the vertex table. Tests compare library output against these.
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from biquad import gram, kernels
 from biquad.core import BilinearForm, SOSCertificate, SymmetricBiquadraticTensor, symmetrize
 from biquad.exactla import LDLResult, LDLTerm
 from biquad.gram import GramPoint, SOSProbeResult
@@ -151,6 +153,28 @@ def suspected_probe(t, max_iter, tol) -> SOSProbeResult:
     """Stand-in for ``gram.sos_probe`` that reports every tensor as
     ``infeasible_suspected``, for the sweep's fixture path."""
     return SOSProbeResult("infeasible_suspected", None, 7, GramPoint(0.5, 0.25))
+
+
+def full_solve_probe(t, max_iter=5000, tol=1e-9) -> SOSProbeResult:
+    """``gram.sos_probe`` without the early stop: the barrier runs until
+    the duality gap is below ``tol``, then rounding walks the whole
+    denominator ladder. The status rules are the probe's."""
+    cert = gram.flattening_psd_check(t)
+    if cert is not None:
+        return SOSProbeResult("flattening_psd", cert, 0, GramPoint(0.0, 0.0))
+    mn = t.m * t.n
+    a4 = t.to_float()
+    F = a4.reshape(mn, mn)
+    dirs = kernels.gram_directions(t.m, t.n)
+    shift, s, trace, bound = gram._barrier_max_min_eig(F, dirs, max_iter, tol)
+    G = gram._gram_at(F, shift, dirs)
+    point = GramPoint(kernels.affine_residual(G, a4), max(0.0, -float(np.linalg.eigvalsh(G)[0])))
+    if s < -tol:
+        status = "infeasible_suspected" if bound < -tol else "inconclusive"
+        return SOSProbeResult(status, None, len(trace), point, trace)
+    cert = gram._rationalize(G, t)
+    status = "feasible_numerical" if cert is None else "sos_certified"
+    return SOSProbeResult(status, cert, len(trace), point, trace)
 
 
 def nonzero_entries(form: BilinearForm) -> list[tuple[int, int, Fraction]]:

@@ -4,12 +4,14 @@ Each case runs one argv in-process through ``cli.main`` and compares the
 SHA-256 of its stdout and its exit code with recorded values. Only commands
 whose output is exact are pinned: ``gen`` for the classes whose generator
 draws no float (dd, z, b0), the certificate and classification commands,
-and ``probe`` on dominated tensors, which stops at the exact flattening LDL^T.
+``probe`` on dominated tensors, which stops at the exact flattening LDL^T,
+and ``probe`` on one sum of squares with an indefinite flattening, whose
+barrier point rounds at the first denominator of the ladder.
 
-Input files are written from ``gen`` and ``decompose-dd`` stdout, never with
-``-o``, so no path appears in any hashed output. To re-record after an
-intended output change, run ``python tests/test_cli_golden.py`` and paste
-its table over ``GOLDEN``.
+Input files are written from literals and from ``gen`` and ``decompose-dd``
+stdout, never with ``-o``, so no path appears in any hashed output. To
+re-record after an intended output change, run
+``python tests/test_cli_golden.py`` and paste its table over ``GOLDEN``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,18 @@ from contextlib import redirect_stdout
 import pytest
 
 from biquad.cli import main
+
+# name -> file content, written first. sos22 is the 2x2 form
+# (2 x1 y2 + 2 x2 y1)^2 + (x1 y1 - x1 y2 - x2 y1 - 2 x2 y2)^2, one entry per
+# monomial; its flattening is indefinite.
+LITERALS = {
+    "sos22": """{"m": 2, "n": 2, "entries": [
+        {"i": 1, "j": 1, "k": 1, "l": 1, "v": "1"}, {"i": 1, "j": 2, "k": 1, "l": 2, "v": "5"},
+        {"i": 2, "j": 1, "k": 2, "l": 1, "v": "5"}, {"i": 2, "j": 2, "k": 2, "l": 2, "v": "4"},
+        {"i": 1, "j": 1, "k": 2, "l": 2, "v": "6"}, {"i": 1, "j": 1, "k": 1, "l": 2, "v": "-2"},
+        {"i": 1, "j": 1, "k": 2, "l": 1, "v": "-2"}, {"i": 1, "j": 2, "k": 2, "l": 2, "v": "4"},
+        {"i": 2, "j": 1, "k": 2, "l": 2, "v": "4"}]}""",
+}
 
 # name -> argv producing a file of that name; run in this order, so later
 # entries may read earlier files ("{name}" is replaced by the file's path).
@@ -65,6 +79,7 @@ CASES = {
     "eval-z23": ["eval", "{z23}", "-x", "-1,1/5", "-y", "1,0,-7/2"],
     "probe-dd22": ["probe", "{dd22}"],
     "probe-dd33": ["probe", "{dd33}"],
+    "probe-sos22": ["probe", "{sos22}"],
 }
 
 # name -> (sha256 of stdout, exit code)
@@ -94,6 +109,7 @@ GOLDEN = {
     "gen-z33": ("7c91e5a0ded5419190f2e0670145d808e7c8fa1d173d167bc1f3e5934fed619f", 0),
     "probe-dd22": ("4a216068e7bbe87723c637594f04e311e79ae56d2c2d37f0648f95b2151add65", 0),
     "probe-dd33": ("622a8e72fde3a688e9fff1500315698d23f02ea9c2874023bca606a4f73b7cea", 0),
+    "probe-sos22": ("e18dfd4a49d33c47a9fbc1e0d0330dafea299f2760da0481b3a85730c8ccdb47", 0),
     "verify-match-22": ("2dc6f13146065ccd2a11894f170a19ad0cb9e5d727b158a3c7aac0918e6018a6", 0),
     "verify-match-33": ("2dc6f13146065ccd2a11894f170a19ad0cb9e5d727b158a3c7aac0918e6018a6", 0),
     "verify-mismatch": ("0a0b5710ef96a6702d5fc7b595a7a96356c8800475b75cc6c0fa54274bb93bb6", 1),
@@ -115,6 +131,10 @@ def substitute(argv, paths):
 
 def write_files(directory):
     paths = {}
+    for name, text in LITERALS.items():
+        path = directory / f"{name}.json"
+        path.write_text(text)
+        paths[name] = str(path)
     for name, argv in FILES.items():
         out, code = run(substitute(argv, paths))
         assert code == 0, name

@@ -52,6 +52,25 @@ def test_constructor_rejects_float_entries():
         SymmetricBiquadraticTensor(1, 1, np.array([[[[0.5]]]], dtype=object))
 
 
+@pytest.mark.parametrize("W", [
+    np.array([[0.5]], dtype=object),
+    np.array([[0.5]]),
+    np.array([[np.float32(0.5)]], dtype=object),
+])
+def test_bilinear_form_rejects_float_entries(W):
+    # BilinearForm(1, 1, np.array([[0.5]], dtype=object)) used to build, and
+    # a certificate holding it expanded with float arithmetic
+    with pytest.raises(TypeError, match="exact rational"):
+        BilinearForm(1, 1, W)
+
+
+def test_bilinear_form_keeps_exact_entries():
+    form = BilinearForm(1, 2, np.array([[F(1, 2), 3]], dtype=object))
+    assert form.W.tolist() == [[F(1, 2), 3]]
+    with pytest.raises(ValueError):
+        form.W[0, 0] = F(2)
+
+
 def test_constructor_turns_ints_into_fractions():
     t = SymmetricBiquadraticTensor(1, 2, np.array([[[[1, 2]], [[2, 3]]]]))
     assert t.entries.reshape(-1).tolist() == [1, 2, 2, 3]

@@ -34,6 +34,7 @@ from biquad.gram import (
 
 from conftest import (
     dense_barrier_system,
+    full_solve_probe,
     gram_direction_stack,
     has_biquadratic_symmetry,
     ldl_pivots,
@@ -213,7 +214,7 @@ class TestSOSProbe:
         # residual trace is recorded every iteration
         assert len(res.trace) == res.iterations
 
-    def test_dykstra_path_rationalizes(self):
+    def test_barrier_path_rationalizes(self):
         t = rank_one_sos_tensor()
         res = sos_probe(t, max_iter=3000, tol=1e-9)
         assert res.status == "sos_certified"
@@ -226,6 +227,44 @@ class TestSOSProbe:
         res = sos_probe(rank_one_sos_tensor(), tol=1e-9)
         assert -1e-9 <= res.trace[-1] < 0
         assert res.status == "sos_certified"
+
+    def test_stops_at_the_first_step_sure_to_round(self):
+        # from s >= mn/D0 on, rounding at D0 keeps lambda_min > 0 (Weyl), so
+        # the barrier stops at the first such step and rounds there
+        t = integer_squares_tensor(np.random.default_rng([77, 0]), 3, 3, 9)
+        sure = 9 / gram.RATIONALIZE_DENOMINATORS[0]
+        res = sos_probe(t)
+        assert res.status == "sos_certified"
+        assert tensors_equal(expand_certificate(res.certificate), t)
+        assert res.iterations == len(res.trace)
+        assert res.trace[-1] >= sure
+        assert all(s < sure for s in res.trace[:-1])
+        assert res.iterations < full_solve_probe(t).iterations
+
+    def test_refused_early_rounding_runs_the_full_solve(self, monkeypatch):
+        t = integer_squares_tensor(np.random.default_rng([77, 0]), 3, 3, 9)
+        real, calls = gram._round_at, []
+
+        def refuse_first(G, tensor, denom):
+            calls.append(denom)
+            return None if len(calls) == 1 else real(G, tensor, denom)
+
+        monkeypatch.setattr(gram, "_round_at", refuse_first)
+        res = sos_probe(t)
+        full = full_solve_probe(t)
+        assert res.status == full.status == "sos_certified"
+        assert tensors_equal(expand_certificate(res.certificate), t)
+        assert res.iterations == full.iterations
+        assert res.trace == full.trace
+        # the refused point, then the ladder from its first denominator
+        assert calls[:2] == [gram.RATIONALIZE_DENOMINATORS[0]] * 2
+
+    def test_empty_ladder_never_stops_early(self, monkeypatch):
+        t = integer_squares_tensor(np.random.default_rng([77, 0]), 3, 3, 9)
+        monkeypatch.setattr(gram, "RATIONALIZE_DENOMINATORS", ())
+        res = sos_probe(t)
+        assert res.status == "feasible_numerical"
+        assert res.trace == full_solve_probe(t).trace
 
     def test_no_rounding_leaves_feasible_numerical(self, monkeypatch):
         # the barrier reaches s >= -tol, but with no denominator to round
@@ -246,15 +285,15 @@ class TestSOSProbe:
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 4)])
     def test_random_integer_squares_certified(self, m, n):
         # rounding needs an interior point: from a boundary point (Dykstra's)
-        # 3 of these 12 ended feasible_numerical at each size. Each centring
-        # stops at lambda^2/2 <= 1e-8 (or where the decrement stops falling),
-        # so about 30 Newton steps do, and none takes more than 60.
+        # 3 of these 12 ended feasible_numerical at each size. The barrier
+        # stops at the first step with s >= mn/10, after at most 14 Newton
+        # steps here; the full solve to a gap of 1e-9 took 27 to 42.
         for seed in range(12):
             t = integer_squares_tensor(np.random.default_rng([77, seed]), m, n, m * n)
             res = sos_probe(t)
             assert res.status in ("sos_certified", "flattening_psd"), seed
             assert tensors_equal(expand_certificate(res.certificate), t)
-            assert res.iterations <= 60
+            assert res.iterations <= 15
 
     def test_tol_below_float_resolution_ends_early(self):
         # float64 cannot close a gap of 1e-14, so the Newton decrement stops

@@ -1,4 +1,5 @@
-"""Property tests: JSON round trips, symmetrization, certificate re-verification.
+"""Property tests: JSON round trips, symmetrization, certificate
+re-verification, and the Gram probe against its full solve.
 
 Examples are drawn by hypothesis under the deterministic profile loaded in
 ``tests/conftest.py``, so every run sees the same bounded set.
@@ -23,9 +24,9 @@ from biquad.core import (
     tensors_equal,
 )
 from biquad.dominance import dd_sos_decompose, flatten, offdiag_row_sums
-from biquad.gram import flattening_psd_check
+from biquad.gram import flattening_psd_check, sos_probe
 from biquad.monic import monic_sos_decompose, tetrahedron
-from conftest import certificates_equal, coefficient_form_value, with_flat_diagonal
+from conftest import certificates_equal, coefficient_form_value, full_solve_probe, with_flat_diagonal
 
 dims = st.integers(1, 3)
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -139,3 +140,27 @@ def test_monic_certificates_reverify(m, n, weights):
     cert = monic_sos_decompose(p)
     assert cert is not None
     assert tensors_equal(expand_certificate(cert), monic_to_tensor(p))
+
+
+@st.composite
+def integer_square_sums(draw):
+    """A sum of at least mn squares of m x n bilinear forms with integer
+    coefficients in [-3, 3], for m, n in {2, 3, 4}."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    count = draw(st.integers(m * n, m * n + 2))
+    values = draw(st.lists(st.integers(-3, 3), min_size=count * m * n, max_size=count * m * n))
+    forms = np.array(values).reshape(count, m, n)
+    return expand_certificate(SOSCertificate(m, n, tuple(
+        (F(1), BilinearForm.from_entries(m, n, W.tolist())) for W in forms)))
+
+
+@given(integer_square_sums())
+def test_probe_matches_the_full_solve(t):
+    # stopping the barrier once rounding is sure changes the Gram point,
+    # never the verdict
+    res, full = sos_probe(t), full_solve_probe(t)
+    assert res.status == full.status
+    assert res.iterations <= full.iterations
+    for r in (res, full):
+        assert (r.certificate is not None) == r.certified
+        assert r.certificate is None or tensors_equal(expand_certificate(r.certificate), t)
