@@ -85,10 +85,6 @@ def _check_count(flag: str, value: int, cap: int) -> None:
         raise ValueError(f"{flag} must be between 1 and {cap}, got {value}")
 
 
-def _rat(v) -> str:
-    return jsonio.rational_to_str(v)
-
-
 def _emit(args, payload: dict) -> None:
     if not getattr(args, "quiet", False):
         sys.stdout.write(jsonio.dumps_canonical(payload))
@@ -109,8 +105,8 @@ def _write_or_emit(args, payload: dict) -> None:
 
 def _violation_records(violations, n: int) -> list[dict]:
     """1-based (i, j) records of dominance_violations' (p, diagonal, bound)."""
-    return [{"i": p // n + 1, "j": p % n + 1, "diagonal": _rat(diag), "bound": _rat(bound)}
-            for p, diag, bound in violations]
+    return [{"i": p // n + 1, "j": p % n + 1, "diagonal": jsonio.rational_to_str(diag),
+             "bound": jsonio.rational_to_str(bound)} for p, diag, bound in violations]
 
 
 def _cmd_check_dd(args) -> int:
@@ -139,13 +135,14 @@ def _monic_report(p: MonicParams) -> dict:
     return {
         "m": p.m,
         "n": p.n,
-        "a": _rat(p.a),
-        "b": _rat(p.b),
-        "c": _rat(p.c),
+        "a": jsonio.rational_to_str(p.a),
+        "b": jsonio.rational_to_str(p.b),
+        "c": jsonio.rational_to_str(p.c),
         "psd": psd,
         "conditions": {lab: (v >= 0 if v is not None else None) for lab, v in report.items()},
-        "eigenvalues": {lab: (_rat(v) if v is not None else None) for lab, v in report.items()},
-        "barycentric": [_rat(w) for w in lam] if lam is not None else None,
+        "eigenvalues": {lab: (jsonio.rational_to_str(v) if v is not None else None)
+                        for lab, v in report.items()},
+        "barycentric": [jsonio.rational_to_str(w) for w in lam] if lam is not None else None,
     }
 
 
@@ -171,7 +168,7 @@ def _cmd_vertices(args) -> int:
     tet = monic.tetrahedron(args.m, args.n)
     payload = {"m": args.m, "n": args.n}
     for idx, vert in enumerate(tet.vertices, start=1):
-        payload[f"V{idx}"] = [_rat(c) for c in vert]
+        payload[f"V{idx}"] = [jsonio.rational_to_str(c) for c in vert]
     _emit(args, payload)
     return 0
 
@@ -192,10 +189,10 @@ def _cmd_audit_grid(args) -> int:
             for c in values:
                 p = MonicParams(args.m, args.n, a, b, c)
                 if not monic.membership_equivalence_check(p):
-                    disagreements.append([_rat(a), _rat(b), _rat(c)])
+                    disagreements.append(list(map(jsonio.rational_to_str, (a, b, c))))
     _emit(args, {
-        "m": args.m, "n": args.n,
-        "step": _rat(step), "range": _rat(span), "points": points,
+        "m": args.m, "n": args.n, "points": points,
+        "step": jsonio.rational_to_str(step), "range": jsonio.rational_to_str(span),
         "disagreements": disagreements, "agree": not disagreements,
     })
     return 0 if not disagreements else 1
@@ -210,7 +207,7 @@ def _cmd_classify(args) -> int:
         "is_b0": rep.is_b0,
         "is_dd": rep.is_dd,
         "m_tensor": {
-            "alpha": _rat(mt.alpha) if mt.alpha is not None else None,
+            "alpha": jsonio.rational_to_str(mt.alpha) if mt.alpha is not None else None,
             "lambda_max_estimate": mt.lambda_max_estimate,
             "verdict": mt.verdict,
         },
@@ -287,7 +284,7 @@ def _cmd_eval(args) -> int:
     t = jsonio.load_tensor(args.tensor)
     x = _parse_vector(args.x, t.m, "-x")
     y = _parse_vector(args.y, t.n, "-y")
-    _emit(args, {"value": _rat(evaluate(t, x, y))})
+    _emit(args, {"value": jsonio.rational_to_str(evaluate(t, x, y))})
     return 0
 
 

@@ -46,6 +46,7 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 
 def rational(value) -> Fraction:
@@ -99,7 +100,8 @@ class SymmetricBiquadraticTensor:
             raise ValueError(f"entries shape {self.entries.shape} != {shape}")
         a = rational_array(self.entries)
         a.setflags(write=False)
-        if not ((a == a.transpose(2, 1, 0, 3)).all() and (a == a.transpose(2, 3, 0, 1)).all()):
+        entries = a.tolist()  # list equality skips __eq__ for identical objects
+        if entries != a.transpose(2, 1, 0, 3).tolist() or entries != a.transpose(2, 3, 0, 1).tolist():
             raise ValueError("entries violate the biquadratic symmetry a[ijkl]=a[kjil]=a[klij]")
         object.__setattr__(self, "entries", a)
 
@@ -136,9 +138,21 @@ def symmetrize(arr: np.ndarray) -> SymmetricBiquadraticTensor:
     j=l) are handled by the same average with multiplicity. The output
     evaluates identically to ``arr`` at every (x, y). Entries are coerced
     by ``rational``: ints become Fractions and floats raise TypeError.
+
+    The orbit sum runs in integers as N / Q, Q the product of the four
+    denominators: (N, Q) is the same at each member of an orbit, and each
+    distinct (N, Q) becomes one Fraction(N, 4 Q).
     """
-    m, n = arr.shape[:2]
-    return SymmetricBiquadraticTensor(m, n, _orbit_sum(rational_array(arr)) / 4)
+    a = rational_array(arr)
+    num, den = (np.array([getattr(v, part) for v in a.flat], dtype=object).reshape(a.shape)
+                for part in ("numerator", "denominator"))
+    N, Q = num, den
+    for perm in ((2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)):
+        N, Q = N * den.transpose(perm) + num.transpose(perm) * Q, Q * den.transpose(perm)
+    keys = list(zip(N.flat, Q.flat))
+    fractions = {key: Fraction(key[0], 4 * key[1]) for key in set(keys)}
+    entries = np.array([fractions[key] for key in keys], dtype=object).reshape(a.shape)
+    return SymmetricBiquadraticTensor(a.shape[0], a.shape[1], entries)
 
 
 def _orbit_sum(a: np.ndarray) -> np.ndarray:
@@ -293,7 +307,7 @@ def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
             continue
         u, L = exactla.common_denominator(form.W.reshape(-1))
         rows.append(u)
-        weights.append(Fraction(weight.numerator, weight.denominator * L * L))
+        weights.append(weight if L == 1 else Fraction(weight.numerator, weight.denominator * L * L))
     c, D = exactla.common_denominator(weights)
     U = np.array(rows, dtype=object).reshape(len(rows), m * n)
     G = (U.T * np.array(c, dtype=object)) @ U
@@ -306,7 +320,7 @@ def tensors_equal(s: SymmetricBiquadraticTensor, t: SymmetricBiquadraticTensor) 
     """Exact entrywise equality of two symmetric tensors of the same shape."""
     if (s.m, s.n) != (t.m, t.n):
         raise ValueError(f"shape mismatch: ({s.m},{s.n}) vs ({t.m},{t.n})")
-    return bool((s.entries == t.entries).all())
+    return s.entries.tolist() == t.entries.tolist()
 
 
 def _invariant_under_axis_swaps(t: SymmetricBiquadraticTensor, axis_pair: tuple[int, int], size: int) -> bool:

@@ -18,6 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    MINUS_ONE,
+    ONE,
     ZERO,
     BilinearForm,
     SOSCertificate,
@@ -113,12 +115,13 @@ def dd_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate:
     if any(alpha < 0 for alpha in alphas):
         raise NotDiagonallyDominantError(dominance_violations(M))
     m, n = t.m, t.n
+    zero = np.full((m, n), ZERO, dtype=object)
     terms = []
     for p, q in itertools.combinations(range(m * n), 2):
         if M[p, q] != 0:
-            W = np.full((m, n), ZERO, dtype=object)
-            W[divmod(p, n)] = Fraction(1)
-            W[divmod(q, n)] = Fraction(1 if M[p, q] > 0 else -1)
+            W = zero.copy()
+            W[divmod(p, n)] = ONE
+            W[divmod(q, n)] = ONE if M[p, q] > 0 else MINUS_ONE
             terms.append((abs(M[p, q]), BilinearForm(m, n, W)))
     for p, alpha in enumerate(alphas):
         if alpha != 0:

@@ -32,6 +32,7 @@ from .core import (
     BilinearForm,
     SOSCertificate,
     SymmetricBiquadraticTensor,
+    rational,
     symmetrize,
 )
 
@@ -56,8 +57,9 @@ __all__ = [
 MAX_MN = 64
 
 
-def rational_to_str(v: Fraction) -> str:
-    return str(v if isinstance(v, Fraction) else Fraction(v))
+def rational_to_str(v) -> str:
+    """The text "p/q" (or "p") of an exact value; floats raise TypeError."""
+    return str(rational(v))
 
 
 def parse_rational(s) -> Fraction:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import exactla
 from .core import (
+    MINUS_ONE,
     ONE,
     ZERO,
     BilinearForm,
@@ -166,9 +167,13 @@ def membership_equivalence_check(p: MonicParams) -> bool:
     return psd == inside
 
 
+# the exact entries -1, 0, 1 of the vertex forms, indexed by sign + 1
+_SIGNS = np.array([MINUS_ONE, ZERO, ONE], dtype=object)
+
+
 def _sign_vectors(size: int, differences: bool) -> list[np.ndarray]:
-    """[e_i - e_k over i < k, lexicographic] if ``differences``, else [ones]."""
-    E = np.where(np.eye(size, dtype=bool), ONE, ZERO)
+    """Integer [e_i - e_k over i < k, lexicographic] if ``differences``, else [ones]."""
+    E = np.eye(size, dtype=int)
     if differences:
         return [E[i] - E[k] for i, k in itertools.combinations(range(size), 2)]
     return [E.sum(axis=0)]
@@ -194,7 +199,7 @@ def vertex_sos(v: int, m: int, n: int) -> SOSCertificate:
     xs, ys = _sign_vectors(m, dx), _sign_vectors(n, dy)
     weight = Fraction(1, (m - 1 if dx else 1) * (n - 1 if dy else 1))
     return SOSCertificate(m, n, tuple(
-        (weight, BilinearForm(m, n, np.outer(x, y))) for x in xs for y in ys))
+        (weight, BilinearForm(m, n, _SIGNS[np.outer(x, y) + 1])) for x in xs for y in ys))
 
 
 def merge_proportional(cert: SOSCertificate) -> SOSCertificate:
@@ -202,10 +207,10 @@ def merge_proportional(cert: SOSCertificate) -> SOSCertificate:
 
     Terms are grouped by the primitive integer vector of W, signed so that
     its first nonzero entry (row-major scan) is positive. A group becomes
-    one term: its first member's form divided by that entry lead_p, with
-    weight sum_p c_p * lead_p^2. Zero weights and zero forms are dropped.
-    The expansion is unchanged. This is a cheap tidy-up, not rank
-    minimization.
+    one term: its first member's form divided by that entry lead_p (kept
+    as it is when lead_p is 1), with weight sum_p c_p * lead_p^2. Zero
+    weights and zero forms are dropped. The expansion is unchanged. This is
+    a cheap tidy-up, not rank minimization.
     """
     groups: dict[tuple, Fraction] = {}
     reps: dict[tuple, BilinearForm] = {}
@@ -221,8 +226,8 @@ def merge_proportional(cert: SOSCertificate) -> SOSCertificate:
         lead = form.W.reshape(-1)[k]
         if key not in groups:
             groups[key] = Fraction(0)
-            reps[key] = BilinearForm(cert.m, cert.n, form.W / lead)
-        groups[key] += weight * lead * lead
+            reps[key] = form if lead == 1 else BilinearForm(cert.m, cert.n, form.W / lead)
+        groups[key] += weight if lead == 1 else weight * lead * lead
     return SOSCertificate(cert.m, cert.n, tuple((groups[k], reps[k]) for k in groups))
 
 

@@ -7,8 +7,8 @@ evaluated as literal weighted squares, the dominance and B0 row quantities
 are computed from their two-family tensor-index formulas, the barrier
 Newton system is contracted from dense direction matrices, the Gram probe
 runs its barrier to the full duality gap before it rounds, LDL^T,
-certificate expansion and term merging are the all-Fraction implementations
-the integer versions replaced, and the monic barycentric coordinates are
+certificate expansion, term merging and symmetrization are the all-Fraction
+implementations the integer versions replaced, and the monic barycentric coordinates are
 the scaled critical values written out, not solved from the vertex table. Tests compare library output against these.
 
 A deterministic hypothesis profile is registered and loaded here, so the
@@ -25,7 +25,13 @@ import pytest
 from hypothesis import settings
 
 from biquad import gram, kernels
-from biquad.core import BilinearForm, SOSCertificate, SymmetricBiquadraticTensor, symmetrize
+from biquad.core import (
+    BilinearForm,
+    SOSCertificate,
+    SymmetricBiquadraticTensor,
+    rational_array,
+    symmetrize,
+)
 from biquad.exactla import LDLResult, LDLTerm
 from biquad.gram import GramPoint, SOSProbeResult
 
@@ -252,9 +258,16 @@ def fraction_expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTen
             ww1 = weight * w1
             for i2, j2, w2 in nz:
                 acc[i1, j1, i2, j2] += ww1 * w2
-    a = acc
+    return fraction_symmetrize(acc)
+
+
+def fraction_symmetrize(arr) -> SymmetricBiquadraticTensor:
+    """Symmetric representative of an m x n x m x n coefficient array: each
+    entry the average of its orbit, as Fraction sums divided by 4."""
+    m, n = arr.shape[:2]
+    a = rational_array(arr)
     avg = (a + a.transpose(2, 1, 0, 3) + a.transpose(0, 3, 2, 1) + a.transpose(2, 3, 0, 1)) / 4
-    return SymmetricBiquadraticTensor(cert.m, cert.n, avg)
+    return SymmetricBiquadraticTensor(m, n, avg)
 
 
 def fraction_merge_proportional(cert: SOSCertificate) -> SOSCertificate:

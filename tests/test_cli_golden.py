@@ -42,6 +42,7 @@ FILES = {
     "dd22": ["gen", "--class", "dd", "-m", "2", "-n", "2", "--seed", "1"],
     "dd23": ["gen", "--class", "dd", "-m", "2", "-n", "3", "--seed", "2"],
     "dd33": ["gen", "--class", "dd", "-m", "3", "-n", "3", "--seed", "3"],
+    "dd44": ["gen", "--class", "dd", "-m", "4", "-n", "4", "--seed", "7"],
     "z23": ["gen", "--class", "z", "-m", "2", "-n", "3", "--seed", "3"],
     "z33": ["gen", "--class", "z", "-m", "3", "-n", "3", "--seed", "4"],
     "b022": ["gen", "--class", "b0", "-m", "2", "-n", "2", "--seed", "5"],
@@ -53,6 +54,9 @@ FILES = {
 INSIDE = ["-m", "3", "-n", "3", "-a", "1/2", "-b", "1/3", "-c", "1/5"]
 OUTSIDE = ["-m", "3", "-n", "3", "-a", "2", "-b", "0", "-c", "0"]
 EDGE = ["-m", "2", "-n", "4", "-a", "-1", "-b", "-1/3", "-c", "1/3"]
+# the benchmark's 4x4 shape, at an interior point whose four barycentric
+# weights (9/140, 43/140, 41/140, 47/140) are all nonzero
+INSIDE44 = ["-m", "4", "-n", "4", "-a", "1/5", "-b", "1/7", "-c", "-1/9"]
 
 CASES = {
     **{f"gen-{name}": argv for name, argv in FILES.items() if argv[0] == "gen"},
@@ -63,6 +67,7 @@ CASES = {
     "decompose-dd-dd22": ["decompose-dd", "{dd22}"],
     "decompose-dd-dd23": ["decompose-dd", "{dd23}"],
     "decompose-dd-z33": ["decompose-dd", "{z33}"],
+    "decompose-dd-dd44": ["decompose-dd", "{dd44}"],
     "verify-match-22": ["verify", "{cert22}", "{dd22}"],
     "verify-match-33": ["verify", "{cert33}", "{dd33}"],
     "verify-mismatch": ["verify", "{cert22}", "{b022}"],
@@ -72,6 +77,7 @@ CASES = {
     "decompose-monic-inside": ["decompose-monic", *INSIDE],
     "decompose-monic-outside": ["decompose-monic", *OUTSIDE],
     "decompose-monic-edge": ["decompose-monic", *EDGE],
+    "decompose-monic-inside44": ["decompose-monic", *INSIDE44],
     "vertices-22": ["vertices", "-m", "2", "-n", "2"],
     "vertices-34": ["vertices", "-m", "3", "-n", "4"],
     "audit-grid-23": ["audit-grid", "-m", "2", "-n", "3", "--step", "1/2", "--range", "1"],
@@ -94,9 +100,11 @@ GOLDEN = {
     "classify-monic-outside": ("da8cf01a60b81107d85d6c26f92b2b69662992caae18fa92b4f4406a930278d1", 1),
     "decompose-dd-dd22": ("a2fd313e470cba7ecc67c95e3c82dd34286bd4c65bd935a975984df85f873dd7", 0),
     "decompose-dd-dd23": ("19d1b8b13d542e41b2c7ea6c365d1263dec88336d3ed74d3ac0689205adcc987", 0),
+    "decompose-dd-dd44": ("bcf05d49b21325e7cd639a97e8dfd88a3e67f244ed5ec73c9aafd4512149b33e", 0),
     "decompose-dd-z33": ("d9986977d3667b5e65ba834a5c3554e703acb464c3a3f3f6bcd94b94478c6f99", 1),
     "decompose-monic-edge": ("e5b3ae9cb26b52441e2273cdd20312d20bd97ed0ef96654d7b3137acf40a4c46", 0),
     "decompose-monic-inside": ("ae172054a3fdd0910ae11dee06a139da6ba3e19c2d74d18027f308ac2b8f4b48", 0),
+    "decompose-monic-inside44": ("17d94f8b863aeeef0d43da7baf803309da317742be3fe2eacaa3706e34a44e65", 0),
     "decompose-monic-outside": ("7a066d8298f5a2668568c15f12e1c4b94b2a51354223d0c184ef5a6c6437c51b", 1),
     "eval-dd22": ("90a78916a6332cd80625fdb61ec88a2a609e04369cd15d7619c67f302dc97507", 0),
     "eval-z23": ("dfaf7f0a0b8c923827a2b4921067746d7a0965f6d63bbe1746ffca9910ea7d48", 0),
@@ -105,6 +113,7 @@ GOLDEN = {
     "gen-dd22": ("5860da30671e10e350359051d864b630537fccd4f48ca6e1b7c2e88dea4f5a8b", 0),
     "gen-dd23": ("b109aaf9f3aba8d50df1ccfdb88701df8844b8ba14774eec39fee6b54b292c69", 0),
     "gen-dd33": ("389f4aa5f509bf67d3691b20f864780b6d4b8a9c30bcc2b35539034e8c84efd7", 0),
+    "gen-dd44": ("49af5e5c90ba033b361f7d0e95890818548fd171f895b31a7e61d084754c63f4", 0),
     "gen-z23": ("ac71a07c57bc5a961f88d767efc2e80e1d1f4ad17092b495cc30562e00f0392a", 0),
     "gen-z33": ("7c91e5a0ded5419190f2e0670145d808e7c8fa1d173d167bc1f3e5934fed619f", 0),
     "probe-dd22": ("4a216068e7bbe87723c637594f04e311e79ae56d2c2d37f0648f95b2151add65", 0),

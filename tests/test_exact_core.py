@@ -1,10 +1,13 @@
 """The integer exact core against its all-Fraction references.
 
-``ldlt_psd``, ``expand_certificate`` and ``merge_proportional`` compute in
-integers over common denominators; ``tests/conftest.py`` keeps the
+``ldlt_psd``, ``expand_certificate``, ``merge_proportional`` and
+``symmetrize`` compute in integers; ``tests/conftest.py`` keeps the
 all-Fraction implementations they replaced. Each test here requires equal
 results: the full ``LDLResult`` (terms, failure kind, index and exact
-value), ``tensors_equal`` expansions and equal merged certificates.
+value), ``tensors_equal`` expansions and symmetrizations, and equal merged
+certificates. The certificate builders place shared constants instead of
+computing entries, so a last class checks that every entry they emit is
+still a Fraction in a read-only array.
 """
 
 from fractions import Fraction as F
@@ -14,16 +17,24 @@ import numpy as np
 import pytest
 
 from biquad import exactla
-from biquad.core import BilinearForm, SOSCertificate, expand_certificate, tensors_equal
+from biquad.core import (
+    BilinearForm,
+    MonicParams,
+    SOSCertificate,
+    expand_certificate,
+    symmetrize,
+    tensors_equal,
+)
 from biquad.dominance import dd_sos_decompose, flatten
 from biquad.gram import choi_form
-from biquad.monic import merge_proportional, vertex_sos
+from biquad.monic import merge_proportional, monic_sos_decompose, vertex_sos
 from biquad.classes import gen_tensor
 from conftest import (
     certificates_equal,
     fraction_expand_certificate,
     fraction_ldlt_psd,
     fraction_merge_proportional,
+    fraction_symmetrize,
     random_symmetric_tensor,
 )
 
@@ -213,3 +224,63 @@ class TestMergeAgainstFractionReference:
         terms = tuple(term for v in range(1, 5) for term in vertex_sos(v, m, n).terms)
         cert = SOSCertificate(m, n, terms + terms)
         assert certificates_equal(merge_proportional(cert), fraction_merge_proportional(cert))
+
+
+def rand_coefficients(rng, m, n, denom):
+    """An m x n x m x n array of rand_rational entries, without symmetry."""
+    return rand_matrix(rng, m * n, m * n, denom).reshape(m, n, m, n)
+
+
+class TestSymmetrizeAgainstFractionReference:
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("denom", DENOMS)
+    def test_fraction_input(self, m, n, denom):
+        rng = np.random.default_rng([m, n, denom, 10])
+        for _ in range(3):
+            arr = rand_coefficients(rng, m, n, denom)
+            assert tensors_equal(symmetrize(arr), fraction_symmetrize(arr))
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("denom", DENOMS)
+    def test_int_input(self, m, n, denom):
+        rng = np.random.default_rng([m, n, denom, 11])
+        arr = np.array([int(v) for v in rng.integers(-4 * denom, 4 * denom + 1, (m * n) ** 2)],
+                       dtype=object).reshape(m, n, m, n)
+        assert tensors_equal(symmetrize(arr), fraction_symmetrize(arr))
+
+    def test_float_entry_raises(self):
+        arr = rand_coefficients(np.random.default_rng(12), 2, 2, 8)
+        arr[1, 0, 0, 1] = 0.25
+        with pytest.raises(TypeError):
+            symmetrize(arr)
+
+
+def assert_exact_forms(cert):
+    """Every W entry is a Fraction (not an int) and every W is read-only."""
+    for _, form in cert.terms:
+        assert not form.W.flags.writeable
+        assert all(type(v) is F for v in form.W.flat)
+
+
+class TestCertificateEntryTypes:
+    @pytest.mark.parametrize("m,n", list(product(range(2, 5), repeat=2)))
+    def test_vertex_certificates(self, m, n):
+        for v in range(1, 5):
+            assert_exact_forms(vertex_sos(v, m, n))
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_dd_certificates(self, m, n):
+        rng = np.random.default_rng([m, n, 13])
+        assert_exact_forms(dd_sos_decompose(gen_tensor("dd", m, n, rng)))
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 4)])
+    def test_monic_certificates(self, m, n):
+        assert_exact_forms(monic_sos_decompose(MonicParams(m, n, F(1, 5), F(1, 7), F(-1, 9))))
+
+    @pytest.mark.parametrize("denom", DENOMS)
+    def test_merged_certificates(self, denom):
+        rng = np.random.default_rng([denom, 14])
+        for m, n in ((2, 3), (4, 4)):
+            assert_exact_forms(merge_proportional(random_certificate(rng, m, n, denom, 12, 0.6)))
+            terms = tuple(term for v in range(1, 5) for term in vertex_sos(v, m, n).terms)
+            assert_exact_forms(merge_proportional(SOSCertificate(m, n, terms + terms)))

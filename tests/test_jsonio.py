@@ -81,6 +81,13 @@ def test_rational_strings():
     assert jsonio.parse_rational("-5") == F(-5)
 
 
+def test_rational_strings_refuse_floats():
+    for bad in (0.1, np.float64(0.5)):
+        with pytest.raises(TypeError):
+            jsonio.rational_to_str(bad)
+    assert jsonio.rational_to_str(np.int64(3)) == "3"
+
+
 def test_duplicate_entries_rejected():
     d = {"m": 1, "n": 1, "entries": [
         {"i": 1, "j": 1, "k": 1, "l": 1, "v": "1"},
