@@ -293,23 +293,28 @@ class SOSCertificate:
 def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
     """Symmetric tensor of sum_p c_p f_p(x,y)^2, by exact expansion.
 
-    Works in integers: each form's W is scaled to an integer vector u_p (by
-    the lcm L_p of its denominators) and its weight to c_p / L_p^2; over the
-    common denominator D of those weights, the flattened tensor
+    Works in integers. One pass reads the entries of every form with a
+    nonzero weight into a (terms, mn) array U of numerators; only when some
+    entry is not an integer is each row scaled to integers (by the lcm L_p
+    of its denominators) and its weight to c_p / L_p^2. Over the common
+    denominator D of those weights, the flattened tensor
     sum_p c_p vec(W_p) vec(W_p)^T is G / D with G = U^T diag(c) U in
     integers. Symmetrizing G in integers gives each entry as
     Fraction(g, 4 D), built once per distinct g.
     """
     m, n = cert.m, cert.n
-    rows, weights = [], []
-    for weight, form in cert.terms:
-        if weight == 0:
-            continue
-        u, L = exactla.common_denominator(form.W.reshape(-1))
-        rows.append(u)
-        weights.append(weight if L == 1 else Fraction(weight.numerator, weight.denominator * L * L))
+    terms = [(weight, form) for weight, form in cert.terms if weight != 0]
+    entries = [v for _, form in terms for v in form.W.reshape(-1).tolist()]
+    U = np.array([v.numerator for v in entries], dtype=object).reshape(len(terms), m * n)
+    weights = [weight for weight, _ in terms]
+    dens = [v.denominator for v in entries]
+    if dens.count(1) < len(dens):
+        dens = np.array(dens, dtype=object).reshape(U.shape)
+        L = [math.lcm(*row) for row in dens.tolist()]
+        U = U * (np.array(L, dtype=object)[:, None] // dens)
+        weights = [w if l == 1 else Fraction(w.numerator, w.denominator * l * l)
+                   for w, l in zip(weights, L)]
     c, D = exactla.common_denominator(weights)
-    U = np.array(rows, dtype=object).reshape(len(rows), m * n)
     G = (U.T * np.array(c, dtype=object)) @ U
     sym = _orbit_sum(G.reshape(m, n, m, n))
     fractions = {v: Fraction(v, 4 * D) for v in set(sym.reshape(-1).tolist())}

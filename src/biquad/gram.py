@@ -88,11 +88,16 @@ class SOSProbeResult:
         return self.status in ("sos_certified", "flattening_psd") and self.certificate is not None
 
 
-def _gram_certificate(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
-    """Exact certificate from a rational Gram point G of ``t``, when G is PSD.
+def _gram_certificate(G: np.ndarray, t: SymmetricBiquadraticTensor,
+                      scale: int = 1) -> SOSCertificate | None:
+    """Exact certificate from the rational Gram point G / ``scale`` of ``t``,
+    when it is PSD.
 
-    Runs pivoted rational LDL^T on G; each pivot (all are positive) yields
-    one bilinear form per factor column with the pivot as weight. The
+    Runs pivoted rational LDL^T on G; each pivot (all are positive) divided
+    by ``scale`` is the weight of one bilinear form, its factor column.
+    Factor columns do not change under a positive scaling, so an integer
+    multiple of the Gram point is factored in its place: ``_round_at``
+    passes the matrix B with scale 2q, its Gram point being B / (2q). The
     certificate is expanded and compared with ``t`` exactly before it is
     returned. Returns None when G is not PSD.
     """
@@ -101,7 +106,7 @@ def _gram_certificate(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertif
         return None
     m, n = t.m, t.n
     cert = SOSCertificate(m, n, tuple(
-        (term.pivot, BilinearForm(m, n, np.array(term.vector, dtype=object).reshape(m, n)))
+        (term.pivot / scale, BilinearForm(m, n, np.array(term.vector, dtype=object).reshape(m, n)))
         for term in res.terms))
     if not tensors_equal(expand_certificate(cert), t):  # pragma: no cover - defensive
         raise AssertionError("Gram certificate failed exact round-trip")
@@ -131,17 +136,27 @@ def gram_project_psd(G: np.ndarray) -> np.ndarray:
 def _round_at(G: np.ndarray, t: SymmetricBiquadraticTensor, denom: int) -> SOSCertificate | None:
     """Round a numeric Gram point to rationals at one denominator and verify.
 
-    Continued-fraction rounding of each entry to denominator <= ``denom``;
-    the candidate is re-projected onto the affine family exactly, which
-    makes its expansion equal ``t``, and passed through rational LDL^T, so
-    no inexact certificate can escape.
+    Continued-fraction rounding of each upper-triangle entry to denominator
+    <= ``denom`` gives a symmetric matrix; its exact projection onto the
+    affine family (``kernels.project_affine``), whose expansion equals
+    ``t``, goes through rational LDL^T, so no inexact certificate can
+    escape. The projection runs in integers: with the rounded entries and
+    those of ``t`` written as R4 and A4 (tensor layout) over one
+    denominator q, the Gram matrix is B / (2q) with
+    B = R4 - R4.swap(j, l) + 2 A4, and B is what the LDL^T factors.
     """
-    mn = t.m * t.n
+    m, n = t.m, t.n
+    mn = m * n
     upper = np.triu_indices(mn)
-    rat = np.empty((mn, mn), dtype=object)
-    rat[upper] = [Fraction(float(v)).limit_denominator(denom) for v in G[upper]]
-    rat.T[upper] = rat[upper]  # symmetric, from the upper triangle
-    return _gram_certificate(kernels.project_affine(rat, t.entries), t)
+    rounded = [Fraction(float(v)).limit_denominator(denom) for v in G[upper]]
+    nums, q = exactla.common_denominator(rounded + t.entries.reshape(-1).tolist())
+    R = np.empty((mn, mn), dtype=object)
+    R[upper] = nums[:len(rounded)]
+    R.T[upper] = R[upper]  # symmetric, from the upper triangle
+    R4 = R.reshape(m, n, m, n)
+    A4 = np.array(nums[len(rounded):], dtype=object).reshape(m, n, m, n)
+    B = R4 - R4.transpose(0, 3, 2, 1) + 2 * A4
+    return _gram_certificate(B.reshape(mn, mn), t, 2 * q)
 
 
 def _rationalize(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertificate | None:

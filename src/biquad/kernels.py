@@ -1,12 +1,12 @@
 """Array kernels behind the numerical probes.
 
-Three hot spots live here: the alternating smallest/largest-eigenvector
-refinement used by ``sample_min`` and the M-eigenvalue ascent, the Newton
-system of the log-barrier Gram search in ``gram.sos_probe``, and the affine
-Gram projection. The refinement and the Newton system are float64 only. The
-projection is one formula for float64 arrays and for ``Fraction`` object
-arrays, so ``gram._rationalize`` runs the same code exactly on its rounded
-Gram points.
+Two hot spots live here, both float64 only: the alternating
+smallest/largest-eigenvector refinement used by ``sample_min`` and the
+M-eigenvalue ascent, and the Newton system of the log-barrier Gram search in
+``gram.sos_probe``. Beside them sits the affine Gram projection, one formula
+for float64 arrays and for ``Fraction`` object arrays. The library's
+rounding (``gram._round_at``) computes that projection in integers instead;
+this form is the reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -151,7 +151,9 @@ def project_affine(G: np.ndarray, a4: np.ndarray) -> np.ndarray:
     positions coincide (j = l, or i = k under matrix symmetry) get pinned to
     a[i,j,k,l]; genuine pairs are shifted by half the violation each, which
     in tensor layout collapses to (G4 - G4.swap(j,l))/2 + a4 after
-    symmetrising G. Works for float64 and for Fraction object arrays.
+    symmetrising G. Works for float64 and for Fraction object arrays; on the
+    latter it is the reference for the integer projection in
+    ``gram._round_at``.
     """
     m, n = a4.shape[0], a4.shape[1]
     G4 = ((G + G.T) / 2).reshape(m, n, m, n)

@@ -6,7 +6,8 @@ of any coefficient array, symmetry is checked entry by entry, certificates are
 evaluated as literal weighted squares, the dominance and B0 row quantities
 are computed from their two-family tensor-index formulas, the barrier
 Newton system is contracted from dense direction matrices, the Gram probe
-runs its barrier to the full duality gap before it rounds, LDL^T,
+runs its barrier to the full duality gap before it rounds, the Gram
+rounding projects its rounded point on Fractions, LDL^T,
 certificate expansion, term merging and symmetrization are the all-Fraction
 implementations the integer versions replaced, and the monic barycentric coordinates are
 the scaled critical values written out, not solved from the vertex table. Tests compare library output against these.
@@ -181,6 +182,19 @@ def full_solve_probe(t, max_iter=5000, tol=1e-9) -> SOSProbeResult:
     cert = gram._rationalize(G, t)
     status = "feasible_numerical" if cert is None else "sos_certified"
     return SOSProbeResult(status, cert, len(trace), point, trace)
+
+
+def fraction_round_at(G: np.ndarray, t, denom: int):
+    """``gram._round_at`` computed on Fractions: the rounded upper triangle,
+    mirrored, is projected by ``kernels.project_affine`` on Fraction
+    objects, and the projected point itself goes through
+    ``gram._gram_certificate``."""
+    mn = t.m * t.n
+    upper = np.triu_indices(mn)
+    rat = np.empty((mn, mn), dtype=object)
+    rat[upper] = [Fraction(float(v)).limit_denominator(denom) for v in G[upper]]
+    rat.T[upper] = rat[upper]
+    return gram._gram_certificate(kernels.project_affine(rat, t.entries), t)
 
 
 def nonzero_entries(form: BilinearForm) -> list[tuple[int, int, Fraction]]:

@@ -5,8 +5,8 @@ SHA-256 of its stdout and its exit code with recorded values. Only commands
 whose output is exact are pinned: ``gen`` for the classes whose generator
 draws no float (dd, z, b0), the certificate and classification commands,
 ``probe`` on dominated tensors, which stops at the exact flattening LDL^T,
-and ``probe`` on one sum of squares with an indefinite flattening, whose
-barrier point rounds at the first denominator of the ladder.
+and ``probe`` on two sums of squares with an indefinite flattening (2x2 and
+3x3), whose barrier points round at the first denominator of the ladder.
 
 Input files are written from literals and from ``gen`` and ``decompose-dd``
 stdout, never with ``-o``, so no path appears in any hashed output. To
@@ -26,7 +26,10 @@ from biquad.cli import main
 
 # name -> file content, written first. sos22 is the 2x2 form
 # (2 x1 y2 + 2 x2 y1)^2 + (x1 y1 - x1 y2 - x2 y1 - 2 x2 y2)^2, one entry per
-# monomial; its flattening is indefinite.
+# monomial; its flattening is indefinite. sos33 is a sum of nine squares of
+# 3x3 bilinear forms with integer coefficients in [-3, 3], the probe
+# benchmark's shape, also one entry per monomial and also with an indefinite
+# flattening.
 LITERALS = {
     "sos22": """{"m": 2, "n": 2, "entries": [
         {"i": 1, "j": 1, "k": 1, "l": 1, "v": "1"}, {"i": 1, "j": 2, "k": 1, "l": 2, "v": "5"},
@@ -34,6 +37,18 @@ LITERALS = {
         {"i": 1, "j": 1, "k": 2, "l": 2, "v": "6"}, {"i": 1, "j": 1, "k": 1, "l": 2, "v": "-2"},
         {"i": 1, "j": 1, "k": 2, "l": 1, "v": "-2"}, {"i": 1, "j": 2, "k": 2, "l": 2, "v": "4"},
         {"i": 2, "j": 1, "k": 2, "l": 2, "v": "4"}]}""",
+    "sos33": """{"m": 3, "n": 3, "entries": [
+        {"i": 1, "j": 1, "k": 1, "l": 1, "v": "33"}, {"i": 1, "j": 1, "k": 1, "l": 2, "v": "2"}, {"i": 1, "j": 1, "k": 2, "l": 1, "v": "28"},
+        {"i": 1, "j": 1, "k": 2, "l": 2, "v": "18"}, {"i": 1, "j": 1, "k": 2, "l": 3, "v": "46"}, {"i": 1, "j": 1, "k": 3, "l": 1, "v": "-8"},
+        {"i": 1, "j": 1, "k": 3, "l": 2, "v": "-20"}, {"i": 1, "j": 1, "k": 3, "l": 3, "v": "-24"}, {"i": 1, "j": 2, "k": 1, "l": 2, "v": "34"},
+        {"i": 1, "j": 2, "k": 2, "l": 2, "v": "18"}, {"i": 1, "j": 2, "k": 2, "l": 3, "v": "42"}, {"i": 1, "j": 2, "k": 3, "l": 2, "v": "8"},
+        {"i": 1, "j": 2, "k": 3, "l": 3, "v": "-88"}, {"i": 1, "j": 3, "k": 1, "l": 3, "v": "37"}, {"i": 1, "j": 3, "k": 3, "l": 3, "v": "20"},
+        {"i": 2, "j": 1, "k": 2, "l": 1, "v": "48"}, {"i": 2, "j": 1, "k": 2, "l": 2, "v": "-4"}, {"i": 2, "j": 1, "k": 2, "l": 3, "v": "-26"},
+        {"i": 2, "j": 1, "k": 3, "l": 1, "v": "22"}, {"i": 2, "j": 1, "k": 3, "l": 2, "v": "-54"}, {"i": 2, "j": 1, "k": 3, "l": 3, "v": "22"},
+        {"i": 2, "j": 2, "k": 2, "l": 2, "v": "25"}, {"i": 2, "j": 2, "k": 2, "l": 3, "v": "18"}, {"i": 2, "j": 2, "k": 3, "l": 2, "v": "-16"},
+        {"i": 2, "j": 2, "k": 3, "l": 3, "v": "-16"}, {"i": 2, "j": 3, "k": 2, "l": 3, "v": "34"}, {"i": 2, "j": 3, "k": 3, "l": 3, "v": "-48"},
+        {"i": 3, "j": 1, "k": 3, "l": 1, "v": "31"}, {"i": 3, "j": 1, "k": 3, "l": 2, "v": "-22"}, {"i": 3, "j": 1, "k": 3, "l": 3, "v": "32"},
+        {"i": 3, "j": 2, "k": 3, "l": 2, "v": "47"}, {"i": 3, "j": 2, "k": 3, "l": 3, "v": "-28"}, {"i": 3, "j": 3, "k": 3, "l": 3, "v": "40"}]}""",
 }
 
 # name -> argv producing a file of that name; run in this order, so later
@@ -86,6 +101,7 @@ CASES = {
     "probe-dd22": ["probe", "{dd22}"],
     "probe-dd33": ["probe", "{dd33}"],
     "probe-sos22": ["probe", "{sos22}"],
+    "probe-sos33": ["probe", "{sos33}"],
 }
 
 # name -> (sha256 of stdout, exit code)
@@ -119,6 +135,7 @@ GOLDEN = {
     "probe-dd22": ("4a216068e7bbe87723c637594f04e311e79ae56d2c2d37f0648f95b2151add65", 0),
     "probe-dd33": ("622a8e72fde3a688e9fff1500315698d23f02ea9c2874023bca606a4f73b7cea", 0),
     "probe-sos22": ("e18dfd4a49d33c47a9fbc1e0d0330dafea299f2760da0481b3a85730c8ccdb47", 0),
+    "probe-sos33": ("b18cfe3de635c0fb99847b18217f0b52b8f5f9fcdd62977604737e6d42921d0d", 0),
     "verify-match-22": ("2dc6f13146065ccd2a11894f170a19ad0cb9e5d727b158a3c7aac0918e6018a6", 0),
     "verify-match-33": ("2dc6f13146065ccd2a11894f170a19ad0cb9e5d727b158a3c7aac0918e6018a6", 0),
     "verify-mismatch": ("0a0b5710ef96a6702d5fc7b595a7a96356c8800475b75cc6c0fa54274bb93bb6", 1),

@@ -11,7 +11,7 @@ still a Fraction in a read-only array.
 """
 
 from fractions import Fraction as F
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -197,8 +197,15 @@ class TestExpansionAgainstFractionReference:
     @pytest.mark.parametrize("denom", DENOMS)
     def test_random_certificates(self, m, n, denom):
         rng = np.random.default_rng([m, n, denom, 7])
-        for n_terms, density in ((0, 1.0), (1, 1.0), (5, 0.3), (12, 1.0)):
-            cert = random_certificate(rng, m, n, denom, n_terms, density)
+        certs = [random_certificate(rng, m, n, denom, n_terms, density)
+                 for n_terms, density in ((0, 1.0), (1, 1.0), (5, 0.3), (12, 1.0))]
+        # integer forms alternating with fractional ones, then the same forms
+        # all at weight 0
+        integral = random_certificate(rng, m, n, 1, 4, 1.0).terms
+        fractional = random_certificate(rng, m, n, 8, 4, 1.0).terms
+        certs.append(SOSCertificate(m, n, tuple(chain(*zip(integral, fractional)))))
+        certs.append(SOSCertificate(m, n, tuple((F(0), form) for _, form in certs[-1].terms)))
+        for cert in certs:
             assert tensors_equal(expand_certificate(cert), fraction_expand_certificate(cert))
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (3, 3), (4, 4)])

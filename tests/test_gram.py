@@ -1,5 +1,6 @@
 """Canonical-flattening certificates, the affine/PSD projections, the
-log-barrier probe and its Newton system, and conjecture sweeps."""
+integer rounding of Gram points, the log-barrier probe and its Newton
+system, and conjecture sweeps."""
 
 import io
 import itertools
@@ -18,6 +19,7 @@ from biquad.core import (
     expand_certificate,
     monic_to_tensor,
     sample_min,
+    symmetrize,
     tensors_equal,
 )
 from biquad.classes import gen_tensor, m_identity
@@ -34,6 +36,7 @@ from biquad.gram import (
 
 from conftest import (
     dense_barrier_system,
+    fraction_round_at,
     full_solve_probe,
     gram_direction_stack,
     has_biquadratic_symmetry,
@@ -158,6 +161,40 @@ class TestAffineProjection:
             lhs = float(z @ P @ z)
             rhs = float(evaluate(t, [float(v) for v in x], [float(v) for v in y]))
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
+
+
+def canonical_certificate(cert):
+    return jsonio.dumps_canonical(jsonio.certificate_to_dict(cert))
+
+
+class TestIntegerRounding:
+    """``_round_at`` rounds, projects and factors in integers; it must give
+    what ``fraction_round_at``, the Fraction version, gives."""
+
+    @pytest.mark.parametrize("m,n", list(itertools.product(range(1, 4), repeat=2)))
+    def test_agrees_with_fraction_rounding(self, m, n):
+        rng = np.random.default_rng([m, n, 15])
+        mn = m * n
+        dirs = kernels.gram_directions(m, n)
+        certified = []
+        # P = S + shift I for a random rational symmetric S with entries in
+        # [-1, 1]: positive definite, mostly indefinite, negative definite
+        for shift in (2 * mn, 0, -2 * mn):
+            qs = rng.integers(1, 13, mn * mn).tolist()
+            S = np.array([F(int(rng.integers(-q, q + 1)), q) for q in qs], dtype=object).reshape(mn, mn)
+            P = np.triu(S) + np.triu(S, 1).T + shift * np.eye(mn, dtype=int)
+            t = symmetrize(P.reshape(m, n, m, n))
+            noise = 1e-3 * rng.standard_normal((mn, mn))
+            G = gram._gram_at(P.astype(np.float64), 0.3 * rng.standard_normal(dirs[0].size), dirs)
+            G += noise + noise.T
+            for denom in gram.RATIONALIZE_DENOMINATORS:
+                cert = gram._round_at(G, t, denom)
+                reference = fraction_round_at(G, t, denom)
+                assert (cert is None) == (reference is None)
+                if cert is not None:
+                    assert canonical_certificate(cert) == canonical_certificate(reference)
+                certified.append(cert is not None)
+        assert any(certified) and not all(certified)
 
 
 class TestBarrierNewtonSystem:
