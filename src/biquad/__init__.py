@@ -44,7 +44,6 @@ from .gram import (
     sos_probe,
 )
 from .monic import (
-    Tetrahedron,
     barycentric,
     m_eigen_monic,
     membership_equivalence_check,

@@ -165,9 +165,8 @@ def _cmd_decompose_monic(args) -> int:
 
 
 def _cmd_vertices(args) -> int:
-    tet = monic.tetrahedron(args.m, args.n)
     payload = {"m": args.m, "n": args.n}
-    for idx, vert in enumerate(tet.vertices, start=1):
+    for idx, vert in enumerate(monic.tetrahedron(args.m, args.n), start=1):
         payload[f"V{idx}"] = [jsonio.rational_to_str(c) for c in vert]
     _emit(args, payload)
     return 0

@@ -53,10 +53,16 @@ def rational(value) -> Fraction:
     """Coerce an exact value (Fraction, int, or 'p/q' string) to Fraction.
 
     Floats are rejected: binary floats entering the exact layer silently
-    poison certificate verification.
+    poison certificate verification. A Fraction whose parts are not Python
+    ints (numpy integers) is rebuilt from int parts, since fixed-width
+    parts overflow in the exact layer's products.
     """
     if isinstance(value, Fraction):
-        return value
+        # Fraction's own slots: its numerator and denominator properties
+        # cost four times as much, on every entry the exact layer checks
+        if type(value._numerator) is int and type(value._denominator) is int:
+            return value
+        return Fraction(int(value.numerator), int(value.denominator))
     if isinstance(value, (int, np.integer)):
         return Fraction(int(value))
     if isinstance(value, str):
@@ -67,12 +73,9 @@ def rational(value) -> Fraction:
 _rational_ufunc = np.frompyfunc(rational, 1, 1)
 
 
-def rational_array(data, shape=None) -> np.ndarray:
+def rational_array(data) -> np.ndarray:
     """Build a new object ndarray of Fractions from nested data."""
-    src = np.asarray(data, dtype=object)
-    if shape is not None and src.size != math.prod(shape):
-        raise ValueError(f"expected {math.prod(shape)} entries, got {src.size}")
-    return _rational_ufunc(src.reshape(src.shape if shape is None else shape))
+    return _rational_ufunc(np.asarray(data, dtype=object))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,9 +232,9 @@ class BilinearForm:
     """Bilinear form f(x, y) = sum_{i,j} W[i,j] x_i y_j with rational W.
 
     The constructor keeps a read-only object copy of W and refuses float
-    entries with TypeError. It checks their types and does not coerce them
-    (``from_entries`` does): coercion doubled the cost of a form, and the
-    exact layer builds hundreds of forms per certificate.
+    entries with TypeError. It checks their types and does not coerce them:
+    coercion doubled the cost of a form, and the exact layer builds hundreds
+    of forms per certificate.
     """
 
     m: int
@@ -250,18 +253,11 @@ class BilinearForm:
         object.__setattr__(self, "W", W)
 
     @classmethod
-    def from_entries(cls, m: int, n: int, data):
-        return cls(m, n, rational_array(data, (m, n)))
-
-    @classmethod
     def unit(cls, m: int, n: int, i: int, j: int):
         """The form x_i y_j (0-based i, j)."""
         W = np.full((m, n), ZERO, dtype=object)
         W[i, j] = ONE
         return cls(m, n, W)
-
-    def value(self, x, y):
-        return np.dot(list(x), np.dot(self.W, list(y)))
 
     def is_zero(self) -> bool:
         return bool((self.W == ZERO).all())

@@ -271,18 +271,17 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
     ``max_iter``) and ``trace`` holds s after each one.
 
     The solve stops at the first Newton step with s >= mn / D0, D0 the first
-    rationalization denominator, and rounds that point at D0 alone: each
-    entry moves by at most 1/(2 D0), the exact affine projection does not
-    lengthen that move, so by Weyl's inequality the rounded point keeps
-    lambda_min >= s - mn/(2 D0) > 0. When the exact LDL^T refuses it anyway,
-    the solve runs again without the stop. ``trace`` and ``iterations`` end
-    at the step that stopped the solve.
+    rationalization denominator: rounding at D0 moves each entry by at most
+    1/(2 D0), the exact affine projection does not lengthen that move, so by
+    Weyl's inequality the rounded point keeps lambda_min >= s - mn/(2 D0) > 0
+    and the ladder's first rung certifies it. Any final point with s >= -tol
+    is rounded up the ladder from D0, the only attempt at a certificate.
+    ``trace`` and ``iterations`` end at the step that stopped the solve.
 
-    ``tol`` must be finite and > 0. When no early certificate ends the
-    solve, it is the barrier's duality-gap target and the primal threshold.
-    Outcomes, with s the final value:
+    ``tol`` must be finite and > 0. When the early stop is not reached, it
+    is the barrier's duality-gap target and the primal threshold. Outcomes,
+    with s the final value:
 
-    * s >= mn / D0 and rounding at D0 verifies -> ``sos_certified``
     * s >= -tol and rationalization verifies -> ``sos_certified``
     * s >= -tol but no exact certificate recovered -> ``feasible_numerical``
     * s < -tol and the duality bound puts the float optimum s* below -tol
@@ -301,23 +300,17 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
     a4 = t.to_float()
     F = a4.reshape(mn, mn)
     dirs = kernels.gram_directions(t.m, t.n)
-    sure = mn / RATIONALIZE_DENOMINATORS[0] if RATIONALIZE_DENOMINATORS else math.inf
-    shift, s, trace, bound = _barrier_max_min_eig(F, dirs, max_iter, tol, sure)
+    stop_at = mn / RATIONALIZE_DENOMINATORS[0]
+    shift, s, trace, bound = _barrier_max_min_eig(F, dirs, max_iter, tol, stop_at)
     G = _gram_at(F, shift, dirs)
-    cert = _round_at(G, t, RATIONALIZE_DENOMINATORS[0]) if s >= sure else None
-    if s >= sure and cert is None:  # float error ate the margin: solve in full
-        shift, s, trace, bound = _barrier_max_min_eig(F, dirs, max_iter, tol)
-        G = _gram_at(F, shift, dirs)
     point = GramPoint(kernels.affine_residual(G, a4), max(0.0, -float(np.linalg.eigvalsh(G)[0])))
     it = len(trace)
     if s < -tol:
         status = "infeasible_suspected" if bound < -tol else "inconclusive"
         return SOSProbeResult(status, None, it, point, trace)
-    if cert is None:
-        cert = _rationalize(G, t)
-    if cert is not None:
-        return SOSProbeResult("sos_certified", cert, it, point, trace)
-    return SOSProbeResult("feasible_numerical", None, it, point, trace)
+    cert = _rationalize(G, t)
+    status = "feasible_numerical" if cert is None else "sos_certified"
+    return SOSProbeResult(status, cert, it, point, trace)
 
 
 @dataclass(frozen=True)

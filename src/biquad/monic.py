@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +34,6 @@ from .core import (
 
 __all__ = [
     "CONDITION_LABELS",
-    "Tetrahedron",
     "m_eigen_monic",
     "psd_conditions",
     "tetrahedron",
@@ -90,9 +88,9 @@ def psd_conditions(p: MonicParams) -> tuple[bool, dict[str, Fraction | None]]:
     return all(v >= 0 for v in report.values() if v is not None), report
 
 
-@dataclass(frozen=True)
-class Tetrahedron:
-    """The PSD parameter region of monic (m, n) forms, as four vertices.
+def tetrahedron(m: int, n: int) -> tuple:
+    """The PSD parameter region of monic (m, n) forms, as its four vertices
+    (V1, V2, V3, V4) of (a, b, c):
 
         V1 = (1, 1, 1)
         V2 = (-1/(m-1), -1/(n-1), 1/((m-1)(n-1)))
@@ -101,28 +99,16 @@ class Tetrahedron:
 
     The vertices are affinely independent for all m, n >= 2.
     """
-
-    m: int
-    n: int
-    vertices: tuple
-
-    def vertex(self, v: int) -> tuple[Fraction, Fraction, Fraction]:
-        """1-based vertex accessor (v in 1..4)."""
-        return self.vertices[v - 1]
-
-
-def tetrahedron(m: int, n: int) -> Tetrahedron:
     if m < 2 or n < 2:
         raise ValueError(f"tetrahedron needs m, n >= 2, got ({m}, {n})")
     im = Fraction(1, m - 1)
     jn = Fraction(1, n - 1)
-    verts = (
+    return (
         (ONE, ONE, ONE),
         (-im, -jn, im * jn),
         (-im, ONE, -im),
         (ONE, -jn, -jn),
     )
-    return Tetrahedron(m, n, verts)
 
 
 def barycentric(p: MonicParams):
@@ -139,8 +125,7 @@ def barycentric(p: MonicParams):
     (i) = mn/(n-1) at V4). The solve stays independent of that formula so
     that ``membership_equivalence_check`` compares two derivations.
     """
-    tet = tetrahedron(p.m, p.n)
-    A = [[tet.vertices[v][coord] for v in range(4)] for coord in range(3)]
+    A = [list(coords) for coords in zip(*tetrahedron(p.m, p.n))]  # rows a, b, c
     A.append([ONE] * 4)
     lam = exactla.solve_linear(A, [p.a, p.b, p.c, ONE])
     if any(w < 0 for w in lam):

@@ -390,6 +390,12 @@ def monic_form_value(m, n, a, b, c, x, y):
     return t0 + a * t1 + b * t2 + c * t3
 
 
+def bilinear_form(m, n, data) -> BilinearForm:
+    """The m x n form with coefficient rows ``data`` (ints, Fractions or
+    "p/q" strings), each coerced to a Fraction."""
+    return BilinearForm(m, n, rational_array(data))
+
+
 def certificate_value(cert, x, y):
     """sum_p c_p * (sum_ij W_p[i,j] x_i y_j)^2, computed literally."""
     total = Fraction(0)

@@ -100,10 +100,10 @@ def test_c03_vertex_tables():
         (F(-1, 3), 1, F(-1, 3)),
         (1, F(-1, 3), F(-1, 3)),
     )
-    ok = t43.vertices == expected_43 and t44.vertices == expected_44
+    ok = t43 == expected_43 and t44 == expected_44
     report("03 vertex-tables", ok, "tetrahedron(4,3) and tetrahedron(4,4) exact")
-    assert t43.vertices == expected_43
-    assert t44.vertices == expected_44
+    assert t43 == expected_43
+    assert t44 == expected_44
 
 
 def test_c04_classifier_equivalence_grid():
@@ -144,7 +144,7 @@ def test_c05_constructive_sos():
         # pure vertices reproduce the closed-form certificates and counts
         expected_counts = (1, comb(m, 2) * comb(n, 2), comb(m, 2), comb(n, 2))
         for v in range(1, 5):
-            cert = monic_sos_decompose(MonicParams(m, n, *tet.vertex(v)))
+            cert = monic_sos_decompose(MonicParams(m, n, *tet[v - 1]))
             ref = vertex_sos(v, m, n)
             assert len(nonzero_terms(cert)) == expected_counts[v - 1]
             assert tensors_equal(expand_certificate(cert), expand_certificate(ref))
@@ -155,7 +155,7 @@ def test_c05_constructive_sos():
             if sum(weights) == 0:
                 weights[0] = F(1)
             s = sum(weights)
-            abc = tuple(sum(w / s * tet.vertices[v][k] for v, w in enumerate(weights))
+            abc = tuple(sum(w / s * tet[v][k] for v, w in enumerate(weights))
                         for k in range(3))
             p = MonicParams(m, n, *abc)
             cert = monic_sos_decompose(p)
@@ -197,7 +197,7 @@ def test_c06_falsification_consistency():
         if sum(weights) == 0:
             weights[1] = F(1)
         s = sum(weights)
-        abc = tuple(sum(w / s * tet.vertices[v][i] for v, w in enumerate(weights))
+        abc = tuple(sum(w / s * tet[v][i] for v, w in enumerate(weights))
                     for i in range(3))
         psd_points.append(MonicParams(m, n, *abc))
     floor = 0.0

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from biquad.core import (
-    BilinearForm,
     MonicParams,
     SOSCertificate,
     SymmetricBiquadraticTensor,
@@ -29,6 +28,7 @@ from biquad.classes import (
 from biquad.dominance import flatten, is_diagonally_dominated, row_bound
 
 from conftest import (
+    bilinear_form,
     has_biquadratic_symmetry,
     random_symmetric_tensor,
     two_family_is_b0,
@@ -94,7 +94,7 @@ class TestLambdaMaxEstimate:
         assert abs(est - 1.0) < 1e-9
 
     def test_rank_one_ones_reaches_mn(self):
-        W = BilinearForm.from_entries(2, 2, [[1, 1], [1, 1]])
+        W = bilinear_form(2, 2, [[1, 1], [1, 1]])
         B = expand_certificate(SOSCertificate(2, 2, ((F(1), W),)))
         est = lambda_max_estimate(B, restarts=6, seed=1)
         assert abs(est - 4.0) < 1e-6
@@ -104,7 +104,7 @@ class TestLambdaMaxEstimate:
         assert abs(lambda_max_estimate(B, restarts=3, seed=0)) < 1e-12
 
     def test_monotone_in_restarts(self):
-        W = BilinearForm.from_entries(3, 2, [[1, 0], [F(1, 2), 1], [0, F(1, 3)]])
+        W = bilinear_form(3, 2, [[1, 0], [F(1, 2), 1], [0, F(1, 3)]])
         B = expand_certificate(SOSCertificate(3, 2, ((F(1), W),)))
         # absolute values make it nonnegative? expansion of a square with
         # nonnegative W is entrywise nonnegative after symmetrization
@@ -196,7 +196,7 @@ class TestClassify:
 
     def test_non_m_tensor_gets_no(self):
         # alpha*I - B with alpha well below the largest critical value of B
-        W = BilinearForm.from_entries(2, 2, [[1, 1], [1, 1]])
+        W = bilinear_form(2, 2, [[1, 1], [1, 1]])
         B = expand_certificate(SOSCertificate(2, 2, ((F(1), W),)))
         t = SymmetricBiquadraticTensor(2, 2, m_identity(2, 2).entries * F(1) - B.entries)
         rep = classify(t)

@@ -7,6 +7,9 @@ draws no float (dd, z, b0), the certificate and classification commands,
 ``probe`` on dominated tensors, which stops at the exact flattening LDL^T,
 and ``probe`` on two sums of squares with an indefinite flattening (2x2 and
 3x3), whose barrier points round at the first denominator of the ladder.
+``probe --trace`` pins the barrier's path to each end it can take: the
+early stop (sos33), a final s just below 0 that still rounds to a
+certificate (rank1), and suspected infeasibility (Choi's form).
 
 Input files are written from literals and from ``gen`` and ``decompose-dd``
 stdout, never with ``-o``, so no path appears in any hashed output. To
@@ -29,7 +32,9 @@ from biquad.cli import main
 # monomial; its flattening is indefinite. sos33 is a sum of nine squares of
 # 3x3 bilinear forms with integer coefficients in [-3, 3], the probe
 # benchmark's shape, also one entry per monomial and also with an indefinite
-# flattening.
+# flattening. rank1 is (x1 y1 + x2 y2)^2, whose Gram family holds one PSD
+# point, of rank one, so the barrier's s approaches 0 from below. choi is
+# Choi's nonnegative 3x3 form, which has no square certificate.
 LITERALS = {
     "sos22": """{"m": 2, "n": 2, "entries": [
         {"i": 1, "j": 1, "k": 1, "l": 1, "v": "1"}, {"i": 1, "j": 2, "k": 1, "l": 2, "v": "5"},
@@ -49,6 +54,13 @@ LITERALS = {
         {"i": 2, "j": 2, "k": 3, "l": 3, "v": "-16"}, {"i": 2, "j": 3, "k": 2, "l": 3, "v": "34"}, {"i": 2, "j": 3, "k": 3, "l": 3, "v": "-48"},
         {"i": 3, "j": 1, "k": 3, "l": 1, "v": "31"}, {"i": 3, "j": 1, "k": 3, "l": 2, "v": "-22"}, {"i": 3, "j": 1, "k": 3, "l": 3, "v": "32"},
         {"i": 3, "j": 2, "k": 3, "l": 2, "v": "47"}, {"i": 3, "j": 2, "k": 3, "l": 3, "v": "-28"}, {"i": 3, "j": 3, "k": 3, "l": 3, "v": "40"}]}""",
+    "rank1": """{"m": 2, "n": 2, "entries": [
+        {"i": 1, "j": 1, "k": 1, "l": 1, "v": "1"}, {"i": 1, "j": 1, "k": 2, "l": 2, "v": "2"},
+        {"i": 2, "j": 2, "k": 2, "l": 2, "v": "1"}]}""",
+    "choi": """{"m": 3, "n": 3, "entries": [
+        {"i": 1, "j": 1, "k": 1, "l": 1, "v": "1"}, {"i": 2, "j": 2, "k": 2, "l": 2, "v": "1"}, {"i": 3, "j": 3, "k": 3, "l": 3, "v": "1"},
+        {"i": 1, "j": 2, "k": 1, "l": 2, "v": "1"}, {"i": 2, "j": 3, "k": 2, "l": 3, "v": "1"}, {"i": 3, "j": 1, "k": 3, "l": 1, "v": "1"},
+        {"i": 1, "j": 1, "k": 2, "l": 2, "v": "-2"}, {"i": 2, "j": 2, "k": 3, "l": 3, "v": "-2"}, {"i": 3, "j": 3, "k": 1, "l": 1, "v": "-2"}]}""",
 }
 
 # name -> argv producing a file of that name; run in this order, so later
@@ -102,6 +114,9 @@ CASES = {
     "probe-dd33": ["probe", "{dd33}"],
     "probe-sos22": ["probe", "{sos22}"],
     "probe-sos33": ["probe", "{sos33}"],
+    "probe-trace-sos33": ["probe", "--trace", "{sos33}"],
+    "probe-trace-rank1": ["probe", "--trace", "{rank1}"],
+    "probe-trace-choi": ["probe", "--trace", "{choi}"],
 }
 
 # name -> (sha256 of stdout, exit code)
@@ -136,6 +151,9 @@ GOLDEN = {
     "probe-dd33": ("622a8e72fde3a688e9fff1500315698d23f02ea9c2874023bca606a4f73b7cea", 0),
     "probe-sos22": ("e18dfd4a49d33c47a9fbc1e0d0330dafea299f2760da0481b3a85730c8ccdb47", 0),
     "probe-sos33": ("b18cfe3de635c0fb99847b18217f0b52b8f5f9fcdd62977604737e6d42921d0d", 0),
+    "probe-trace-choi": ("23c78fc974bd68f1e23b9f13ebc0952ff1baa025d6e39e223bf8444e37e45e5f", 1),
+    "probe-trace-rank1": ("b4fd4f79fd4c6cc4fb2b4295f2d163e27ffd8fb20d288181169faa8371fad86a", 0),
+    "probe-trace-sos33": ("3807c82c1adee7e07633a7cd213d08848562f54b4c43370d926d2c8c23c5de55", 0),
     "verify-match-22": ("2dc6f13146065ccd2a11894f170a19ad0cb9e5d727b158a3c7aac0918e6018a6", 0),
     "verify-match-33": ("2dc6f13146065ccd2a11894f170a19ad0cb9e5d727b158a3c7aac0918e6018a6", 0),
     "verify-mismatch": ("0a0b5710ef96a6702d5fc7b595a7a96356c8800475b75cc6c0fa54274bb93bb6", 1),

@@ -24,6 +24,7 @@ from biquad.core import (
 from biquad.classes import m_identity
 
 from conftest import (
+    bilinear_form,
     certificate_value,
     coefficient_form_value,
     has_biquadratic_symmetry,
@@ -210,7 +211,7 @@ class TestExpandCertificate:
 
     def test_v2_square_at_2x2(self):
         # ((x1 - x2)(y1 - y2))^2 with weight 1/((m-1)(n-1)) = 1
-        W = BilinearForm.from_entries(2, 2, [[1, -1], [-1, 1]])
+        W = bilinear_form(2, 2, [[1, -1], [-1, 1]])
         cert = SOSCertificate(2, 2, ((F(1), W),))
         t = expand_certificate(cert)
         assert tensors_equal(t, monic_to_tensor(MonicParams(2, 2, -1, -1, 1)))

@@ -12,7 +12,6 @@ import pytest
 
 from biquad import exactla, gram, jsonio, kernels
 from biquad.core import (
-    BilinearForm,
     MonicParams,
     SOSCertificate,
     evaluate,
@@ -35,6 +34,7 @@ from biquad.gram import (
 )
 
 from conftest import (
+    bilinear_form,
     dense_barrier_system,
     fraction_round_at,
     full_solve_probe,
@@ -48,13 +48,13 @@ from conftest import (
 
 def rank_one_sos_tensor():
     """symmetrize((x1 y2 - x2 y1)^2): certified SOS, indefinite flattening."""
-    W = BilinearForm.from_entries(2, 2, [[0, 1], [-1, 0]])
+    W = bilinear_form(2, 2, [[0, 1], [-1, 0]])
     return expand_certificate(SOSCertificate(2, 2, ((F(1), W),)))
 
 
 def integer_squares_tensor(rng, m, n, count):
     """Sum of ``count`` squares of bilinear forms with integer coefficients in [-3, 3]."""
-    terms = tuple((F(1), BilinearForm.from_entries(m, n, rng.integers(-3, 4, size=(m, n)).tolist()))
+    terms = tuple((F(1), bilinear_form(m, n, rng.integers(-3, 4, size=(m, n)).tolist()))
                   for _ in range(count))
     return expand_certificate(SOSCertificate(m, n, terms))
 
@@ -278,8 +278,9 @@ class TestSOSProbe:
         assert all(s < sure for s in res.trace[:-1])
         assert res.iterations < full_solve_probe(t).iterations
 
-    def test_refused_early_rounding_runs_the_full_solve(self, monkeypatch):
+    def test_refused_early_rounding_walks_the_ladder_at_the_same_point(self, monkeypatch):
         t = integer_squares_tensor(np.random.default_rng([77, 0]), 3, 3, 9)
+        early = sos_probe(t)
         real, calls = gram._round_at, []
 
         def refuse_first(G, tensor, denom):
@@ -288,29 +289,27 @@ class TestSOSProbe:
 
         monkeypatch.setattr(gram, "_round_at", refuse_first)
         res = sos_probe(t)
-        full = full_solve_probe(t)
-        assert res.status == full.status == "sos_certified"
+        assert res.status == "sos_certified"
         assert tensors_equal(expand_certificate(res.certificate), t)
-        assert res.iterations == full.iterations
-        assert res.trace == full.trace
-        # the refused point, then the ladder from its first denominator
-        assert calls[:2] == [gram.RATIONALIZE_DENOMINATORS[0]] * 2
-
-    def test_empty_ladder_never_stops_early(self, monkeypatch):
-        t = integer_squares_tensor(np.random.default_rng([77, 0]), 3, 3, 9)
-        monkeypatch.setattr(gram, "RATIONALIZE_DENOMINATORS", ())
-        res = sos_probe(t)
-        assert res.status == "feasible_numerical"
-        assert res.trace == full_solve_probe(t).trace
+        # no second solve: the early-stop point goes on to the next rung
+        assert res.trace == early.trace
+        assert calls == [10, 100]
 
     def test_no_rounding_leaves_feasible_numerical(self, monkeypatch):
-        # the barrier reaches s >= -tol, but with no denominator to round
-        # at, no exact certificate is recovered
-        monkeypatch.setattr(gram, "RATIONALIZE_DENOMINATORS", ())
+        # the barrier reaches s >= -tol, but when no rung of the ladder
+        # verifies, no exact certificate is recovered
+        monkeypatch.setattr(gram, "_round_at", lambda G, t, denom: None)
         res = sos_probe(rank_one_sos_tensor(), tol=1e-9)
         assert res.status == "feasible_numerical"
         assert res.certificate is None and not res.certified
         assert res.iterations == len(res.trace) > 0
+
+    def test_ladder_is_nonempty_and_increasing(self):
+        # the early stop at s >= mn / D0 reads the first rung unguarded
+        ladder = gram.RATIONALIZE_DENOMINATORS
+        assert isinstance(ladder, tuple) and len(ladder) > 0
+        assert all(type(d) is int and d >= 2 for d in ladder)
+        assert all(a < b for a, b in zip(ladder, ladder[1:]))
 
     def test_choi_optimum(self):
         # max over the Gram family of lambda_min is 1 - 2/sqrt(3) for Choi
@@ -366,7 +365,7 @@ class TestSOSProbe:
             tet = tetrahedron(m, n)
             weights = [F(int(rng.integers(1, 5))) for _ in range(4)]
             s = sum(weights)
-            abc = tuple(sum(w / s * tet.vertices[v][i] for v, w in enumerate(weights))
+            abc = tuple(sum(w / s * tet[v][i] for v, w in enumerate(weights))
                         for i in range(3))
             res = sos_probe(monic_to_tensor(MonicParams(m, n, *abc)), max_iter=1500, tol=1e-8)
             assert res.status != "infeasible_suspected"

@@ -31,7 +31,7 @@ from biquad.monic import (
     vertex_sos,
 )
 
-from conftest import certificates_equal, face_barycentric, nonzero_terms, random_rational
+from conftest import bilinear_form, certificates_equal, face_barycentric, nonzero_terms, random_rational
 
 ALL_SIZES = [(m, n) for m in range(2, 9) for n in range(2, 9)]
 
@@ -110,26 +110,26 @@ class TestEigenReport:
 class TestTetrahedron:
     def test_4x3_vertices(self):
         tet = tetrahedron(4, 3)
-        assert tet.vertex(1) == (1, 1, 1)
-        assert tet.vertex(2) == (F(-1, 3), F(-1, 2), F(1, 6))
-        assert tet.vertex(3) == (F(-1, 3), 1, F(-1, 3))
-        assert tet.vertex(4) == (1, F(-1, 2), F(-1, 2))
+        assert tet[0] == (1, 1, 1)
+        assert tet[1] == (F(-1, 3), F(-1, 2), F(1, 6))
+        assert tet[2] == (F(-1, 3), 1, F(-1, 3))
+        assert tet[3] == (1, F(-1, 2), F(-1, 2))
 
     def test_4x4_vertices(self):
         tet = tetrahedron(4, 4)
-        assert tet.vertex(2) == (F(-1, 3), F(-1, 3), F(1, 9))
-        assert tet.vertex(3) == (F(-1, 3), 1, F(-1, 3))
-        assert tet.vertex(4) == (1, F(-1, 3), F(-1, 3))
+        assert tet[1] == (F(-1, 3), F(-1, 3), F(1, 9))
+        assert tet[2] == (F(-1, 3), 1, F(-1, 3))
+        assert tet[3] == (1, F(-1, 3), F(-1, 3))
 
     def test_2x2_vertices(self):
         tet = tetrahedron(2, 2)
-        assert tet.vertices == ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))
+        assert tet == ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))
 
     def test_each_vertex_ties_exactly_three_conditions(self):
         for m, n in [(2, 2), (3, 2), (4, 3), (5, 5)]:
             tet = tetrahedron(m, n)
             for v in range(1, 5):
-                a, b, c = tet.vertex(v)
+                a, b, c = tet[v - 1]
                 report = m_eigen_monic(MonicParams(m, n, a, b, c))
                 vals = [report[lab] for lab in ("i", "ii", "iii", "iv")]
                 assert all(val >= 0 for val in vals)
@@ -141,20 +141,20 @@ class TestTetrahedron:
         # general
         for m in range(2, 7):
             for n in range(2, 7):
-                for vert in tetrahedron(m, n).vertices:
+                for vert in tetrahedron(m, n):
                     assert all(-1 <= coord <= 1 for coord in vert)
 
 
 class TestBarycentric:
     def test_centroid(self):
         tet = tetrahedron(3, 2)
-        centroid = tuple(sum(v[k] for v in tet.vertices) / 4 for k in range(3))
+        centroid = tuple(sum(v[k] for v in tet) / 4 for k in range(3))
         lam = barycentric(MonicParams(3, 2, *centroid))
         assert lam == (F(1, 4), F(1, 4), F(1, 4), F(1, 4))
 
     def test_vertex_is_unit_coordinate(self):
         tet = tetrahedron(4, 3)
-        lam = barycentric(MonicParams(4, 3, *tet.vertex(3)))
+        lam = barycentric(MonicParams(4, 3, *tet[2]))
         assert lam == (0, 0, 1, 0)
 
     def test_origin_at_2x2_is_centroid(self):
@@ -177,7 +177,7 @@ class TestBarycentric:
             tet = tetrahedron(m, n)
             assert sum(lam) == 1
             for k in range(3):
-                assert sum(w * tet.vertices[v][k] for v, w in enumerate(lam)) == p.abc[k]
+                assert sum(w * tet[v][k] for v, w in enumerate(lam)) == p.abc[k]
 
 
 def convex_point(rng, m, n, zeros=0):
@@ -188,7 +188,7 @@ def convex_point(rng, m, n, zeros=0):
     for v in rng.choice(4, zeros, replace=False):
         weights[v] = F(0)
     s = sum(weights)
-    return MonicParams(m, n, *(sum(w * vert[k] for w, vert in zip(weights, tet.vertices)) / s
+    return MonicParams(m, n, *(sum(w * vert[k] for w, vert in zip(weights, tet)) / s
                                for k in range(3)))
 
 
@@ -200,7 +200,7 @@ class TestClosedFormBarycentric:
     def test_equals_scaled_critical_values_at_the_four_vertices(self, m, n):
         # both sides are affine in (a, b, c) and the vertices are affinely
         # independent, so agreement here proves the identity for this (m, n)
-        for v, vert in enumerate(tetrahedron(m, n).vertices):
+        for v, vert in enumerate(tetrahedron(m, n)):
             p = MonicParams(m, n, *vert)
             assert barycentric(p) == face_barycentric(p)
             assert barycentric(p) == tuple(F(int(k == v)) for k in range(4))
@@ -258,9 +258,8 @@ class TestMembershipAuditCatchesMutants:
         real = monic.tetrahedron
 
         def moved_v4(m, n):
-            tet = real(m, n)
-            v4 = tet.vertices[3]
-            return monic.Tetrahedron(m, n, tet.vertices[:3] + ((v4[0], v4[1], v4[2] + F(1, 2)),))
+            v1, v2, v3, v4 = real(m, n)
+            return v1, v2, v3, (v4[0], v4[1], v4[2] + F(1, 2))
 
         monkeypatch.setattr(monic, "tetrahedron", moved_v4)
         assert self.disagreements() > 0
@@ -289,7 +288,7 @@ class TestVertexSOS:
         tet = tetrahedron(m, n)
         for v in range(1, 5):
             cert = vertex_sos(v, m, n)
-            expected = monic_to_tensor(MonicParams(m, n, *tet.vertex(v)))
+            expected = monic_to_tensor(MonicParams(m, n, *tet[v - 1]))
             assert tensors_equal(expand_certificate(cert), expected)
 
     def test_v1_single_square_2x2(self):
@@ -335,7 +334,7 @@ class TestMonicSOSDecompose:
                 weights[0] = F(1)
             s = sum(weights)
             lam = [w / s for w in weights]
-            abc = tuple(sum(lam[v] * tet.vertices[v][k] for v in range(4)) for k in range(3))
+            abc = tuple(sum(lam[v] * tet[v][k] for v in range(4)) for k in range(3))
             p = MonicParams(m, n, *abc)
             cert = monic_sos_decompose(p)
             assert cert is not None
@@ -347,7 +346,7 @@ class TestDecomposeNeedsNoMerge:
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 6) for n in range(2, 6)])
     def test_merge_is_identity(self, m, n):
         rng = np.random.default_rng([m, n, 7])
-        points = [MonicParams(m, n, *vert) for vert in tetrahedron(m, n).vertices]
+        points = [MonicParams(m, n, *vert) for vert in tetrahedron(m, n)]
         points += [convex_point(rng, m, n, zeros=z) for z in (0, 0, 0, 1, 1, 1, 1, 2, 2)]
         for p in points:
             cert = monic_sos_decompose(p)
@@ -356,10 +355,8 @@ class TestDecomposeNeedsNoMerge:
 
 class TestMergeProportional:
     def test_merges_scaled_forms(self):
-        from biquad.core import BilinearForm
-
-        W1 = BilinearForm.from_entries(2, 2, [[1, 0], [0, 1]])
-        W2 = BilinearForm.from_entries(2, 2, [[2, 0], [0, 2]])
+        W1 = bilinear_form(2, 2, [[1, 0], [0, 1]])
+        W2 = bilinear_form(2, 2, [[2, 0], [0, 2]])
         cert = SOSCertificate(2, 2, ((F(1), W1), (F(1), W2)))
         merged = merge_proportional(cert)
         assert len(merged.terms) == 1
@@ -445,7 +442,7 @@ class TestClassifierSamplerConsistency:
             if sum(weights) == 0:
                 weights[2] = F(1)
             s = sum(weights)
-            abc = tuple(sum(w / s * tet.vertices[v][k2] for v, w in enumerate(weights))
+            abc = tuple(sum(w / s * tet[v][k2] for v, w in enumerate(weights))
                         for k2 in range(3))
             val, _, _ = sample_min(monic_to_tensor(MonicParams(m, n, *abc)), 12, seed=k)
             assert val >= -1e-9

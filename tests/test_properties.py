@@ -17,6 +17,7 @@ from biquad.core import (
     BilinearForm,
     MonicParams,
     SOSCertificate,
+    SymmetricBiquadraticTensor,
     evaluate,
     expand_certificate,
     monic_to_tensor,
@@ -26,7 +27,14 @@ from biquad.core import (
 from biquad.dominance import dd_sos_decompose, flatten, offdiag_row_sums
 from biquad.gram import flattening_psd_check, sos_probe
 from biquad.monic import monic_sos_decompose, tetrahedron
-from conftest import certificates_equal, coefficient_form_value, full_solve_probe, with_flat_diagonal
+from conftest import (
+    bilinear_form,
+    certificate_value,
+    certificates_equal,
+    coefficient_form_value,
+    full_solve_probe,
+    with_flat_diagonal,
+)
 
 dims = st.integers(1, 3)
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -96,8 +104,7 @@ def test_expansion_matches_literal_squares(cert):
     t = expand_certificate(cert)
     x = [F(k + 1, 3) for k in range(cert.m)]
     y = [F(2 - k, 5) for k in range(cert.n)]
-    value = sum((w * form.value(x, y) ** 2 for w, form in cert.terms), F(0))
-    assert evaluate(t, x, y) == value
+    assert evaluate(t, x, y) == certificate_value(cert, x, y)
 
 
 @given(st.data())
@@ -130,12 +137,38 @@ def test_flattening_certificates_reverify(data):
     assert cert is None or tensors_equal(expand_certificate(cert), other)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, -1]))
+def test_numpy_integer_fractions_act_as_python_ints(seed, sign):
+    # Fraction keeps numpy integers as its parts, and int64 products of
+    # parts up to 1e6 overflow; the exact layer must not see them
+    rng = np.random.default_rng(seed)
+    m, n = (int(v) for v in rng.integers(2, 4, size=2))
+    shape = (m, n, m, n)
+    nums, dens = rng.integers(-10**6, 10**6 + 1, shape), rng.integers(1, 10**6 + 1, shape)
+    as_numpy = np.array([F(a, b) for a, b in zip(nums.flat, dens.flat)], dtype=object).reshape(shape)
+    as_int = np.array([F(int(a), int(b)) for a, b in zip(nums.flat, dens.flat)], dtype=object).reshape(shape)
+    assert symmetrize(as_numpy).entries.tolist() == symmetrize(as_int).entries.tolist()
+    # a symmetric array from the orbit representatives, with a flattening
+    # diagonal of sign * mn * 1e6: diagonally dominant, so positive or
+    # negative definite
+    for idx in np.ndindex(shape):
+        i, j, k, l = idx
+        rep = min(idx, (k, j, i, l), (i, l, k, j), (k, l, i, j))
+        as_numpy[idx], as_int[idx] = as_numpy[rep], as_int[rep]
+        if (i, j) == (k, l):
+            as_numpy[idx], as_int[idx] = F(np.int64(sign * m * n * 10**6)), F(sign * m * n * 10**6)
+    cert = flattening_psd_check(SymmetricBiquadraticTensor(m, n, as_numpy))
+    expected = flattening_psd_check(SymmetricBiquadraticTensor(m, n, as_int))
+    assert (cert is None) == (expected is None) == (sign < 0)
+    assert cert is None or certificates_equal(cert, expected)
+
+
 @given(st.integers(2, 4), st.integers(2, 4),
        st.lists(st.integers(0, 9), min_size=4, max_size=4).filter(any))
 def test_monic_certificates_reverify(m, n, weights):
     total = sum(weights)
     lam = [F(w, total) for w in weights]
-    abc = [sum(l * v[k] for l, v in zip(lam, tetrahedron(m, n).vertices)) for k in range(3)]
+    abc = [sum(l * v[k] for l, v in zip(lam, tetrahedron(m, n))) for k in range(3)]
     p = MonicParams(m, n, *abc)
     cert = monic_sos_decompose(p)
     assert cert is not None
@@ -151,7 +184,7 @@ def integer_square_sums(draw):
     values = draw(st.lists(st.integers(-3, 3), min_size=count * m * n, max_size=count * m * n))
     forms = np.array(values).reshape(count, m, n)
     return expand_certificate(SOSCertificate(m, n, tuple(
-        (F(1), BilinearForm.from_entries(m, n, W.tolist())) for W in forms)))
+        (F(1), bilinear_form(m, n, W.tolist())) for W in forms)))
 
 
 @given(integer_square_sums())
