@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["common_denominator", "solve_linear", "LDLTerm", "LDLResult", "ldlt_psd"]
+__all__ = ["common_denominator", "pairs_over_lcm", "solve_linear", "LDLTerm", "LDLResult", "ldlt_psd"]
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -31,7 +31,12 @@ def common_denominator(values) -> tuple[list[int], int]:
     values[k] == numerators[k] / D. This is where the exact layer turns
     Fractions into integers.
     """
-    pairs = [(v.numerator, v.denominator) for v in values]
+    return pairs_over_lcm([(v.numerator, v.denominator) for v in values])
+
+
+def pairs_over_lcm(pairs) -> tuple[list[int], int]:
+    """``common_denominator`` of rationals given as (numerator, denominator)
+    int pairs with positive denominators, none of them built as a Fraction."""
     D = math.lcm(*(den for _, den in pairs))
     return [num * (D // den) for num, den in pairs], D
 

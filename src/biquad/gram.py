@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -133,23 +132,52 @@ def gram_project_psd(G: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def _nearest_ratio(v: float, denom: int) -> tuple[int, int]:
+    """(p, q) of ``Fraction(v).limit_denominator(denom)``, in plain ints.
+
+    The closest p/q to v with 0 < q <= denom is a convergent or
+    semiconvergent of the continued fraction of v's exact ratio: walk the
+    convergents until the next denominator would exceed ``denom``, then
+    take the convergent p1/q1 or the last semiconvergent, whichever is
+    closer, and the convergent on a tie (Fraction's rule).
+    """
+    num, den = v.as_integer_ratio()
+    if den <= denom:
+        return num, den
+    n, d = num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > denom:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (denom - q0) // q1
+    # the semiconvergent is 1 / (q1 (q0 + k q1)) from p1/q1 on the other side
+    # of v, and p1/q1 is d / (q1 den) from v
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _round_at(G: np.ndarray, t: SymmetricBiquadraticTensor, denom: int) -> SOSCertificate | None:
     """Round a numeric Gram point to rationals at one denominator and verify.
 
     Continued-fraction rounding of each upper-triangle entry to denominator
-    <= ``denom`` gives a symmetric matrix; its exact projection onto the
-    affine family (``kernels.project_affine``), whose expansion equals
-    ``t``, goes through rational LDL^T, so no inexact certificate can
-    escape. The projection runs in integers: with the rounded entries and
-    those of ``t`` written as R4 and A4 (tensor layout) over one
-    denominator q, the Gram matrix is B / (2q) with
+    <= ``denom`` (``_nearest_ratio``) gives a symmetric matrix; its exact
+    projection onto the affine family (``kernels.project_affine``), whose
+    expansion equals ``t``, goes through rational LDL^T, so no inexact
+    certificate can escape. The projection runs in integers: with the
+    rounded entries and those of ``t`` written as R4 and A4 (tensor layout)
+    over one denominator q, the Gram matrix is B / (2q) with
     B = R4 - R4.swap(j, l) + 2 A4, and B is what the LDL^T factors.
     """
     m, n = t.m, t.n
     mn = m * n
     upper = np.triu_indices(mn)
-    rounded = [Fraction(float(v)).limit_denominator(denom) for v in G[upper]]
-    nums, q = exactla.common_denominator(rounded + t.entries.reshape(-1).tolist())
+    rounded = [_nearest_ratio(v, denom) for v in G[upper].tolist()]
+    nums, q = exactla.pairs_over_lcm(rounded + [(a.numerator, a.denominator) for a in t.entries.flat])
     R = np.empty((mn, mn), dtype=object)
     R[upper] = nums[:len(rounded)]
     R.T[upper] = R[upper]  # symmetric, from the upper triangle

@@ -161,8 +161,12 @@ def tensor_from_dict(d: dict) -> SymmetricBiquadraticTensor:
 
 
 def certificate_to_dict(c: SOSCertificate) -> dict:
+    # BilinearForm refused floats, so a Fraction entry needs none of
+    # rational's checks: str prints what rational_to_str would. Other entry
+    # types (int, numpy integer, bool, str) go through rational_to_str.
     terms = [{"weight": rational_to_str(w),
-              "W": [list(map(rational_to_str, row)) for row in form.W.tolist()]}
+              "W": [[str(v) if type(v) is Fraction else rational_to_str(v) for v in row]
+                    for row in form.W.tolist()]}
              for w, form in c.terms]
     return {"m": c.m, "n": c.n, "terms": terms}
 

@@ -3,10 +3,13 @@
 Two hot spots live here, both float64 only: the alternating
 smallest/largest-eigenvector refinement used by ``sample_min`` and the
 M-eigenvalue ascent, and the Newton system of the log-barrier Gram search in
-``gram.sos_probe``. Beside them sits the affine Gram projection, one formula
-for float64 arrays and for ``Fraction`` object arrays. The library's
-rounding (``gram._round_at``) computes that projection in integers instead;
-this form is the reference the tests compare it against.
+``gram.sos_probe``. The refinement reshapes the tensor once per call into an
+n^2 x m^2 and an m^2 x n^2 matrix, so each of its half-steps is one matrix
+product per start followed by a batched ``eigh``. Beside them sits the
+affine Gram projection, one formula for float64 arrays and for ``Fraction``
+object arrays. The library's rounding (``gram._round_at``) computes that
+projection in integers instead; this form is the reference the tests
+compare it against.
 """
 
 from __future__ import annotations
@@ -39,10 +42,15 @@ def refine_batch(a4, xs, ys, max_iter, tol, maximize):
 
     Fixing y makes the form a quadratic x^T Q_y x on the unit sphere, whose
     extremum over x is the extreme eigenvector of Q_y; alternating the roles
-    is monotone in the form value. The starts still moving advance together,
-    one stacked contraction and one batched ``eigh`` per half-step. A start
-    leaves that active set, with its current value and pair, in the first
-    iteration k where either
+    is monotone in the form value. The tensor is reshaped once per call into
+    the matrices Ay[(j,l), (i,k)] = Ax[(i,k), (j,l)] = a[i,j,k,l], so Q_y is
+    the flattened y y^T times Ay and R_x the flattened x x^T times Ax. The
+    starts still moving advance together, one stacked product and one
+    batched ``eigh`` per half-step. Each start has its own (1 x n^2) @ Ay
+    product, so its arithmetic, and its result to the last bit, do not
+    depend on which other starts are still active. A start leaves that
+    active set, with its current value and pair, in the first iteration k
+    where either
       * its value moves by less than ``tol`` (it *settles*), or
       * k >= ``STALL_ITERS`` and its value is no better (>= when minimising,
         <= when maximising) than the best value any start has settled at in
@@ -54,6 +62,9 @@ def refine_batch(a4, xs, ys, max_iter, tol, maximize):
     (maximising) and the pairs come back unchanged.
     """
     pick = -1 if maximize else 0
+    m, n = a4.shape[0], a4.shape[1]
+    Ay = a4.transpose(1, 3, 0, 2).reshape(n * n, m * m)
+    Ax = a4.transpose(0, 2, 1, 3).reshape(m * m, n * n)
     out_x = np.array(xs, dtype=np.float64)
     out_y = np.array(ys, dtype=np.float64)
     vals = np.full(out_x.shape[0], -np.inf if maximize else np.inf)
@@ -63,10 +74,13 @@ def refine_batch(a4, xs, ys, max_iter, tol, maximize):
     for it in range(max_iter):
         if active.size == 0:
             break
-        Q = np.einsum("ijkl,tj,tl->tik", a4, y, y)
+        # (T, 1, n^2) @ Ay, not (T, n^2) @ Ay: the flat product's rows can
+        # differ in the last bits from a one-start product of the same row.
+        # Q is not always exactly symmetric, hence the symmetrisation.
+        Q = ((y[:, :, None] * y[:, None, :]).reshape(-1, 1, n * n) @ Ay).reshape(-1, m, m)
         _, V = np.linalg.eigh(0.5 * (Q + Q.transpose(0, 2, 1)))
         x = V[:, :, pick]
-        R = np.einsum("ijkl,ti,tk->tjl", a4, x, x)
+        R = ((x[:, :, None] * x[:, None, :]).reshape(-1, 1, m * m) @ Ax).reshape(-1, n, n)
         w, V = np.linalg.eigh(0.5 * (R + R.transpose(0, 2, 1)))
         y = V[:, :, pick]
         settled = np.abs(w[:, pick] - prev) < tol

@@ -196,6 +196,23 @@ class TestIntegerRounding:
                 certified.append(cert is not None)
         assert any(certified) and not all(certified)
 
+    # Ties: at a ladder denominator D no binary float lies exactly midway
+    # between its two candidates, whose denominators q, s are coprime with
+    # q + s > D, since the midpoint's denominator 2qs is a power of two only
+    # if q = 1 and s is a power of two in (D - 1, D]. The denominators 1, 2
+    # and 3 reach the tie rule; (2k + 1) / (2D) comes within an ulp of it.
+    @pytest.mark.parametrize("denom", gram.RATIONALIZE_DENOMINATORS + (1, 2, 3))
+    def test_nearest_ratio_is_limit_denominator(self, denom):
+        rng = np.random.default_rng(denom)
+        values = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 0.5, -0.5, 1.5, -2.5, 0.75, -0.25,
+                  1 / 3, -2 / 3, math.pi, -math.e]
+        values += [k / 2 ** e for k in range(-9, 10, 2) for e in range(0, 21)]  # 2^e below and above D
+        values += [(2 * k + 1) / (2 * d) for d in (denom, denom - 1, denom + 1) if d for k in range(-6, 6)]
+        values += (rng.standard_normal(300) * 10.0 ** rng.integers(-8, 8, 300)).tolist()
+        for v in values:
+            want = F(v).limit_denominator(denom)
+            assert gram._nearest_ratio(v, denom) == (want.numerator, want.denominator), v
+
 
 class TestBarrierNewtonSystem:
     @pytest.mark.parametrize("m,n", list(itertools.product(range(2, 5), repeat=2)))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from biquad import jsonio
 from biquad.cli import main
-from biquad.core import MonicParams, monic_to_tensor, tensors_equal, symmetrize
+from biquad.core import (BilinearForm, MonicParams, SOSCertificate, monic_to_tensor, rational,
+                         symmetrize, tensors_equal)
 from biquad.classes import m_identity
 from biquad.dominance import dd_sos_decompose
 from biquad.gram import choi_form
@@ -86,6 +87,30 @@ def test_rational_strings_refuse_floats():
         with pytest.raises(TypeError):
             jsonio.rational_to_str(bad)
     assert jsonio.rational_to_str(np.int64(3)) == "3"
+
+
+ENTRY_KINDS = {
+    "fraction": lambda k: F(k, 6),
+    "fraction of numpy ints": lambda k: F(np.int64(k), np.int64(6)),
+    "int": int,
+    "numpy int": lambda k: [np.int64, np.int8, np.uint16][k % 3](abs(k)),
+    "bool": lambda k: k % 2 == 0,
+    "str": lambda k: f" {k}/6 ",
+}
+
+
+@pytest.mark.parametrize("others", [None, *ENTRY_KINDS])
+@pytest.mark.parametrize("kind", list(ENTRY_KINDS))
+def test_certificate_text_is_the_per_entry_writer(kind, others):
+    # every entry type BilinearForm accepts, alone and beside another, gives
+    # the text of str(core.rational(v)) per entry, the writer's earlier rule
+    ks = np.arange(-7, 8).reshape(3, 5)
+    W = np.array([[ENTRY_KINDS[kind](int(k)) for k in row] for row in ks], dtype=object)
+    if others is not None:
+        W[1] = [ENTRY_KINDS[others](int(k)) for k in ks[1]]
+    cert = SOSCertificate(3, 5, ((F(1, 2), BilinearForm(3, 5, W)),))
+    want = [[str(rational(v)) for v in row] for row in W.tolist()]
+    assert jsonio.certificate_to_dict(cert)["terms"][0]["W"] == want
 
 
 def test_duplicate_entries_rejected():

@@ -31,13 +31,17 @@ def refine_trace(a4, x, y, max_iter, tol, maximize):
     iteration run, and the 1-based iteration at which the value moved by
     less than ``tol`` (None if it never did within ``max_iter``)."""
     pick = -1 if maximize else 0
+    # the kernel's product for one start, so that the bits agree
+    m, n = a4.shape[0], a4.shape[1]
+    Ay = a4.transpose(1, 3, 0, 2).reshape(n * n, m * m)
+    Ax = a4.transpose(0, 2, 1, 3).reshape(m * m, n * n)
     prev = -np.inf if maximize else np.inf
     trace = []
     for it in range(1, max_iter + 1):
-        Q = np.einsum("ijkl,j,l->ik", a4, y, y)
+        Q = (np.outer(y, y).reshape(1, -1) @ Ay).reshape(m, m)
         _, V = np.linalg.eigh(0.5 * (Q + Q.T))
         x = V[:, pick]
-        R = np.einsum("ijkl,i,k->jl", a4, x, x)
+        R = (np.outer(x, x).reshape(1, -1) @ Ax).reshape(n, n)
         w, V = np.linalg.eigh(0.5 * (R + R.T))
         y = V[:, pick]
         settled, prev = abs(w[pick] - prev) < tol, w[pick]
@@ -104,13 +108,7 @@ class TestRefineMatchesPerStartLoop:
         want = refine_reference(a4, xs, ys, 200, 1e-12, maximize)[:3]
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
-        if (m, n) == (2, 1):
-            # R is 1x1 here and np.einsum sums its four products in a
-            # different order for one start than for a stack of three or
-            # more, so the value may move in its last bits.
-            assert np.allclose(got[0], want[0], rtol=8 * np.finfo(float).eps, atol=0.0)
-        else:
-            assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[0], want[0])
 
     @pytest.mark.parametrize("maximize", [False, True])
     def test_some_starts_hit_the_cap(self, maximize):
@@ -181,6 +179,35 @@ class TestRefineMatchesPerStartLoop:
         assert np.all(vals == bound)
         assert np.array_equal(X, xs) and np.array_equal(Y, ys)
         assert X is not xs and Y is not ys
+
+
+class TestContraction:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_the_einsum_definition(self, monkeypatch, m):
+        # the matrices of one iteration's two half-steps, read at the eigh
+        # calls, against Q_y[i,k] = sum_jl a[i,j,k,l] y_j y_l and
+        # R_x[j,l] = sum_ik a[i,j,k,l] x_i x_k, to a few ulps of the sum of
+        # the terms' magnitudes
+        seen = []
+        real_eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            seen.append(a)
+            return real_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        for n in range(1, 9):
+            rng = np.random.default_rng(10 * m + n)
+            a4 = random_symmetric_a4(rng, m, n)
+            xs, ys = unit_starts(rng, 5, m, n)
+            seen.clear()
+            kernels.refine_batch(a4, xs, ys, 1, 1e-12, False)
+            x = real_eigh(seen[0])[1][:, :, 0]
+            for got, u, spec in [(seen[0], ys, "ijkl,tj,tl->tik"), (seen[1], x, "ijkl,ti,tk->tjl")]:
+                want = np.einsum(spec, a4, u, u)
+                scale = np.einsum(spec, np.abs(a4), np.abs(u), np.abs(u))
+                assert np.all(np.abs(got - 0.5 * (want + want.transpose(0, 2, 1)))
+                              <= 8 * np.finfo(float).eps * scale), (m, n)
 
 
 class TestRefine:
