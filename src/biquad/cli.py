@@ -6,12 +6,12 @@ failures so pipelines can branch on verdicts:
     0  success / affirmative (PSD, dominated, verified, report produced)
     1  negative verdict (not PSD, not dominated, verification failed,
        suspected infeasibility, audit found disagreements)
-    2  usage or I/O error (bad flags, malformed JSON, a zero denominator,
-       an unreadable or unwritable path, dimension mismatch)
+    2  usage or I/O error (bad flags, malformed JSON, a bad rational such as
+       "1/0" or "1e3", an unreadable or unwritable path, dimension mismatch)
 
 All reports are single JSON documents on stdout with sorted keys; identical
-argv and seed give byte-identical output. Rational inputs are written "p/q"
-or "p".
+argv and seed give byte-identical output. Flags and files take rationals as
+``core.rational`` reads them: "p/q", "p" or a plain decimal, no exponent.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .core import (
     MonicParams,
     evaluate,
     expand_certificate,
+    rational,
     tensors_equal,
 )
 
@@ -71,13 +72,6 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_RATIONAL
-
-
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational 'p/q': {text!r} ({exc})")
 
 
 def _check_count(flag: str, value: int, cap: int) -> None:
@@ -276,7 +270,7 @@ def _parse_vector(text: str, length: int, name: str) -> list[Fraction]:
     parts = [s for s in text.split(",") if s.strip()]
     if len(parts) != length:
         raise ValueError(f"{name} needs {length} comma-separated rationals, got {len(parts)}")
-    return [jsonio.parse_rational(s.strip()) for s in parts]
+    return [rational(s) for s in parts]
 
 
 def _cmd_eval(args) -> int:
@@ -297,9 +291,9 @@ def _add_dims(p: argparse.ArgumentParser) -> None:
 
 
 def _add_abc(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-a", type=_rational_arg, required=True, help="coefficient a (rational)")
-    p.add_argument("-b", type=_rational_arg, required=True, help="coefficient b (rational)")
-    p.add_argument("-c", type=_rational_arg, required=True, help="coefficient c (rational)")
+    p.add_argument("-a", type=rational, required=True, help="coefficient a (rational)")
+    p.add_argument("-b", type=rational, required=True, help="coefficient b (rational)")
+    p.add_argument("-c", type=rational, required=True, help="coefficient c (rational)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("audit-grid", _cmd_audit_grid, "audit classifier/tetrahedron agreement on a grid")
     _add_dims(p)
-    p.add_argument("--step", type=_rational_arg, default=Fraction(1, 5))
-    p.add_argument("--range", type=_rational_arg, default=Fraction(2))
+    p.add_argument("--step", type=rational, default=Fraction(1, 5))
+    p.add_argument("--range", type=rational, default=Fraction(2))
 
     p = add("classify", _cmd_classify, "structured-class membership report")
     p.add_argument("tensor")

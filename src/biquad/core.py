@@ -50,12 +50,15 @@ MINUS_ONE = Fraction(-1)
 
 
 def rational(value) -> Fraction:
-    """Coerce an exact value (Fraction, int, or 'p/q' string) to Fraction.
+    """Coerce an exact value (Fraction, int, or rational text) to Fraction.
 
-    Floats are rejected: binary floats entering the exact layer silently
-    poison certificate verification. A Fraction whose parts are not Python
-    ints (numpy integers) is rebuilt from int parts, since fixed-width
-    parts overflow in the exact layer's products.
+    The library's one rule for exact values. Text is "p/q", "p" or a plain
+    decimal, never an exponent: Fraction("1e10000000") builds 10**10000000.
+    Bad text and a zero denominator raise ValueError. Floats raise TypeError:
+    binary floats entering the exact layer silently poison certificate
+    verification. A Fraction whose parts are not Python ints (numpy
+    integers) is rebuilt from int parts, since fixed-width parts overflow
+    in the exact layer's products.
     """
     if isinstance(value, Fraction):
         # Fraction's own slots: its numerator and denominator properties
@@ -66,7 +69,12 @@ def rational(value) -> Fraction:
     if isinstance(value, (int, np.integer)):
         return Fraction(int(value))
     if isinstance(value, str):
-        return Fraction(value)
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation is not accepted: {value!r}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected an exact rational value, got {type(value).__name__}: {value!r}")
 
 
@@ -231,10 +239,10 @@ def monic_to_tensor(p: MonicParams) -> SymmetricBiquadraticTensor:
 class BilinearForm:
     """Bilinear form f(x, y) = sum_{i,j} W[i,j] x_i y_j with rational W.
 
-    The constructor keeps a read-only object copy of W and refuses float
-    entries with TypeError. It checks their types and does not coerce them:
-    coercion doubled the cost of a form, and the exact layer builds hundreds
-    of forms per certificate.
+    The constructor keeps a read-only object copy of W, coerced by
+    ``rational`` as a tensor's entries are (ints become Fractions, strings
+    are parsed, floats raise TypeError) unless all are Fractions already, as
+    in the hundreds of forms per certificate the exact layer builds.
     """
 
     m: int
@@ -245,10 +253,8 @@ class BilinearForm:
         if self.W.shape != (self.m, self.n):
             raise ValueError(f"W shape {self.W.shape} != ({self.m}, {self.n})")
         W = self.W.astype(object)
-        kinds = set(map(type, W.flat))
-        if kinds != {Fraction} and any(issubclass(kind, (float, np.floating)) for kind in kinds):
-            value = next(v for v in W.flat if isinstance(v, (float, np.floating)))
-            raise TypeError(f"expected an exact rational value, got {type(value).__name__}: {value!r}")
+        if set(map(type, W.flat)) != {Fraction}:
+            W = rational_array(W)
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
 
@@ -289,7 +295,7 @@ class SOSCertificate:
 def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
     """Symmetric tensor of sum_p c_p f_p(x,y)^2, by exact expansion.
 
-    Works in integers. One pass reads the entries of every form with a
+    Works in Python ints. One pass reads the entries of every form with a
     nonzero weight into a (terms, mn) array U of numerators; only when some
     entry is not an integer is each row scaled to integers (by the lcm L_p
     of its denominators) and its weight to c_p / L_p^2. Over the common
@@ -301,9 +307,12 @@ def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
     m, n = cert.m, cert.n
     terms = [(weight, form) for weight, form in cert.terms if weight != 0]
     entries = [v for _, form in terms for v in form.W.reshape(-1).tolist()]
-    U = np.array([v.numerator for v in entries], dtype=object).reshape(len(terms), m * n)
+    # Fraction's slots, as in rational; numpy-integer parts would overflow below
+    nums, dens = [v._numerator for v in entries], [v._denominator for v in entries]
+    if {*map(type, nums), *map(type, dens)} != {int}:
+        nums, dens = list(map(int, nums)), list(map(int, dens))
+    U = np.array(nums, dtype=object).reshape(len(terms), m * n)
     weights = [weight for weight, _ in terms]
-    dens = [v.denominator for v in entries]
     if dens.count(1) < len(dens):
         dens = np.array(dens, dtype=object).reshape(U.shape)
         L = [math.lcm(*row) for row in dens.tolist()]

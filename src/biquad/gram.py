@@ -38,7 +38,6 @@ from .core import (
 from .dominance import flatten
 
 __all__ = [
-    "PROBE_STATUSES",
     "GramPoint",
     "SOSProbeResult",
     "SweepRow",
@@ -49,14 +48,6 @@ __all__ = [
     "write_sweep_csv",
     "choi_form",
 ]
-
-PROBE_STATUSES = (
-    "sos_certified",
-    "flattening_psd",
-    "feasible_numerical",
-    "infeasible_suspected",
-    "inconclusive",
-)
 
 RATIONALIZE_DENOMINATORS = (10, 100, 1000, 10_000, 100_000, 1_000_000)
 

@@ -11,12 +11,13 @@ term:
 
     {"m": 2, "n": 2, "terms": [{"weight": "1/2", "W": [["1", "0"], ["0", "-1"]]}]}
 
-Rationals are serialized as decimal-integer strings "p/q" (plain "p" for
-integers); floats never appear in these files. Serialization is canonical
-(sorted entry order, and the bytes of ``json.dumps(obj, sort_keys=True,
-indent=2)`` plus a newline) so identical inputs produce identical bytes.
-biquad writes those bytes itself: ``indent`` sends ``json`` to its
-pure-Python encoder, which took most of a certificate round trip's time.
+Rationals are written "p/q" (plain "p" for integers) by ``str`` and read by
+``core.rational``: "p/q", "p" or a plain decimal, no exponent; floats never
+appear. Serialization is canonical (sorted entry order, and the bytes of
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline) so identical
+inputs produce identical bytes. biquad writes those bytes itself: ``indent``
+sends ``json`` to its pure-Python encoder, which took most of a certificate
+round trip's time.
 """
 
 from __future__ import annotations
@@ -63,12 +64,10 @@ def rational_to_str(v) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    """Parse "p/q" or "p" (Fraction's syntax) into an exact rational."""
+    """A JSON string or integer (not true/false) as a Fraction, by
+    ``core.rational``; other JSON values raise ValueError."""
     if isinstance(s, (str, int)) and not isinstance(s, bool):
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {s!r}") from None
+        return rational(s)
     raise ValueError(f"expected a rational string, got {type(s).__name__}: {s!r}")
 
 
@@ -101,7 +100,7 @@ def _dumps(obj, pad: str) -> str:
 
 
 def tensor_to_dict(t: SymmetricBiquadraticTensor) -> dict:
-    entries = [{"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": rational_to_str(v)}
+    entries = [{"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": str(v)}
                for (i, j, k, l), v in np.ndenumerate(t.entries) if v != 0]
     return {"m": t.m, "n": t.n, "entries": entries}
 
@@ -161,12 +160,7 @@ def tensor_from_dict(d: dict) -> SymmetricBiquadraticTensor:
 
 
 def certificate_to_dict(c: SOSCertificate) -> dict:
-    # BilinearForm refused floats, so a Fraction entry needs none of
-    # rational's checks: str prints what rational_to_str would. Other entry
-    # types (int, numpy integer, bool, str) go through rational_to_str.
-    terms = [{"weight": rational_to_str(w),
-              "W": [[str(v) if type(v) is Fraction else rational_to_str(v) for v in row]
-                    for row in form.W.tolist()]}
+    terms = [{"weight": str(w), "W": [[str(v) for v in row] for row in form.W.tolist()]}
              for w, form in c.terms]
     return {"m": c.m, "n": c.n, "terms": terms}
 

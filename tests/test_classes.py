@@ -26,6 +26,7 @@ from biquad.classes import (
     z_split,
 )
 from biquad.dominance import flatten, is_diagonally_dominated, row_bound
+from biquad.gram import flattening_psd_check
 
 from conftest import (
     bilinear_form,
@@ -155,22 +156,40 @@ class TestB0:
             for s in (t, with_flat_diagonal(t, lift)):
                 assert is_b0_tensor(s) == two_family_is_b0(s)
 
-    @pytest.mark.parametrize("m,n", ALL_SIZES)
-    def test_equality_boundary_against_two_family_formula(self, rng, m, n):
-        # every row exactly on its boundary: S = 0 or S / (mn) = off-diagonal
-        # max; one row lowered by 1/64 fails
+    @staticmethod
+    def boundary(rng, m, n):
+        """A random off-diagonal part and the diagonal that puts every row
+        exactly on its boundary: S = 0 or S / (mn) = off-diagonal max."""
         mn = m * n
         base = with_flat_diagonal(random_symmetric_tensor(rng, m, n), [0] * mn)
         rows = [(i0, j0) for i0 in range(m) for j0 in range(n)]
         diag = [max(-two_family_row_mean(base, *r),
                     mn * two_family_row_offdiag_max(base, *r) - two_family_row_mean(base, *r))
                 for r in rows]
+        return base, diag
+
+    @pytest.mark.parametrize("m,n", ALL_SIZES)
+    def test_equality_boundary_against_two_family_formula(self, rng, m, n):
+        # every row exactly on its boundary passes; one row lowered by 1/64 fails
+        base, diag = self.boundary(rng, m, n)
         tight = with_flat_diagonal(base, diag)
         assert two_family_is_b0(tight) and is_b0_tensor(tight)
-        diag[int(rng.integers(0, mn))] -= F(1, 64)
+        diag[int(rng.integers(0, m * n))] -= F(1, 64)
         below = with_flat_diagonal(base, diag)
         assert not two_family_is_b0(below)
         assert not is_b0_tensor(below)
+
+    @pytest.mark.parametrize("m,n", ALL_SIZES)
+    def test_flattening_is_psd(self, rng, m, n):
+        # B0 + eps I is a symmetric B-matrix, hence a P-matrix (Pena 2001),
+        # hence positive definite; so every B0 flattening is PSD, and
+        # flattening_psd_check certifies it exactly
+        base, diag = self.boundary(rng, m, n)
+        draws = [gen_tensor("b0", m, n, np.random.default_rng([m, n, s])) for s in range(15)]
+        for t in [*draws, with_flat_diagonal(base, diag)]:
+            assert is_b0_tensor(t)
+            cert = flattening_psd_check(t)
+            assert cert is not None and tensors_equal(expand_certificate(cert), t)
 
 
 class TestClassify:

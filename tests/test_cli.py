@@ -429,6 +429,38 @@ class TestBadInputExitsTwo:
         self.assert_usage_error(run_subprocess("eval", identity_file, "-x", "1/0,1", "-y", "1,1",
                                                timeout=30))
 
+    @pytest.mark.parametrize("command", ["check-dd", "decompose-dd", "probe"])
+    def test_exponent_in_tensor_file(self, tmp_path, command):
+        # Fraction("1e10000000") builds 10**10000000: check-dd spent 10 s on
+        # this 82-byte file and exited 0
+        path = tmp_path / "t.json"
+        path.write_text('{"m": 1, "n": 1, "entries": [{"i": 1, "j": 1, "k": 1, "l": 1, '
+                        '"v": "1e10000000"}]}')
+        self.assert_usage_error(run_subprocess(command, str(path), timeout=30))
+
+    def test_exponent_in_a_flag(self):
+        proc = run_subprocess("classify-monic", "-m", "2", "-n", "2", "-a", "1e10000000",
+                              "-b", "0", "-c", "0", timeout=30)
+        assert proc.returncode == 2
+        assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+            "biquad classify-monic: error: argument -a: invalid rational value: '1e10000000'"]
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (("classify-monic", "-m", "2", "-n", "2", "-a", "1/0", "-b", "0", "-c", "0"), "-a", "1/0"),
+        (("decompose-monic", "-m", "2", "-n", "2", "-a", "0", "-b", "0", "-c", "x"), "-c", "x"),
+        (("audit-grid", "-m", "2", "-n", "2", "--step", "1e-1"), "--step", "1e-1"),
+        (("audit-grid", "-m", "2", "-n", "2", "--range", "2/0"), "--range", "2/0"),
+    ])
+    def test_bad_rational_flags(self, capsys, argv, flag, value):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"error: argument {flag}: invalid rational value: "
+                                             f"{value!r}")
+
+    def test_exponent_in_eval_vector(self, capsys, identity_file):
+        assert run(capsys, "eval", identity_file, "-x", "1e5,1", "-y", "1,1") == (
+            2, "", "error: exponent notation is not accepted: '1e5'\n")
+
     def test_directory_as_input_path(self, tmp_path):
         self.assert_usage_error(run_subprocess("check-dd", str(tmp_path), timeout=30))
 

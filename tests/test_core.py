@@ -72,6 +72,23 @@ def test_bilinear_form_keeps_exact_entries():
         form.W[0, 0] = F(2)
 
 
+def test_bilinear_form_coerces_entries_like_the_tensor():
+    W = np.array([[F(1, 2), 3, np.int64(-4), " 5/6", True, F(np.int64(2), np.int64(4))]],
+                 dtype=object)
+    form = BilinearForm(1, 6, W)
+    assert form.W.tolist() == [[F(1, 2), 3, -4, F(5, 6), 1, F(1, 2)]]
+    assert all(type(v) is F for v in form.W.flat)
+    assert all(type(v.numerator) is int for v in form.W.flat)
+
+
+def test_bilinear_form_of_strings_expands_exactly():
+    # a W of strings used to build, and expand_certificate raised AttributeError
+    form = BilinearForm(1, 2, np.array([["1/2", "-3"]], dtype=object))
+    t = expand_certificate(SOSCertificate(1, 2, ((F(2), form),)))
+    # 2 (x1 y1 / 2 - 3 x1 y2)^2 = x1^2 y1^2 / 2 - 6 x1^2 y1 y2 + 18 x1^2 y2^2
+    assert t.entries.reshape(-1).tolist() == [F(1, 2), -3, -3, 18]
+
+
 def test_constructor_turns_ints_into_fractions():
     t = SymmetricBiquadraticTensor(1, 2, np.array([[[[1, 2]], [[2, 3]]]]))
     assert t.entries.reshape(-1).tolist() == [1, 2, 2, 3]
@@ -219,6 +236,15 @@ class TestExpandCertificate:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             SOSCertificate(2, 2, ((F(-1), BilinearForm.unit(2, 2, 0, 0)),))
+
+    @pytest.mark.parametrize("entry,square", [
+        (F(np.int64(2**32), np.int64(1)), 2**64),  # the x1^2 y1^2 coefficient read 0
+        (F(2**32, np.int64(3)), F(2**64, 9)),  # a numpy-int denominator alone
+    ])
+    def test_numpy_int_parts_expand_exactly(self, entry, square):
+        form = BilinearForm(1, 1, np.array([[entry]], dtype=object))
+        t = expand_certificate(SOSCertificate(1, 1, ((F(1), form),)))
+        assert t.entries[0, 0, 0, 0] == square
 
     def test_expansion_matches_literal_squares(self, rng):
         terms = []

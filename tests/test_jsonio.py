@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -322,6 +323,7 @@ RATIONAL_SPELLINGS = [" 1/2", "1_000", "1.5", "-0", "3/6"]
 def test_reader_values_equal_fraction_of_each_spelling(s):
     cert = jsonio.certificate_from_dict({"m": 2, "n": 2, "terms": [
         {"weight": s, "W": [[s, "1"], [s, s]]}, {"weight": "1", "W": [[s, s], ["1", s]]}]})
+    assert jsonio.parse_rational(s) == rational(s) == F(s)
     (w0, f0), (w1, f1) = cert.terms
     assert w0 == F(s) and w1 == 1
     assert f0.W.tolist() == [[F(s), 1], [F(s), F(s)]]
@@ -329,6 +331,20 @@ def test_reader_values_equal_fraction_of_each_spelling(s):
     t = jsonio.tensor_from_dict({"m": 1, "n": 2, "entries": [
         {**ENTRY, "v": s}, {**ENTRY, "j": 2, "l": 2, "v": s}]})
     assert t.entries[0, 0, 0, 0] == F(s) and t.entries[0, 1, 0, 1] == F(s)
+
+
+@pytest.mark.parametrize("parse", [rational, jsonio.parse_rational])
+@pytest.mark.parametrize("text,message", [
+    *((text, "exponent notation") for text in ("1e3", "1E-2", "1e10000000", " -2.5e1 ")),
+    ("1/0", "zero denominator"),  # rational raised ZeroDivisionError
+])
+def test_bad_rational_text_is_a_value_error(parse, text, message):
+    # Fraction("1e10000000") builds 10**10000000, about 8 s; the refusal
+    # reads only the text
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        parse(text)
+    assert time.perf_counter() - start < 0.1
 
 
 def _parse_error(value):
