@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -35,10 +34,19 @@ from .core import (
     tensors_equal,
 )
 
-# argparse refuses option values that start with '-' unless they look like
-# negative numbers; widen its matcher so "-1/3", "-0.5" and vector values
-# like "-1,2/3" pass through to flags like -a/-b/-c/-x/-y.
-_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$|^-\d*\.\d+$")
+# argparse takes a token that starts with '-' as an option's value only if
+# its negative-number matcher matches it; this one matches when each
+# comma-separated part is a rational, as "-1/3", "-1_000" or "-1,2/3".
+class _NegativeRational:
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            for part in token.split(","):
+                rational(part)
+        except ValueError:
+            return False
+        return True
+
 
 # audit-grid runs the exact classifier once per point, about 0.3 ms each
 # (30 s at the cap on a 2-vCPU VM); larger grids are refused before the loop.
@@ -71,7 +79,7 @@ class _Parser(argparse.ArgumentParser):
     # subcommand gets the widened matcher too.
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_RATIONAL
+        self._negative_number_matcher = _NegativeRational
 
 
 def _check_count(flag: str, value: int, cap: int) -> None:
@@ -84,13 +92,13 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(jsonio.dumps_canonical(payload))
 
 
-def _write_or_emit(args, payload: dict) -> None:
-    out = getattr(args, "output", None)
-    if out:
-        Path(out).write_text(jsonio.dumps_canonical(payload))
-        _emit(args, {"written": str(out)})
-    else:
-        _emit(args, payload)
+def _write_or_emit(args, text: str) -> None:
+    """Write a file's text to -o, or else to stdout."""
+    if args.output:
+        Path(args.output).write_text(text)
+        _emit(args, {"written": str(args.output)})
+    elif not args.quiet:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +127,7 @@ def _cmd_decompose_dd(args) -> int:
         _emit(args, {"error": "not diagonally dominated",
                      "violations": _violation_records(exc.violations, t.n)})
         return 1
-    _write_or_emit(args, jsonio.certificate_to_dict(cert))
+    _write_or_emit(args, jsonio.certificate_text(cert))
     return 0
 
 
@@ -154,7 +162,7 @@ def _cmd_decompose_monic(args) -> int:
     if cert is None:
         _emit(args, {"error": "form is not PSD", "psd": False})
         return 1
-    _write_or_emit(args, jsonio.certificate_to_dict(cert))
+    _write_or_emit(args, jsonio.certificate_text(cert))
     return 0
 
 
@@ -212,7 +220,7 @@ def _cmd_gen(args) -> int:
     jsonio.check_dims(args.m, args.n)
     rng = np.random.default_rng(args.seed)
     t = classes.gen_tensor(args.klass, args.m, args.n, rng)
-    _write_or_emit(args, jsonio.tensor_to_dict(t))
+    _write_or_emit(args, jsonio.dumps_canonical(jsonio.tensor_to_dict(t)))
     return 0
 
 

@@ -20,6 +20,8 @@ use 1-based indices.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,11 +56,11 @@ def rational(value) -> Fraction:
 
     The library's one rule for exact values. Text is "p/q", "p" or a plain
     decimal, never an exponent: Fraction("1e10000000") builds 10**10000000.
-    Bad text and a zero denominator raise ValueError. Floats raise TypeError:
-    binary floats entering the exact layer silently poison certificate
-    verification. A Fraction whose parts are not Python ints (numpy
-    integers) is rebuilt from int parts, since fixed-width parts overflow
-    in the exact layer's products.
+    Bad text, a zero denominator and a number longer than Python reads from
+    text raise ValueError. Floats raise TypeError: binary floats entering
+    the exact layer silently poison certificate verification. A Fraction
+    whose parts are not Python ints (numpy integers) is rebuilt from int
+    parts, since fixed-width parts overflow in the exact layer's products.
     """
     if isinstance(value, Fraction):
         # Fraction's own slots: its numerator and denominator properties
@@ -75,6 +77,12 @@ def rational(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            digits = max(map(len, re.findall(r"\d+", value.replace("_", ""))), default=0)
+            if limit and digits > limit:
+                raise ValueError(f"a number in rational text has more than {limit} digits") from None
+            raise
     raise TypeError(f"expected an exact rational value, got {type(value).__name__}: {value!r}")
 
 

@@ -13,16 +13,17 @@ term:
 
 Rationals are written "p/q" (plain "p" for integers) by ``str`` and read by
 ``core.rational``: "p/q", "p" or a plain decimal, no exponent; floats never
-appear. Serialization is canonical (sorted entry order, and the bytes of
-``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline) so identical
-inputs produce identical bytes. biquad writes those bytes itself: ``indent``
-sends ``json`` to its pure-Python encoder, which took most of a certificate
-round trip's time.
+appear. Output is canonical, the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2)`` plus a newline: ``certificate_text`` writes a certificate in its
+fixed layout, one ``str.join`` per form, and ``dumps_canonical`` writes
+reports and tensors without ``json``'s slow pure-Python indenting encoder.
+A certificate is read in one pass over one array of every term's W.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -42,6 +43,7 @@ __all__ = [
     "parse_rational",
     "tensor_to_dict",
     "tensor_from_dict",
+    "certificate_text",
     "certificate_to_dict",
     "certificate_from_dict",
     "load_tensor",
@@ -71,14 +73,28 @@ def parse_rational(s) -> Fraction:
     raise ValueError(f"expected a rational string, got {type(s).__name__}: {s!r}")
 
 
+def _clip(text: str) -> str:
+    """text, cut to 100 characters, for echoing input in an error."""
+    return text if len(text) <= 100 else text[:97] + "..."
+
+
 class _Rationals(dict):
-    """parse_rational that parses each distinct string once; one per file."""
+    """parse_rational that parses each distinct string once; one per file.
+    Only strings are cached: true would otherwise find the cached 1."""
 
     def __call__(self, s) -> Fraction:
         return self[s] if type(s) is str else parse_rational(s)
 
-    def __missing__(self, s: str) -> Fraction:
-        return self.setdefault(s, parse_rational(s))
+    def __missing__(self, s) -> Fraction:
+        v = parse_rational(s)
+        return self.setdefault(s, v) if type(s) is str else v
+
+    def each(self, values: list) -> list:
+        """[self(v) for v in values], by one map over the C lookup."""
+        try:
+            return list(map(self.__getitem__, values))
+        except TypeError:  # an unhashable value, which parse_rational names
+            return list(map(parse_rational, values))
 
 
 def dumps_canonical(obj) -> str:
@@ -135,7 +151,7 @@ def _json_objects(d: dict, key: str):
         raise ValueError(f"{key} must be a JSON list")
     for item in items:
         if not isinstance(item, dict):
-            raise ValueError(f"{key} item {item!r} is not a JSON object")
+            raise ValueError(f"{key} item {_clip(repr(item))} is not a JSON object")
         yield item
 
 
@@ -149,7 +165,8 @@ def tensor_from_dict(d: dict) -> SymmetricBiquadraticTensor:
             i, j, k, l = (_integer(entry[key], key) for key in ("i", "j", "k", "l"))
             v = read(entry["v"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed tensor entry {entry!r}: {exc}") from exc
+            raise ValueError(f"malformed tensor entry {_clip(repr(entry))}: "
+                             f"{_clip(str(exc))}") from exc
         if not (1 <= i <= m and 1 <= k <= m and 1 <= j <= n and 1 <= l <= n):
             raise ValueError(f"tensor entry index ({i},{j},{k},{l}) out of range for ({m},{n})")
         if (i, j, k, l) in seen:
@@ -159,28 +176,41 @@ def tensor_from_dict(d: dict) -> SymmetricBiquadraticTensor:
     return symmetrize(arr)
 
 
+def certificate_text(c: SOSCertificate) -> str:
+    """The canonical JSON text of c, the one certificate writer. Its layout
+    is fixed: keys m, n, terms; in each term the rows of W, then weight; one
+    entry a line."""
+    head = f'{{\n  "m": {c.m},\n  "n": {c.n},\n  "terms": '
+    if not c.terms:
+        return head + "[]\n}\n"
+    # what lies between two entries of a row, two rows, and a weight and the next W
+    entry, row = '",\n          "', '"\n        ],\n        [\n          "'
+    term = '"\n    },\n    {\n      "W": [\n        [\n          "'
+    body = term.join(row.join(entry.join(map(str, r)) for r in form.W.tolist())
+                     + f'"\n        ]\n      ],\n      "weight": "{w}' for w, form in c.terms)
+    return f'{head}[\n    {{\n      "W": [\n        [\n          "{body}"\n    }}\n  ]\n}}\n'
+
+
 def certificate_to_dict(c: SOSCertificate) -> dict:
-    terms = [{"weight": str(w), "W": [[str(v) for v in row] for row in form.W.tolist()]}
-             for w, form in c.terms]
-    return {"m": c.m, "n": c.n, "terms": terms}
+    return json.loads(certificate_text(c))
 
 
 def certificate_from_dict(d: dict) -> SOSCertificate:
     m, n = _dims(d)
-    terms = []
+    tds = list(_json_objects(d, "terms"))
     read = _Rationals()
-    for td in _json_objects(d, "terms"):
-        try:
-            w = read(td["weight"])
-            rows = td["W"]
-            if not (isinstance(rows, list) and len(rows) == m
-                    and all(isinstance(row, list) and len(row) == n for row in rows)):
-                raise ValueError(f"W must be {m} rows of {n} entries")
-            W = np.array([[read(v) for v in row] for row in rows], dtype=object)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed certificate term: {exc}") from exc
-        terms.append((w, BilinearForm(m, n, W)))
-    return SOSCertificate(m, n, tuple(terms))
+    try:
+        weights = read.each([td["weight"] for td in tds])
+        Ws = [td["W"] for td in tds]
+        A = np.array(Ws, dtype=object)
+        if Ws and (A.shape != (len(Ws), m, n)
+                   or not all(type(row) is list for W in Ws for row in W)):
+            raise ValueError(f"W must be {m} rows of {n} entries")
+        values = np.fromiter(read.each(A.ravel().tolist()), object, A.size).reshape(A.shape)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed certificate term: {_clip(str(exc))}") from exc
+    return SOSCertificate(m, n, tuple(
+        (w, BilinearForm(m, n, W)) for w, W in zip(weights, values)))
 
 
 def _load_json(path) -> dict:
@@ -189,6 +219,11 @@ def _load_json(path) -> dict:
         data = json.loads(text)  # json.JSONDecodeError carries line/column
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the only other: an integer beyond Python's int-from-text limit
+        raise ValueError(f"{path}: a JSON integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return data
@@ -207,4 +242,4 @@ def load_certificate(path) -> SOSCertificate:
 
 
 def save_certificate(c: SOSCertificate, path) -> None:
-    Path(path).write_text(dumps_canonical(certificate_to_dict(c)))
+    Path(path).write_text(certificate_text(c))

@@ -7,7 +7,8 @@ evaluated as literal weighted squares, the dominance and B0 row quantities
 are computed from their two-family tensor-index formulas, the barrier
 Newton system is contracted from dense direction matrices, the Gram probe
 runs its barrier to the full duality gap before it rounds, the Gram
-rounding projects its rounded point on Fractions, LDL^T,
+rounding projects its rounded point on Fractions, certificates are written
+to JSON objects value by value, LDL^T,
 certificate expansion, term merging and symmetrization are the all-Fraction
 implementations the integer versions replaced, and the monic barycentric coordinates are
 the scaled critical values written out, not solved from the vertex table. Tests compare library output against these.
@@ -325,6 +326,14 @@ def face_barycentric(p):
     if any(w < 0 for w in lam):
         return None
     return lam
+
+
+def reference_certificate_dict(c: SOSCertificate) -> dict:
+    """The certificate as a JSON object, built value by value: the writer
+    ``jsonio.certificate_text`` must give the canonical bytes of this."""
+    terms = [{"weight": str(w), "W": [[str(v) for v in row] for row in form.W.tolist()]}
+             for w, form in c.terms]
+    return {"m": c.m, "n": c.n, "terms": terms}
 
 
 def certificates_equal(a: SOSCertificate, b: SOSCertificate) -> bool:

@@ -143,6 +143,20 @@ class TestClassifyMonic:
         assert code == 1
         assert parse(out)["psd"] is False
 
+    @pytest.mark.parametrize("a,value", [("-1_000", "-1000"), ("-1.", "-1"), ("-0.5", "-1/2")])
+    def test_negative_flag_value_in_any_rational_spelling(self, capsys, a, value):
+        # a value starting with '-' is taken as a flag's value iff core.rational reads it
+        code, out, _ = run(capsys, "classify-monic", "-m", "2", "-n", "2",
+                           "-a", a, "-b", "0", "-c", "0")
+        assert code in (0, 1)
+        assert parse(out)["a"] == value
+
+    def test_negative_exponent_flag_value_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "classify-monic", "-m", "2", "-n", "2",
+                             "-a", "-1e5", "-b", "0", "-c", "0")
+        assert (code, out) == (2, "")
+        assert "argument -a: expected one argument" in err
+
 
 class TestVertices:
     def test_4x4(self, capsys):
@@ -247,6 +261,12 @@ class TestEval:
         assert code == 0
         # (1 + 4/9) * (1/4 + 1) = 13/9 * 5/4 = 65/36
         assert parse(out)["value"] == "65/36"
+
+    def test_all_negative_vector_values(self, capsys, identity_file):
+        code, out, _ = run(capsys, "eval", identity_file, "-x", "-1/2,-3", "-y", "-1,1")
+        assert code == 0
+        # (1/4 + 9) * (1 + 1)
+        assert parse(out)["value"] == "37/2"
 
     def test_wrong_length_is_usage_error(self, capsys, identity_file):
         code, _, err = run(capsys, "eval", identity_file, "-x", "1,2,3", "-y", "1,1")

@@ -2,24 +2,25 @@
 
 import json
 import math
+import sys
 import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biquad import jsonio
 from biquad.cli import main
-from biquad.core import (BilinearForm, MonicParams, SOSCertificate, monic_to_tensor, rational,
-                         symmetrize, tensors_equal)
+from biquad.core import (MINUS_ONE, ONE, ZERO, BilinearForm, MonicParams, SOSCertificate,
+                         monic_to_tensor, rational, symmetrize, tensors_equal)
 from biquad.classes import m_identity
 from biquad.dominance import dd_sos_decompose
 from biquad.gram import choi_form
 from biquad.monic import vertex_sos
 
-from conftest import coefficient_form_value, random_coefficients
+from conftest import coefficient_form_value, random_coefficients, reference_certificate_dict
 
 
 def test_tensor_roundtrip(tmp_path):
@@ -269,15 +270,16 @@ def test_writer_on_empty_containers(obj):
 
 
 def _cli_writes(monkeypatch, tmp_path, *argv):
-    """(object, text) for each call of dumps_canonical while the CLI runs argv."""
+    """(object, text) for each call of either writer while the CLI runs argv;
+    a certificate's object is its reference dict."""
     writes = []
-    real = jsonio.dumps_canonical
+    for name, as_object in (("dumps_canonical", lambda obj: obj),
+                            ("certificate_text", reference_certificate_dict)):
+        def spy(obj, real=getattr(jsonio, name), as_object=as_object):
+            writes.append((as_object(obj), real(obj)))
+            return writes[-1][1]
 
-    def spy(obj):
-        writes.append((obj, real(obj)))
-        return writes[-1][1]
-
-    monkeypatch.setattr(jsonio, "dumps_canonical", spy)
+        monkeypatch.setattr(jsonio, name, spy)
     main([a.replace("TMP", str(tmp_path)) for a in argv])
     return writes
 
@@ -381,3 +383,100 @@ def test_loaded_W_is_a_read_only_array_of_fractions(tmp_path):
         assert all(type(v) is F for v in form.W.flat)
         with pytest.raises(ValueError):
             form.W[0, 0] = F(7)
+
+
+# certificate_text must give the bytes of the standard encoder on the
+# certificate's JSON object built value by value
+entries = st.one_of(
+    st.sampled_from([ZERO, ONE, MINUS_ONE]),  # the shared constants of decompositions
+    st.fractions(max_denominator=10**6),
+    st.builds(F, st.integers(-2**200, 2**200), st.integers(1, 2**100)),
+)
+weights = st.one_of(st.just(ZERO), st.just(ONE), st.fractions(min_value=0, max_denominator=10**6),
+                    st.builds(F, st.integers(0, 2**200), st.integers(1, 2**100)))
+
+
+@st.composite
+def certificates(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(weights, st.lists(entries, min_size=m * n, max_size=m * n)),
+                          max_size=6))
+    return SOSCertificate(m, n, tuple(
+        (w, BilinearForm(m, n, np.array(W, dtype=object).reshape(m, n))) for w, W in terms))
+
+
+@settings(max_examples=150)
+@given(certificates())
+@example(SOSCertificate(2, 3, ()))
+def test_certificate_text_matches_the_standard_encoder(cert):
+    text = jsonio.certificate_text(cert)
+    assert text == oracle(reference_certificate_dict(cert))
+    assert jsonio.certificate_text(jsonio.certificate_from_dict(json.loads(text))) == text
+
+
+def test_reader_reads_json_integers():
+    cert = jsonio.certificate_from_dict({"m": 2, "n": 2, "terms": [
+        {"weight": 2, "W": [[1, 0], [0, -3]]}, {"weight": "1", "W": [["1", 1], [0, "0"]]}]})
+    assert [w for w, _ in cert.terms] == [2, 1]
+    assert [f.W.tolist() for _, f in cert.terms] == [[[1, 0], [0, -3]], [[1, 1], [0, 0]]]
+    assert all(type(v) is F for _, f in cert.terms for v in f.W.flat)
+
+
+ROWS = "W must be 2 rows of 2 entries"
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({"W": [["1", "0", "5"], ["0"]]}, ROWS),  # ragged rows
+    ({"W": [["1", "0"], "01"]}, ROWS),  # a row given as a string of length n
+    ({"W": [["1", "0"], ["0", "1"], ["0", "0"]]}, ROWS),  # one row too many
+    ({"W": [["1", ["0"]], ["0", "1"]]}, "expected a rational string, got list: ['0']"),
+    ({"W": [["1", "0"], [{"v": "0"}, "1"]]}, "expected a rational string, got dict: {'v': '0'}"),
+    ({"W": [["1", True], ["0", "1"]]}, "expected a rational string, got bool: True"),
+    ({}, "'W'"),  # a missing W
+])
+def test_certificate_reader_refusals_exit_two(tmp_path, capsys, bad, message):
+    # the bad term sits between good ones that hold the JSON integer 1, which
+    # true must not be read as
+    terms = [{"weight": 1, "W": [[1, 0], [0, 1]]}, {"weight": "1/2", **bad},
+             {"weight": "1", "W": [["1", "0"], ["0", "1"]]}]
+    (tmp_path / "c.json").write_text(json.dumps({"m": 2, "n": 2, "terms": terms}))
+    jsonio.save_tensor(m_identity(2, 2), tmp_path / "t.json")
+    code, err = _cli_error(capsys, "verify", str(tmp_path / "c.json"), str(tmp_path / "t.json"))
+    assert code == 2
+    assert err == f"error: malformed certificate term: {message}\n"
+
+
+HUGE = "1/" + "7" * 5000  # a denominator beyond Python's int-from-text limit
+
+
+def test_rational_names_its_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for text in (HUGE, "0." + "0" * limit + "1", "-" + "1_2" * limit):
+        with pytest.raises(ValueError, match=f"^a number in rational text has more than {limit} "
+                                             "digits$"):
+            rational(text)
+    assert rational("1" * (limit // 2) + "/" + "3" * (limit // 2)) > 0  # each number is in range
+
+
+@pytest.mark.parametrize("value", [HUGE, "x" * 5000, {"v": "7" * 5000}])
+def test_oversized_value_gives_a_short_error_line(tmp_path, capsys, value):
+    tensor = {"m": 1, "n": 1, "entries": [{**ENTRY, "v": value}]}
+    (tmp_path / "t.json").write_text(json.dumps(tensor))
+    (tmp_path / "c.json").write_text(json.dumps({"m": 1, "n": 1, "terms": [
+        {"weight": "1", "W": [["1"]]}, {"weight": "1", "W": [[value]]}]}))
+    jsonio.save_tensor(m_identity(1, 1), tmp_path / "one.json")
+    for argv in (("check-dd", "t.json"), ("verify", "c.json", "one.json")):
+        code, err = _cli_error(capsys, argv[0], *(str(tmp_path / a) for a in argv[1:]))
+        assert code == 2
+        assert err.startswith("error: malformed ") and err.count("\n") == 1
+        assert len(err.encode()) < 300 and "set_int_max_str_digits" not in err
+
+
+def test_oversized_json_integer_gives_a_short_error_line(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text('{"m": 1, "n": 1, "entries": [{"i": 1, "j": 1, "k": 1, "l": 1, "v": '
+                    + "7" * 5000 + "}]}")
+    code, err = _cli_error(capsys, "check-dd", str(path))
+    assert code == 2
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: {path}: a JSON integer has more than {limit} digits\n"

@@ -17,7 +17,7 @@ from biquad.core import (
     sample_min,
     tensors_equal,
 )
-from biquad import monic
+from biquad import jsonio, monic
 from biquad.classes import m_identity
 from biquad.monic import (
     barycentric,
@@ -351,6 +351,8 @@ class TestDecomposeNeedsNoMerge:
         for p in points:
             cert = monic_sos_decompose(p)
             assert certificates_equal(merge_proportional(cert), cert)
+            text = jsonio.certificate_text(cert)
+            assert jsonio.certificate_text(merge_proportional(cert)) == text
 
 
 class TestMergeProportional:
