@@ -293,15 +293,27 @@ def _cmd_eval(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _rational_flag(text: str) -> Fraction:
+    """``core.rational``; argparse echoes a refused value whole and drops
+    the reason, so a long one is clipped here and keeps it."""
+    try:
+        return rational(text)
+    except ValueError as exc:
+        shown = repr(text)
+        if len(shown) > 100:
+            shown = f"{jsonio.clip(shown)} ({len(text)} characters): {jsonio.clip(str(exc))}"
+        raise argparse.ArgumentTypeError(f"invalid rational value: {shown}") from None
+
+
 def _add_dims(p: argparse.ArgumentParser) -> None:
     p.add_argument("-m", type=int, required=True, help="x dimension")
     p.add_argument("-n", type=int, required=True, help="y dimension")
 
 
 def _add_abc(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-a", type=rational, required=True, help="coefficient a (rational)")
-    p.add_argument("-b", type=rational, required=True, help="coefficient b (rational)")
-    p.add_argument("-c", type=rational, required=True, help="coefficient c (rational)")
+    p.add_argument("-a", type=_rational_flag, required=True, help="coefficient a (rational)")
+    p.add_argument("-b", type=_rational_flag, required=True, help="coefficient b (rational)")
+    p.add_argument("-c", type=_rational_flag, required=True, help="coefficient c (rational)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("audit-grid", _cmd_audit_grid, "audit classifier/tetrahedron agreement on a grid")
     _add_dims(p)
-    p.add_argument("--step", type=rational, default=Fraction(1, 5))
-    p.add_argument("--range", type=rational, default=Fraction(2))
+    p.add_argument("--step", type=_rational_flag, default=Fraction(1, 5))
+    p.add_argument("--range", type=_rational_flag, default=Fraction(2))
 
     p = add("classify", _cmd_classify, "structured-class membership report")
     p.add_argument("tensor")

@@ -4,8 +4,10 @@ Results are decisions, not tolerances: inputs and outputs are
 ``fractions.Fraction`` scalars. Inside, the hot paths avoid Fraction
 arithmetic, whose every operation pays an object allocation and a gcd.
 ``common_denominator`` writes a sequence of rationals as Python-int
-numerators over one denominator, and ``ldlt_psd`` eliminates on such an
-integer matrix B over a scalar denominator q (the true matrix is B / q).
+numerators over one denominator, and ``ldlt_psd`` eliminates on them as
+plain lists of Python-int rows B (the lower triangle) over a scalar
+denominator q, the true matrix being B / q; numpy object arrays cost more in
+indexing than the arithmetic does.
 A pivot step is fraction-free, B' = d B - col col^T and q' = q d, in the
 manner of Bareiss (1968); dividing B' and q' by their common gcd after each
 step keeps the entries at the size of the reduced Schur complement, where
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -29,9 +32,10 @@ def common_denominator(values) -> tuple[list[int], int]:
 
     Returns (numerators, D) with D the lcm of the denominators, so that
     values[k] == numerators[k] / D. This is where the exact layer turns
-    Fractions into integers.
+    Fractions into integers, read as Python ints by ``core.rational``'s rule
+    (numpy-integer parts overflow in the products that follow).
     """
-    return pairs_over_lcm([(v.numerator, v.denominator) for v in values])
+    return pairs_over_lcm([(int(v.numerator), int(v.denominator)) for v in values])
 
 
 def pairs_over_lcm(pairs) -> tuple[list[int], int]:
@@ -105,58 +109,56 @@ def ldlt_psd(M: np.ndarray) -> LDLResult:
     terms reconstruct M exactly.
     """
     N = M.shape[0]
-    nums, q = common_denominator(np.asarray(M, dtype=object).reshape(-1))
-    B = np.array(nums, dtype=object).reshape(N, N)
-    if not bool((B == B.T).all()):
+    nums, q = common_denominator(np.asarray(M, dtype=object).reshape(N * N).tolist())
+    rows = [nums[r * N:(r + 1) * N] for r in range(N)]
+    if rows != [list(col) for col in zip(*rows)]:
         raise ValueError("matrix is not symmetric")
-    # B is the Schur complement on the rows ``active`` (original indices,
-    # ascending); the true entries are B / q with q > 0, so comparisons and
-    # signs of B are those of the true entries.
+    # B holds the lower triangle (row r: columns 0..r) of the Schur complement
+    # on the rows ``active`` (original indices, ascending), which halves the
+    # big-integer work; the true entries are B / q with q > 0, so comparisons
+    # and signs of B are those of the true entries.
+    B = [row[:r + 1] for r, row in enumerate(rows)]
     active = list(range(N))
     terms = []
-    lower = np.tril_indices(N)
-    while active:
-        k = max(range(len(active)), key=lambda r: (B[r, r], -r))
-        d = B[k, k]
+    while B:
+        diag = [row[-1] for row in B]
+        d = max(diag)
+        k = diag.index(d)
         if d < 0:
             return LDLResult(False, tuple(terms), "negative_pivot", active[k], Fraction(d, q))
         if d == 0:
             # All remaining diagonals are <= 0 here; a PSD matrix with a zero
             # diagonal entry has the whole row zero.
-            for r in range(len(active)):
-                if B[r, r] < 0:
-                    return LDLResult(False, tuple(terms), "negative_pivot", active[r], Fraction(B[r, r], q))
-            for (r, _), v in np.ndenumerate(B):
-                if v != 0:
-                    return LDLResult(False, tuple(terms), "zero_diagonal_nonzero_row",
-                                     active[r], Fraction(v, q))
+            for r, v in enumerate(diag):
+                if v < 0:
+                    return LDLResult(False, tuple(terms), "negative_pivot", active[r], Fraction(v, q))
+            for r, row in enumerate(B):
+                for v in row + [below[r] for below in B[r + 1:]]:
+                    if v:
+                        return LDLResult(False, tuple(terms), "zero_diagonal_nonzero_row",
+                                         active[r], Fraction(v, q))
             break
+        col = B[k] + [row[k] for row in B[k + 1:]]
         vec = [Fraction(0)] * N
-        for r, v in zip(active, B[:, k]):
-            if v != 0:
+        for r, v in zip(active, col):
+            if v:
                 vec[r] = Fraction(v, d)
         terms.append(LDLTerm(Fraction(d, q), tuple(vec)))
-        del active[k]
-        keep = np.arange(len(active) + 1) != k
-        col = B[keep, k]
-        # B' = d B - col col^T over q' = q d, reduced by the gcd of q' and
-        # every entry. When the next pivot is negative its diagonal alone
-        # decides the failure, so the full update is skipped.
-        diag = B.diagonal()[keep] * d - col * col
-        r = max(range(len(active)), key=lambda r: (diag[r], -r), default=None)
-        if r is not None and diag[r] < 0:
+        del active[k], col[k], B[k]
+        for row in B[k:]:
+            del row[k]
+        # B' = d B - col col^T over q' = q d (zip stops each row at its
+        # diagonal), reduced by the gcd of q' and every entry. When the next
+        # pivot is negative its diagonal alone decides the failure, so the
+        # full update is skipped.
+        diag = [row[-1] * d - c * c for row, c in zip(B, col)]
+        if diag and max(diag) < 0:
+            r = diag.index(max(diag))
             return LDLResult(False, tuple(terms), "negative_pivot", active[r], Fraction(diag[r], q * d))
-        # B' is symmetric: compute its lower triangle (the leading entries of
-        # ``lower``, row by row) and mirror it, which halves the big-integer work.
-        B = B[np.ix_(keep, keep)]
-        size = len(active) * (len(active) + 1) // 2
-        rows, cols = lower[0][:size], lower[1][:size]
-        tri = B[rows, cols] * d - col[rows] * col[cols]
+        B = [[b * d - c * e for b, e in zip(row, col)] for row, c in zip(B, col)]
         q *= d
-        g = math.gcd(q, *tri)
+        g = math.gcd(q, *chain.from_iterable(B))
         if g != 1:
-            tri //= g
+            B = [[v // g for v in row] for row in B]
             q //= g
-        B[rows, cols] = tri
-        B[cols, rows] = tri
     return LDLResult(True, tuple(terms))

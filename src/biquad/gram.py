@@ -197,13 +197,15 @@ NEWTON_DECREMENT_STOP = 1e-8  # inner loop ends at lambda^2 / 2 <= this
 
 
 def _gram_at(F: np.ndarray, t: np.ndarray, dirs) -> np.ndarray:
-    """G(t) = F + sum_k t_k N_k, written at the 4K distinct positions."""
+    """G(t) = F + sum_k t_k N_k, added at the 4K distinct flat positions."""
     p, q, r, u = dirs
+    mn = F.shape[0]
     G = F.copy()
-    G[p, q] += t
-    G[q, p] += t
-    G[r, u] -= t
-    G[u, r] -= t
+    flat = G.reshape(-1)
+    flat[p * mn + q] += t
+    flat[q * mn + p] += t
+    flat[r * mn + u] -= t
+    flat[u * mn + r] -= t
     return G
 
 

@@ -73,7 +73,7 @@ def parse_rational(s) -> Fraction:
     raise ValueError(f"expected a rational string, got {type(s).__name__}: {s!r}")
 
 
-def _clip(text: str) -> str:
+def clip(text: str) -> str:
     """text, cut to 100 characters, for echoing input in an error."""
     return text if len(text) <= 100 else text[:97] + "..."
 
@@ -151,7 +151,7 @@ def _json_objects(d: dict, key: str):
         raise ValueError(f"{key} must be a JSON list")
     for item in items:
         if not isinstance(item, dict):
-            raise ValueError(f"{key} item {_clip(repr(item))} is not a JSON object")
+            raise ValueError(f"{key} item {clip(repr(item))} is not a JSON object")
         yield item
 
 
@@ -165,8 +165,8 @@ def tensor_from_dict(d: dict) -> SymmetricBiquadraticTensor:
             i, j, k, l = (_integer(entry[key], key) for key in ("i", "j", "k", "l"))
             v = read(entry["v"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed tensor entry {_clip(repr(entry))}: "
-                             f"{_clip(str(exc))}") from exc
+            raise ValueError(f"malformed tensor entry {clip(repr(entry))}: "
+                             f"{clip(str(exc))}") from exc
         if not (1 <= i <= m and 1 <= k <= m and 1 <= j <= n and 1 <= l <= n):
             raise ValueError(f"tensor entry index ({i},{j},{k},{l}) out of range for ({m},{n})")
         if (i, j, k, l) in seen:
@@ -208,7 +208,7 @@ def certificate_from_dict(d: dict) -> SOSCertificate:
             raise ValueError(f"W must be {m} rows of {n} entries")
         values = np.fromiter(read.each(A.ravel().tolist()), object, A.size).reshape(A.shape)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed certificate term: {_clip(str(exc))}") from exc
+        raise ValueError(f"malformed certificate term: {clip(str(exc))}") from exc
     return SOSCertificate(m, n, tuple(
         (w, BilinearForm(m, n, W)) for w, W in zip(weights, values)))
 

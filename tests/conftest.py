@@ -7,7 +7,7 @@ evaluated as literal weighted squares, the dominance and B0 row quantities
 are computed from their two-family tensor-index formulas, the barrier
 Newton system is contracted from dense direction matrices, the Gram probe
 runs its barrier to the full duality gap before it rounds, the Gram
-rounding projects its rounded point on Fractions, certificates are written
+rounding projects and factors its rounded point on Fractions, certificates are written
 to JSON objects value by value, LDL^T,
 certificate expansion, term merging and symmetrization are the all-Fraction
 implementations the integer versions replaced, and the monic barycentric coordinates are
@@ -188,14 +188,19 @@ def full_solve_probe(t, max_iter=5000, tol=1e-9) -> SOSProbeResult:
 def fraction_round_at(G: np.ndarray, t, denom: int):
     """``gram._round_at`` computed on Fractions: the rounded upper triangle,
     mirrored, is projected by ``kernels.project_affine`` on Fraction
-    objects, and the projected point itself goes through
-    ``gram._gram_certificate``."""
-    mn = t.m * t.n
-    upper = np.triu_indices(mn)
-    rat = np.empty((mn, mn), dtype=object)
+    objects, and ``fraction_ldlt_psd`` factors the projected point. Its
+    terms are the certificate; None when the point is not PSD."""
+    m, n = t.m, t.n
+    upper = np.triu_indices(m * n)
+    rat = np.empty((m * n, m * n), dtype=object)
     rat[upper] = [Fraction(float(v)).limit_denominator(denom) for v in G[upper]]
     rat.T[upper] = rat[upper]
-    return gram._gram_certificate(kernels.project_affine(rat, t.entries), t)
+    res = fraction_ldlt_psd(kernels.project_affine(rat, t.entries))
+    if not res.ok:
+        return None
+    return SOSCertificate(m, n, tuple(
+        (term.pivot, BilinearForm(m, n, np.array(term.vector, dtype=object).reshape(m, n)))
+        for term in res.terms))
 
 
 def nonzero_entries(form: BilinearForm) -> list[tuple[int, int, Fraction]]:

@@ -477,6 +477,22 @@ class TestBadInputExitsTwo:
         assert err.splitlines()[-1].endswith(f"error: argument {flag}: invalid rational value: "
                                              f"{value!r}")
 
+    @pytest.mark.parametrize("value,reason", [
+        ("1/" + "7" * 5000, f"a number in rational text has more than {sys.get_int_max_str_digits()} "
+                            "digits"),
+        ("x" * 5000, "Invalid literal for Fraction: 'xxx"),
+    ])
+    def test_long_bad_rational_flag_is_clipped_with_its_reason(self, capsys, value, reason):
+        # argparse alone would echo the whole value (5 KB) and drop the reason
+        code, out, err = run(capsys, "classify-monic", "-m", "2", "-n", "2", "-a", value,
+                             "-b", "0", "-c", "0")
+        assert (code, out) == (2, "")
+        line = err.splitlines()[-1]
+        assert len(line) < 400
+        assert line.startswith(f"biquad classify-monic: error: argument -a: invalid rational value: "
+                               f"{value[:20]!r}"[:-1])
+        assert f"... ({len(value)} characters): {reason}" in line
+
     def test_exponent_in_eval_vector(self, capsys, identity_file):
         assert run(capsys, "eval", identity_file, "-x", "1e5,1", "-y", "1,1") == (
             2, "", "error: exponent notation is not accepted: '1e5'\n")

@@ -85,11 +85,19 @@ def block_diag(*blocks):
     return out
 
 
+def as_fractions(rows):
+    """Nested rows of ints, numpy integers or Fractions as an object matrix
+    of Fractions with Python-int parts, the form the oracle takes."""
+    return np.array([[F(int(v.numerator), int(v.denominator)) for v in row] for row in rows],
+                    dtype=object)
+
+
 def assert_same_ldlt(M):
     res = exactla.ldlt_psd(M)
     ref = fraction_ldlt_psd(M)
     assert res == ref
     assert all(t.pivot > 0 for t in res.terms)
+    assert all(type(v) is F for t in res.terms for v in (t.pivot, *t.vector))
     return res
 
 
@@ -158,6 +166,43 @@ class TestLDLTAgainstFractionReference:
     def test_integer_entries(self):
         M = np.array([[4, 2, 0], [2, 3, 1], [0, 1, 5]], dtype=object)
         assert exactla.ldlt_psd(M) == fraction_ldlt_psd(M.astype(object) * F(1))
+
+    @pytest.mark.parametrize("entry", [
+        np.int64,
+        lambda v: F(np.int64(v * 3), np.int64(3)),  # keeps numpy-integer parts
+    ])
+    def test_numpy_integer_entries(self, entry):
+        # positive definite; with int64 parts, d B - col col^T would overflow
+        rows = [[2**40, 1], [1, 2**40]]
+        M = np.array([[entry(v) for v in row] for row in rows], dtype=object)
+        res = exactla.ldlt_psd(M)
+        assert res.ok
+        assert res == fraction_ldlt_psd(as_fractions(rows))
+
+    def test_mixed_entry_types(self):
+        rows = [[4, F(1, 2), np.int64(0)], [F(1, 2), np.int64(3), 1], [0, 1, F(5, 7)]]
+        assert exactla.ldlt_psd(np.array(rows, dtype=object)) == fraction_ldlt_psd(as_fractions(rows))
+        M = np.array([[6, -2, 1], [-2, 5, 3], [1, 3, 4]], dtype=np.int64)
+        assert exactla.ldlt_psd(M) == fraction_ldlt_psd(as_fractions(M.tolist()))
+
+    @pytest.mark.parametrize("rows", [
+        np.eye(3, dtype=int).tolist(),
+        (2 * np.eye(4, dtype=int)).tolist(),  # block-diagonal 2I, 2I
+        [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]],  # two coupled 2x2 blocks
+        (np.ones((4, 4), dtype=int) + np.eye(4, dtype=int)).tolist(),
+        [[2, 1, 1], [1, 2, -1], [1, -1, 2]],
+        [[1, 2, 2], [2, 1, 2], [2, 2, 1]],  # negative pivot ties after the first step
+    ])
+    def test_pivot_ties_take_the_lowest_index(self, rows):
+        # every diagonal is equal at the start, and ties recur after each step
+        assert_same_ldlt(as_fractions(rows))
+
+    @pytest.mark.parametrize("rows", [[[3]], [[F(-2, 5)]], [[0]]]
+                             + [np.zeros((N, N), dtype=int).tolist() for N in (2, 3, 5)])
+    def test_order_one_and_zero_matrices(self, rows):
+        res = assert_same_ldlt(as_fractions(rows))
+        assert res.ok == (rows[0][0] >= 0)
+        assert len(res.terms) == (rows[0][0] > 0)
 
     def test_asymmetric_rejected(self):
         M = np.array([[F(1), F(1, 2)], [F(1, 3), F(1)]], dtype=object)

@@ -226,6 +226,16 @@ class TestBarrierNewtonSystem:
         assert np.abs(g - g_ref).max() <= 1e-12 * max(1.0, np.abs(g_ref).max())
         assert np.abs(H - H_ref).max() <= 1e-12 * max(1.0, np.abs(H_ref).max())
 
+    @pytest.mark.parametrize("m,n", list(itertools.product(range(1, 5), repeat=2)))
+    def test_gram_at_is_the_dense_direction_sum(self, m, n):
+        # the 4K positions are distinct, so each gets exactly one +-t_k
+        rng = np.random.default_rng([32, m, n])
+        F = rng.standard_normal((m * n, m * n))
+        F += F.T
+        t = rng.standard_normal(math.comb(m, 2) * math.comb(n, 2))
+        assert np.array_equal(gram._gram_at(F, t, kernels.gram_directions(m, n)),
+                              F + np.tensordot(t, gram_direction_stack(m, n), 1))
+
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 4)])
     def test_directions_keep_the_form(self, m, n, rng):
         t = random_symmetric_tensor(rng, m, n)
