@@ -9,9 +9,8 @@ from .core import (
     SymmetricBiquadraticTensor,
     evaluate,
     expand_certificate,
-    is_x_symmetric,
-    is_y_symmetric,
     monic_to_tensor,
+    permutation_invariant,
     rational,
     sample_min,
     symmetrize,

@@ -23,6 +23,7 @@ from .core import (
     ONE,
     ZERO,
     SymmetricBiquadraticTensor,
+    permutation_invariant,
     symmetrize,
 )
 from .dominance import flatten, is_diagonally_dominated, offdiag_row_sums
@@ -55,9 +56,7 @@ def m_identity(m: int, n: int) -> SymmetricBiquadraticTensor:
     Its form is (sum x_i^2)(sum y_j^2), identically 1 on unit spheres, and
     its flattening is the (mn) x (mn) identity matrix.
     """
-    arr = np.full((m * n, m * n), ZERO, dtype=object)
-    np.fill_diagonal(arr, ONE)
-    return SymmetricBiquadraticTensor(m, n, arr.reshape(m, n, m, n))
+    return permutation_invariant(m, n, ONE, ZERO, ZERO, ZERO)
 
 
 def is_z_tensor(t: SymmetricBiquadraticTensor) -> bool:

@@ -278,7 +278,7 @@ def _parse_vector(text: str, length: int, name: str) -> list[Fraction]:
     parts = [s for s in text.split(",") if s.strip()]
     if len(parts) != length:
         raise ValueError(f"{name} needs {length} comma-separated rationals, got {len(parts)}")
-    return [rational(s) for s in parts]
+    return [_rational(s) for s in parts]
 
 
 def _cmd_eval(args) -> int:
@@ -293,16 +293,24 @@ def _cmd_eval(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _rational_flag(text: str) -> Fraction:
-    """``core.rational``; argparse echoes a refused value whole and drops
-    the reason, so a long one is clipped here and keeps it."""
+def _rational(text: str, short: str = "") -> Fraction:
+    """``core.rational``; a refusal says ``short`` or the reason, or past 100 characters
+    of repr the value, its length and the reason (which may quote it), clipped."""
     try:
         return rational(text)
     except ValueError as exc:
-        shown = repr(text)
-        if len(shown) > 100:
-            shown = f"{jsonio.clip(shown)} ({len(text)} characters): {jsonio.clip(str(exc))}"
-        raise argparse.ArgumentTypeError(f"invalid rational value: {shown}") from None
+        if len(repr(text)) > 100:
+            short = (f"invalid rational value: {jsonio.clip(repr(text))} ({len(text)} characters): "
+                     f"{jsonio.clip(str(exc))}")
+        raise ValueError(short or str(exc)) from None
+
+
+def _rational_flag(text: str) -> Fraction:
+    """``_rational`` for argparse, which would echo a refused value whole and drop the reason."""
+    try:
+        return _rational(text, f"invalid rational value: {text!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_dims(p: argparse.ArgumentParser) -> None:

@@ -9,9 +9,9 @@ every identity the library produces (certificate expansions, decompositions,
 round trips) can be checked by exact comparison rather than by tolerance.
 The one tensor type is the symmetric representative of a form, checked on
 construction; coefficient data without the symmetry (tensor files, random
-draws) enters through ``symmetrize``. Floating point appears only in the
-numerical probes (``sample_min`` and the search code built on
-:mod:`biquad.kernels`).
+draws) enters through ``symmetrize``, and ``permutation_invariant`` builds
+those fixed by every permutation of x and of y. Floating point appears only
+in the numerical probes (``sample_min`` and the search in ``kernels``).
 
 Indices are 0-based internally; all file formats, CLI reports and docstrings
 use 1-based indices.
@@ -38,11 +38,10 @@ __all__ = [
     "MonicParams",
     "symmetrize",
     "evaluate",
+    "permutation_invariant",
     "monic_to_tensor",
     "expand_certificate",
     "tensors_equal",
-    "is_x_symmetric",
-    "is_y_symmetric",
     "sample_min",
 ]
 
@@ -126,8 +125,7 @@ class SymmetricBiquadraticTensor:
 
     @classmethod
     def zeros(cls, m: int, n: int):
-        arr = np.full((m, n, m, n), ZERO, dtype=object)
-        return cls(m, n, arr)
+        return permutation_invariant(m, n, ZERO, ZERO, ZERO, ZERO)
 
     def entry(self, i: int, j: int, k: int, l: int) -> Fraction:
         """1-based entry accessor matching the external index convention."""
@@ -225,22 +223,27 @@ class MonicParams:
         return (self.a, self.b, self.c)
 
 
-def monic_to_tensor(p: MonicParams) -> SymmetricBiquadraticTensor:
-    """Unique symmetric tensor of the monic form with parameters (a, b, c).
-
-    Entry placement: a[i,j,i,j] = 1, a[i,j,k,j] = a (i != k),
-    a[i,j,i,l] = b (j != l), a[i,j,k,l] = c (i != k and j != l). The
-    placement is pinned by the expansion identities, e.g. the x_i x_k y_j^2
-    coefficient of the form is a[i,j,k,j] + a[k,j,i,j] = 2a, matching the two
-    ordered (i,k) terms of the a-block; the test suite validates it against an
-    independent term-by-term evaluator.
+def permutation_invariant(m: int, n: int, d, a, b, c) -> SymmetricBiquadraticTensor:
+    """The m x n tensor fixed by every permutation of x and of y: constant
+    on each of the four orbits of S_m x S_n on the indices (Gatermann &
+    Parrilo 2004), d on a[i,j,i,j], a where only i != k, b where only
+    j != l and c where both differ. The value of an empty orbit (i != k
+    with m = 1, j != l with n = 1) is unused.
     """
-    m, n = p.m, p.n
-    a, b, c = p.abc
-    same_x = np.eye(m, dtype=bool)[:, None, :, None]  # i == k
-    same_y = np.eye(n, dtype=bool)[None, :, None, :]  # j == l
-    arr = np.where(same_y, np.where(same_x, ONE, a), np.where(same_x, b, c))
-    return SymmetricBiquadraticTensor(m, n, arr)
+    x_apart = 1 - np.eye(m, dtype=int)[:, None, :, None]  # 1 where i != k
+    y_apart = 1 - np.eye(n, dtype=int)[None, :, None, :]  # 1 where j != l
+    orbit = x_apart + 2 * y_apart  # 0, 1, 2, 3 for d, a, b, c
+    return SymmetricBiquadraticTensor(m, n, np.array([d, a, b, c], dtype=object)[orbit])
+
+
+def monic_to_tensor(p: MonicParams) -> SymmetricBiquadraticTensor:
+    """Unique symmetric tensor of the monic form with parameters (a, b, c),
+    ``permutation_invariant`` with d = 1. The placement is pinned by the
+    expansion identities: the x_i x_k y_j^2 coefficient of the form is
+    a[i,j,k,j] + a[k,j,i,j] = 2a, matching the two ordered (i,k) terms of
+    the a-block; the tests check it against a term-by-term evaluator.
+    """
+    return permutation_invariant(p.m, p.n, ONE, *p.abc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,34 +342,6 @@ def tensors_equal(s: SymmetricBiquadraticTensor, t: SymmetricBiquadraticTensor) 
     if (s.m, s.n) != (t.m, t.n):
         raise ValueError(f"shape mismatch: ({s.m},{s.n}) vs ({t.m},{t.n})")
     return s.entries.tolist() == t.entries.tolist()
-
-
-def _invariant_under_axis_swaps(t: SymmetricBiquadraticTensor, axis_pair: tuple[int, int], size: int) -> bool:
-    # Adjacent transpositions generate the full symmetric group, so checking
-    # sigma = (s, s+1) for all s suffices for invariance under every sigma.
-    a = t.entries
-    for s in range(size - 1):
-        idx = list(range(size))
-        idx[s], idx[s + 1] = idx[s + 1], idx[s]
-        b = np.take(np.take(a, idx, axis=axis_pair[0]), idx, axis=axis_pair[1])
-        if not bool((a == b).all()):
-            return False
-    return True
-
-
-def is_x_symmetric(t: SymmetricBiquadraticTensor) -> bool:
-    """True iff the tensor is invariant under permuting the x-variables.
-
-    For a symmetric tensor this is equivalent to the form being invariant
-    under all permutations of x (the symmetric tensor of the permuted form is
-    the permuted tensor).
-    """
-    return _invariant_under_axis_swaps(t, (0, 2), t.m)
-
-
-def is_y_symmetric(t: SymmetricBiquadraticTensor) -> bool:
-    """True iff the tensor is invariant under permuting the y-variables."""
-    return _invariant_under_axis_swaps(t, (1, 3), t.n)
 
 
 def sample_min(t: SymmetricBiquadraticTensor, trials: int, seed: int):

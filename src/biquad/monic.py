@@ -6,7 +6,8 @@ equivalent to four linear inequalities (i)-(iv) in (a, b, c) (plus one
 rational inequality that turns out to be redundant). The feasible set is the
 tetrahedron of four explicit vertices; each of (i)-(iv) vanishes on a facet
 and, scaled, is a barycentric coordinate. Each vertex carries a short
-closed-form square certificate; any point inherits their barycentric mix.
+closed-form square certificate; any point inherits their barycentric mix,
+as does a PSD tensor fixed by all permutations of x and y, scaled by d > 0.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .core import (
     MonicParams,
     SOSCertificate,
     SymmetricBiquadraticTensor,
-    is_x_symmetric,
-    is_y_symmetric,
     monic_to_tensor,
+    permutation_invariant,
     tensors_equal,
 )
 
@@ -43,6 +43,7 @@ __all__ = [
     "monic_sos_decompose",
     "symmetric_sos_decompose",
     "merge_proportional",
+    "monic_to_tensor",
 ]
 
 CONDITION_LABELS = ("i", "ii", "iii", "iv", "v")
@@ -238,26 +239,17 @@ def monic_sos_decompose(p: MonicParams) -> SOSCertificate | None:
 def symmetric_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
     """Square certificate for any PSD tensor of a fully symmetric form.
 
-    Requires the tensor to be invariant under permutations of the x-variables
-    and of the y-variables (raises otherwise). Let d be the common diagonal
-    coefficient: d < 0 means not PSD (None); d = 0 forces the zero form (an
-    empty certificate) unless some entry is nonzero (None); d > 0 scales to
-    the monic case, decomposes there and scales the weights back by d.
+    Requires the tensor to be the ``permutation_invariant`` tensor of its
+    own entries d, a, b, c (raises otherwise). d < 0 means not PSD (None);
+    d = 0 forces the zero form (an empty certificate) unless some entry is
+    nonzero (None); d > 0 needs m, n >= 2 and scales to the monic case,
+    decomposes there and scales the weights back by d.
     """
-    if not (is_x_symmetric(t) and is_y_symmetric(t)):
+    e = t.entries[0, 0]
+    d, a, b, c = e[0, 0], e[-1, 0], e[0, -1], e[-1, -1]
+    if not tensors_equal(t, permutation_invariant(t.m, t.n, d, a, b, c)):
         raise ValueError("tensor is not x- and y-permutation symmetric")
-    if t.is_zero():
-        return SOSCertificate(t.m, t.n, ())
-    d = t.entries[0, 0, 0, 0]
     if d <= 0:
-        return None
-    if t.m < 2 or t.n < 2:
-        raise ValueError("positive-diagonal decomposition needs m, n >= 2")
-    e = t.entries[0, 0] / d  # (a, b, c) of t / d sit at e[1, 0], e[0, 1], e[1, 1]
-    p = MonicParams(t.m, t.n, e[1, 0], e[0, 1], e[1, 1])
-    if not tensors_equal(monic_to_tensor(p), SymmetricBiquadraticTensor(t.m, t.n, t.entries / d)):
-        raise ValueError("tensor is not a scaled monic symmetric tensor")
-    cert = monic_sos_decompose(p)
-    if cert is None:
-        return None
-    return SOSCertificate(t.m, t.n, tuple((d * w, f) for (w, f) in cert.terms))
+        return SOSCertificate(t.m, t.n, ()) if t.is_zero() else None
+    cert = monic_sos_decompose(MonicParams(t.m, t.n, a / d, b / d, c / d))
+    return None if cert is None else SOSCertificate(t.m, t.n, tuple((d * w, f) for w, f in cert.terms))

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: the monic
 form is evaluated term by term from its defining four sums, so is the form
-of any coefficient array, symmetry is checked entry by entry, certificates are
+of any coefficient array, symmetry is checked entry by entry, invariance
+under the variables' permutations by applying every pair of them, certificates are
 evaluated as literal weighted squares, the dominance and B0 row quantities
 are computed from their two-family tensor-index formulas, the barrier
 Newton system is contracted from dense direction matrices, the Gram probe
@@ -21,6 +22,7 @@ bounded.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -76,6 +78,15 @@ def has_biquadratic_symmetry(a) -> bool:
     m, n = a.shape[:2]
     return all(a[i, j, k, l] == a[k, j, i, l] == a[i, l, k, j] == a[k, l, i, j]
                for i in range(m) for j in range(n) for k in range(m) for l in range(n))
+
+
+def fixed_by_every_permutation(a) -> bool:
+    """a[s(i),p(j),s(k),p(l)] == a[i,j,k,l] for every permutation s of the
+    x indices and p of the y indices, each pair applied in turn."""
+    m, n = a.shape[:2]
+    entries = a.tolist()
+    return all(a[np.ix_(s, p, s, p)].tolist() == entries
+               for s in permutations(range(m)) for p in permutations(range(n)))
 
 
 def with_flat_diagonal(t, diag):

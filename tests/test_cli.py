@@ -493,6 +493,18 @@ class TestBadInputExitsTwo:
                                f"{value[:20]!r}"[:-1])
         assert f"... ({len(value)} characters): {reason}" in line
 
+    @pytest.mark.parametrize("value,reason", [
+        ("x" * 5000, "Invalid literal for Fraction: 'xxx"),
+        ("1e" + "5" * 5000, "exponent notation is not accepted: '1e555"),
+    ], ids=["letters", "exponent"])
+    def test_long_bad_eval_value_is_clipped_with_its_reason(self, identity_file, value, reason):
+        # the reason quotes the value: unclipped, the line was over 5 KB
+        proc = run_subprocess("eval", identity_file, "-x", f"{value},1", "-y", "1,1", timeout=30)
+        self.assert_usage_error(proc)
+        assert len(proc.stderr) < 400
+        assert proc.stderr.startswith(f"error: invalid rational value: {value[:20]!r}"[:-1])
+        assert f"... ({len(value)} characters): {reason}" in proc.stderr
+
     def test_exponent_in_eval_vector(self, capsys, identity_file):
         assert run(capsys, "eval", identity_file, "-x", "1e5,1", "-y", "1,1") == (
             2, "", "error: exponent notation is not accepted: '1e5'\n")

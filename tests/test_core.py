@@ -13,8 +13,6 @@ from biquad.core import (
     SymmetricBiquadraticTensor,
     evaluate,
     expand_certificate,
-    is_x_symmetric,
-    is_y_symmetric,
     monic_to_tensor,
     rational,
     sample_min,
@@ -275,25 +273,6 @@ class TestTensorsEqual:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             tensors_equal(m_identity(2, 2), m_identity(2, 3))
-
-
-class TestVariableSymmetry:
-    def test_monic_tensors_are_fully_symmetric(self):
-        t = monic_to_tensor(MonicParams(3, 4, F(1, 2), F(-1, 3), F(1, 6)))
-        assert is_x_symmetric(t)
-        assert is_y_symmetric(t)
-
-    def test_m_identity_is_fully_symmetric(self):
-        t = m_identity(3, 3)
-        assert is_x_symmetric(t)
-        assert is_y_symmetric(t)
-
-    def test_unequal_diagonal_breaks_x_symmetry(self):
-        arr = SymmetricBiquadraticTensor.zeros(2, 2).entries.copy()
-        arr[0, 0, 0, 0] = F(1)
-        arr[1, 0, 1, 0] = F(2)
-        t = SymmetricBiquadraticTensor(2, 2, arr)
-        assert not is_x_symmetric(t)
 
 
 class TestSampleMin:

@@ -10,6 +10,7 @@ computing entries, so a last class checks that every entry they emit is
 still a Fraction in a read-only array.
 """
 
+import math
 from fractions import Fraction as F
 from itertools import chain, product
 
@@ -208,6 +209,37 @@ class TestLDLTAgainstFractionReference:
         M = np.array([[F(1), F(1, 2)], [F(1, 3), F(1)]], dtype=object)
         with pytest.raises(ValueError):
             exactla.ldlt_psd(M)
+
+
+class TestLDLTEntrySize:
+    """The gcd reduction keeps the integers at the size of the reduced Schur
+    complement. Over the input's common denominator D, the Schur complement
+    after k pivots has entries that are (k+1)-minors of the integer matrix
+    D M over D times a k-minor, and reduction only shrinks that. By
+    Hadamard's inequality no integer the elimination hands to Fraction then
+    needs more than N (b + log2(N) / 2) + bits(D) bits, b the bits of the
+    largest entry of D M. Without the reduction they double at every pivot:
+    the bound trips within a few pivots instead of running for minutes."""
+
+    def test_integers_stay_within_hadamards_bound(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        N = 16
+        # off-diagonal row sums are below 4 N, so this is positive definite
+        # and the elimination runs all N pivots
+        M = rand_symmetric(rng, N, 1_000_000) + 5 * N * np.eye(N, dtype=int)
+        nums, D = exactla.common_denominator(M.reshape(-1).tolist())
+        bound = N * (max(map(abs, nums)).bit_length() + math.log2(N) / 2) + D.bit_length()
+
+        def sized(num=0, den=1):
+            bits = max(abs(num).bit_length(), abs(den).bit_length())
+            assert bits <= bound, f"an integer of {bits} bits, above the bound {bound:.0f}"
+            return F(num, den)
+
+        monkeypatch.setattr(exactla, "Fraction", sized)
+        res = exactla.ldlt_psd(M)
+        monkeypatch.undo()
+        assert res.ok and len(res.terms) == N
+        assert res == fraction_ldlt_psd(M)
 
 
 class TestCommonDenominator:
