@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -61,8 +63,15 @@ def m_identity(m: int, n: int) -> SymmetricBiquadraticTensor:
 
 def is_z_tensor(t: SymmetricBiquadraticTensor) -> bool:
     """True iff every off-diagonal entry (not of the form a[i,j,i,j]) is <= 0."""
-    M = flatten(t)
-    return all(v <= 0 for v in M[~np.eye(len(M), dtype=bool)])
+    return all(v <= 0 for p, row in enumerate(flatten(t)) for v in row[:p] + row[p + 1:])
+
+
+def _minus(alpha: Fraction, t: SymmetricBiquadraticTensor) -> SymmetricBiquadraticTensor:
+    """alpha * I - t, whose flattening is alpha times the identity minus t's."""
+    mn = t.m * t.n
+    values = [-v for v in chain.from_iterable(flatten(t))]
+    values[::mn + 1] = [alpha + v for v in values[::mn + 1]]
+    return SymmetricBiquadraticTensor.from_flat(t.m, t.n, values)
 
 
 def z_split(t: SymmetricBiquadraticTensor) -> tuple[Fraction, SymmetricBiquadraticTensor]:
@@ -74,9 +83,8 @@ def z_split(t: SymmetricBiquadraticTensor) -> tuple[Fraction, SymmetricBiquadrat
     """
     if not is_z_tensor(t):
         raise ValueError("not a Z-tensor: some off-diagonal entry is positive")
-    alpha = max(flatten(t).diagonal())
-    B = m_identity(t.m, t.n).entries * alpha - t.entries
-    return alpha, SymmetricBiquadraticTensor(t.m, t.n, B)
+    alpha = max(row[p] for p, row in enumerate(flatten(t)))
+    return alpha, _minus(alpha, t)
 
 
 def lambda_max_estimate(B: SymmetricBiquadraticTensor, restarts: int = 20, seed: int = 0) -> float:
@@ -94,17 +102,16 @@ def lambda_max_estimate(B: SymmetricBiquadraticTensor, restarts: int = 20, seed:
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if B.entries[B.entries < ZERO].size:
+    if any(v < 0 for v in chain.from_iterable(B.rows)):
         raise ValueError("lambda_max_estimate needs an entrywise nonnegative tensor")
     return kernels.refine_best(B.to_float(), restarts, seed, maximize=True)[0]
 
 
-def _b0_rows(t: SymmetricBiquadraticTensor) -> tuple[np.ndarray, np.ndarray]:
+def _b0_rows(t: SymmetricBiquadraticTensor) -> tuple[list[Fraction], list[Fraction]]:
     # Per flattening row p: the signed row sum S_p (diagonal included) and
     # max(0, off-diagonal entries of row p).
     M = flatten(t)
-    off = np.where(np.eye(len(M), dtype=bool), ZERO, M)
-    return M.sum(axis=1), off.max(axis=1)
+    return [sum(row) for row in M], [max(row[:p] + (ZERO,) + row[p + 1:]) for p, row in enumerate(M)]
 
 
 def is_b0_tensor(t: SymmetricBiquadraticTensor) -> bool:
@@ -178,18 +185,18 @@ def _random_symmetric_offdiag(m, n, rng, lo, hi):
 
 
 def _with_diagonal(t, diag):
-    """Copy of t with the flattening's diagonal replaced by the mn values diag
-    (each a[i,j,i,j] is its own symmetry orbit)."""
-    M = np.array(flatten(t))
-    np.fill_diagonal(M, diag)
-    return SymmetricBiquadraticTensor(t.m, t.n, M.reshape(t.m, t.n, t.m, t.n))
+    """Copy of t with the flattening's diagonal replaced by the mn Fractions
+    diag (each a[i,j,i,j] is its own symmetry orbit)."""
+    values = list(chain.from_iterable(flatten(t)))
+    values[::t.m * t.n + 1] = diag
+    return SymmetricBiquadraticTensor.from_flat(t.m, t.n, values)
 
 
 def _gen_dd(m, n, rng):
     # each diagonal entry is its row bound plus a slack >= 0
     base = _random_symmetric_offdiag(m, n, rng, -1, 1)
     slack = [Fraction(int(rng.integers(0, DENOM + 1)), DENOM) for _ in range(m * n)]
-    return _with_diagonal(base, offdiag_row_sums(flatten(base)) + slack)
+    return _with_diagonal(base, list(map(add, offdiag_row_sums(flatten(base)), slack)))
 
 
 def _gen_z(m, n, rng):
@@ -208,8 +215,7 @@ def _gen_m(m, n, rng):
     # alpha strictly above the estimate + 0.1, as a rational; B >= 0 makes
     # every off-diagonal entry of alpha*I - B nonpositive.
     alpha = Fraction(math.floor((est + 0.1) * 256) + 1, 256)
-    entries = m_identity(m, n).entries * alpha - B.entries
-    return SymmetricBiquadraticTensor(m, n, entries)
+    return _minus(alpha, B)
 
 
 def _gen_b0(m, n, rng):
@@ -218,9 +224,9 @@ def _gen_b0(m, n, rng):
     # zero diagonal, so the row sums are the off-diagonal parts; a common
     # diagonal d passes row p iff sums[p] + d >= mn * off_max[p]
     sums, off_max = _b0_rows(base)
-    need = max([Fraction(0), *(mn * off_max - sums)])
+    need = max([Fraction(0), *(mn * top - s for s, top in zip(sums, off_max))])
     slack = Fraction(int(rng.integers(0, DENOM + 1)), DENOM)
-    return _with_diagonal(base, need + slack)
+    return _with_diagonal(base, [need + slack] * mn)
 
 
 _GENERATORS = {"dd": _gen_dd, "z": _gen_z, "m": _gen_m, "b0": _gen_b0}

@@ -12,6 +12,8 @@ failures so pipelines can branch on verdicts:
 All reports are single JSON documents on stdout with sorted keys; identical
 argv and seed give byte-identical output. Flags and files take rationals as
 ``core.rational`` reads them: "p/q", "p" or a plain decimal, no exponent.
+The float modules (``classes``, ``gram``, ``kernels``) load lazily, on first
+use by classify, gen, probe or sweep: the exact commands run without numpy.
 """
 
 from __future__ import annotations
@@ -23,16 +25,23 @@ from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import classes, dominance, gram, jsonio, monic
+from . import dominance, jsonio, monic
 from .core import (
     MonicParams,
     evaluate,
     expand_certificate,
+    lazy_module,
     rational,
     tensors_equal,
 )
+
+classes = lazy_module(f"{__package__}.classes")
+gram = lazy_module(f"{__package__}.gram")
+
+# gen's and sweep's --class choices; classes.GENERATOR_CLASSES and
+# gram.SWEEP_CLASSES, which the tests pin them to, would load numpy.
+GEN_CLASSES = ("dd", "z", "m", "b0")
+SWEEP_CLASSES = ("m_tensor", "b0")
 
 # argparse takes a token that starts with '-' as an option's value only if
 # its negative-number matcher matches it; this one matches when each
@@ -217,6 +226,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    import numpy as np
+
     jsonio.check_dims(args.m, args.n)
     rng = np.random.default_rng(args.seed)
     t = classes.gen_tensor(args.klass, args.m, args.n, rng)
@@ -364,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
     p = add("gen", _cmd_gen, "generate a random member of a structured class")
-    p.add_argument("--class", dest="klass", required=True, choices=classes.GENERATOR_CLASSES)
+    p.add_argument("--class", dest="klass", required=True, choices=GEN_CLASSES)
     _add_dims(p)
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("-o", "--output", help="write the tensor JSON here")
@@ -377,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include s, the barrier's lower bound on lambda_min(G), per Newton step")
 
     p = add("sweep", _cmd_sweep, "probe a batch of random class members, emit CSV")
-    p.add_argument("--class", dest="klass", required=True, choices=tuple(gram.SWEEP_CLASSES))
+    p.add_argument("--class", dest="klass", required=True, choices=SWEEP_CLASSES)
     _add_dims(p)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")

@@ -4,14 +4,17 @@ A biquadratic form in x in R^m, y in R^n is
 
     P(x, y) = sum_{i,k in [m]} sum_{j,l in [n]} a[i,j,k,l] * x_i y_j x_k y_l,
 
-stored here as a dense rank-4 array of ``fractions.Fraction`` entries so that
-every identity the library produces (certificate expansions, decompositions,
-round trips) can be checked by exact comparison rather than by tolerance.
-The one tensor type is the symmetric representative of a form, checked on
-construction; coefficient data without the symmetry (tensor files, random
-draws) enters through ``symmetrize``, and ``permutation_invariant`` builds
-those fixed by every permutation of x and of y. Floating point appears only
-in the numerical probes (``sample_min`` and the search in ``kernels``).
+stored here as the mn rows of its flattening M[(i,j),(k,l)] = a[i,j,k,l],
+tuples of ``fractions.Fraction`` entries, so that every identity the library
+produces (certificate expansions, decompositions, round trips) can be
+checked by exact comparison rather than by tolerance. The one tensor type
+is the symmetric representative of a form, checked on construction;
+coefficient data without the symmetry (tensor files, random draws) enters
+through ``symmetrize``, and ``permutation_invariant`` builds those fixed by
+every permutation of x and of y. The exact layer does not import numpy;
+the numpy views ``entries`` and ``W`` and ``to_float`` import it when used.
+Floating point appears only in the numerical probes (``sample_min`` and the
+search in ``kernels``).
 
 Indices are 0-based internally; all file formats, CLI reports and docstrings
 use 1-based indices.
@@ -19,19 +22,21 @@ use 1-based indices.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import chain, product, repeat
+from operator import add, floordiv, mul
 
-import numpy as np
-
-from . import exactla, kernels
+from . import exactla
 
 __all__ = [
     "rational",
-    "rational_array",
     "SymmetricBiquadraticTensor",
     "BilinearForm",
     "SOSCertificate",
@@ -43,6 +48,7 @@ __all__ = [
     "expand_certificate",
     "tensors_equal",
     "sample_min",
+    "lazy_module",
 ]
 
 ZERO = Fraction(0)
@@ -50,16 +56,36 @@ ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
 
+def lazy_module(name: str):
+    """The module ``name``, registered in ``sys.modules`` and on its package
+    at once, its body run on first attribute access
+    (``importlib.util.LazyLoader``). The float modules load this way, so
+    that only the work that uses them imports numpy."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+kernels = lazy_module(f"{__package__}.kernels")
+
 def rational(value) -> Fraction:
-    """Coerce an exact value (Fraction, int, or rational text) to Fraction.
+    """Coerce an exact value (Fraction, integer, or rational text) to Fraction.
 
     The library's one rule for exact values. Text is "p/q", "p" or a plain
     decimal, never an exponent: Fraction("1e10000000") builds 10**10000000.
     Bad text, a zero denominator and a number longer than Python reads from
     text raise ValueError. Floats raise TypeError: binary floats entering
-    the exact layer silently poison certificate verification. A Fraction
-    whose parts are not Python ints (numpy integers) is rebuilt from int
-    parts, since fixed-width parts overflow in the exact layer's products.
+    the exact layer silently poison certificate verification. Integers are
+    any ``numbers.Integral`` (numpy integers too); a Fraction whose parts are
+    not Python ints is rebuilt from int parts, since fixed-width parts
+    overflow in the exact layer's products.
     """
     if isinstance(value, Fraction):
         # Fraction's own slots: its numerator and denominator properties
@@ -67,7 +93,7 @@ def rational(value) -> Fraction:
         if type(value._numerator) is int and type(value._denominator) is int:
             return value
         return Fraction(int(value.numerator), int(value.denominator))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return Fraction(int(value))
     if isinstance(value, str):
         if "e" in value or "E" in value:
@@ -85,70 +111,140 @@ def rational(value) -> Fraction:
     raise TypeError(f"expected an exact rational value, got {type(value).__name__}: {value!r}")
 
 
-_rational_ufunc = np.frompyfunc(rational, 1, 1)
+def _check_dims(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError(f"dimensions must be >= 1, got m={m}, n={n}")
 
 
-def rational_array(data) -> np.ndarray:
-    """Build a new object ndarray of Fractions from nested data."""
-    return _rational_ufunc(np.asarray(data, dtype=object))
+def _flat(data, shape: tuple, name: str) -> list:
+    """The entries of ``data``, a numpy array or nested lists and tuples of
+    the given shape, in row-major order."""
+    got = getattr(data, "shape", None)
+    if got is not None:
+        if got != shape:
+            raise ValueError(f"{name} shape {got} != {shape}")
+        data = data.tolist()
+    flat = [data]
+    for size in shape:
+        if not all(isinstance(x, (list, tuple)) and len(x) == size for x in flat):
+            raise ValueError(f"{name} must be nested sequences of shape {shape}")
+        flat = list(chain.from_iterable(flat))
+    return flat
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetricBiquadraticTensor:
+class _Rows:
+    """Dimensions m, n and ``rows``, tuples of Fractions, set once."""
+
+    def _set(self, m: int, n: int, flat) -> None:
+        width = m * n if isinstance(self, SymmetricBiquadraticTensor) else n  # a form's rows are W's
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", tuple(zip(*[iter(flat)] * width)))
+
+    @classmethod
+    def from_flat(cls, m: int, n: int, values):
+        """The value with these row-major entries, taken as they are: for
+        the library's builders, whose entries are valid Fractions by
+        construction (and the certificate reader, which parsed them).
+        Nothing is checked."""
+        value = object.__new__(cls)
+        value._set(m, n, values)
+        return value
+
+    def _array(self, *shape):
+        import numpy as np
+
+        a = np.array(self.rows, dtype=object).reshape(shape)
+        a.setflags(write=False)
+        return a
+
+    def is_zero(self) -> bool:
+        return not any(chain.from_iterable(self.rows))
+
+
+@lru_cache(maxsize=64)
+def _symmetries(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The swaps i <-> k, j <-> l and (i,j) <-> (k,l) as maps of row-major
+    m x n x m x n positions: entry p of the swapped list a is a[perm[p]]."""
+    def at(i, j, k, l):
+        return ((i * n + j) * m + k) * n + l
+
+    index = list(product(range(m), range(n), range(m), range(n)))
+    return (tuple(at(k, j, i, l) for i, j, k, l in index),
+            tuple(at(i, l, k, j) for i, j, k, l in index),
+            tuple(at(k, l, i, j) for i, j, k, l in index))
+
+
+@lru_cache(maxsize=64)
+def _orbits(m: int, n: int) -> tuple[int, ...]:
+    """Row-major orbit number of each position under the permutations of x
+    and of y: 0 for a[i,j,i,j], 1 where only i != k, 2 where only j != l, 3
+    where both differ."""
+    return tuple((i != k) + 2 * (j != l) for i, j, k, l in product(range(m), range(n), range(m), range(n)))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class SymmetricBiquadraticTensor(_Rows):
     """Dense m x n biquadratic tensor with exact rational entries, satisfying
     a[i,j,k,l] = a[k,j,i,l] = a[k,l,i,j].
 
-    ``entries[i, j, k, l]`` holds the coefficient of x_{i+1} y_{j+1} x_{k+1}
-    y_{l+1}. This is the unique tensor representative of its biquadratic
-    form; the constructor validates the symmetry chain, which implies
-    a[i,j,k,l] = a[i,l,k,j]. Entries are coerced by ``rational``: ints
-    become Fractions and floats raise TypeError. Instances are immutable;
-    the entry array is read-only.
+    ``rows`` holds the flattening: row i*n + j, column k*n + l is the
+    coefficient a[i,j,k,l] of x_{i+1} y_{j+1} x_{k+1} y_{l+1}, as mn tuples
+    of mn Fractions. This is the unique tensor representative of its
+    biquadratic form; the constructor takes the m x n x m x n entries (a
+    numpy array or nested sequences) and validates the symmetry chain,
+    which implies a[i,j,k,l] = a[i,l,k,j]. Entries are coerced by
+    ``rational``: ints become Fractions and floats raise TypeError.
+    Instances are immutable; ``entries`` is a read-only m x n x m x n numpy
+    object array of the same Fractions, built on first access.
     """
 
     m: int
     n: int
-    entries: np.ndarray
+    rows: tuple
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"dimensions must be >= 1, got m={self.m}, n={self.n}")
-        shape = (self.m, self.n, self.m, self.n)
-        if self.entries.shape != shape:
-            raise ValueError(f"entries shape {self.entries.shape} != {shape}")
-        a = rational_array(self.entries)
-        a.setflags(write=False)
-        entries = a.tolist()  # list equality skips __eq__ for identical objects
-        if entries != a.transpose(2, 1, 0, 3).tolist() or entries != a.transpose(2, 3, 0, 1).tolist():
+    def __init__(self, m: int, n: int, entries):
+        _check_dims(m, n)
+        flat = list(map(rational, _flat(entries, (m, n, m, n), "entries")))
+        x_swap, _, pair_swap = _symmetries(m, n)
+        # list equality skips __eq__ for identical objects
+        if list(map(flat.__getitem__, x_swap)) != flat or list(map(flat.__getitem__, pair_swap)) != flat:
             raise ValueError("entries violate the biquadratic symmetry a[ijkl]=a[kjil]=a[klij]")
-        object.__setattr__(self, "entries", a)
+        self._set(m, n, flat)
 
     @classmethod
     def zeros(cls, m: int, n: int):
         return permutation_invariant(m, n, ZERO, ZERO, ZERO, ZERO)
 
+    @cached_property
+    def entries(self):
+        return self._array(self.m, self.n, self.m, self.n)
+
     def entry(self, i: int, j: int, k: int, l: int) -> Fraction:
         """1-based entry accessor matching the external index convention."""
         return self.entries[i - 1, j - 1, k - 1, l - 1]
 
-    def to_float(self) -> np.ndarray:
-        """Float64 copy of the entries, for the numerical probes; an entry
-        beyond the float range raises OverflowError naming it (1-based)."""
-        try:
-            return self.entries.astype(np.float64)
+    def to_float(self):
+        """Float64 m x n x m x n numpy array of the entries, for the numerical
+        probes; an entry beyond the float range raises OverflowError naming
+        it (1-based)."""
+        import numpy as np
+
+        m, n = self.m, self.n
+        try:  # p / q of the slots is float(Fraction(p, q)), without its properties
+            return np.array([v._numerator / v._denominator for v in chain.from_iterable(self.rows)],
+                            dtype=np.float64).reshape(m, n, m, n)
         except OverflowError:
-            top = np.finfo(np.float64).max
-            idx = next(idx for idx, v in np.ndenumerate(self.entries) if abs(v) > top)
-            raise OverflowError("entry ({},{},{},{}) is beyond the float range".format(
-                *(x + 1 for x in idx))) from None
-
-    def is_zero(self) -> bool:
-        return bool((self.entries == ZERO).all())
+            top = sys.float_info.max
+            p = next(p for p, v in enumerate(chain.from_iterable(self.rows)) if abs(v) > top)
+            (i, j), (k, l) = (divmod(r, n) for r in divmod(p, m * n))
+            raise OverflowError(f"entry ({i + 1},{j + 1},{k + 1},{l + 1}) "
+                                "is beyond the float range") from None
 
 
-def symmetrize(arr: np.ndarray) -> SymmetricBiquadraticTensor:
+def symmetrize(arr) -> SymmetricBiquadraticTensor:
     """Symmetric representative of the form with m x n x m x n coefficient
-    array ``arr``.
+    array ``arr`` (a numpy array or nested sequences).
 
     Each entry becomes the average of its orbit
     {(i,j,k,l), (k,j,i,l), (i,l,k,j), (k,l,i,j)}; degenerate orbits (i=k or
@@ -160,22 +256,18 @@ def symmetrize(arr: np.ndarray) -> SymmetricBiquadraticTensor:
     denominators: (N, Q) is the same at each member of an orbit, and each
     distinct (N, Q) becomes one Fraction(N, 4 Q).
     """
-    a = rational_array(arr)
-    num, den = (np.array([getattr(v, part) for v in a.flat], dtype=object).reshape(a.shape)
-                for part in ("numerator", "denominator"))
+    m = len(arr)
+    n = len(arr[0]) if m else 0
+    _check_dims(m, n)
+    flat = list(map(rational, _flat(arr, (m, n, m, n), "entries")))
+    num, den = [v._numerator for v in flat], [v._denominator for v in flat]
     N, Q = num, den
-    for perm in ((2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)):
-        N, Q = N * den.transpose(perm) + num.transpose(perm) * Q, Q * den.transpose(perm)
-    keys = list(zip(N.flat, Q.flat))
+    for perm in _symmetries(m, n):
+        num_p, den_p = list(map(num.__getitem__, perm)), list(map(den.__getitem__, perm))
+        N, Q = list(map(add, map(mul, N, den_p), map(mul, num_p, Q))), list(map(mul, Q, den_p))
+    keys = list(zip(N, Q))
     fractions = {key: Fraction(key[0], 4 * key[1]) for key in set(keys)}
-    entries = np.array([fractions[key] for key in keys], dtype=object).reshape(a.shape)
-    return SymmetricBiquadraticTensor(a.shape[0], a.shape[1], entries)
-
-
-def _orbit_sum(a: np.ndarray) -> np.ndarray:
-    """Sum of a rank-4 array over the symmetry orbit of each index: four
-    times the symmetric representative of the same form."""
-    return a + a.transpose(2, 1, 0, 3) + a.transpose(0, 3, 2, 1) + a.transpose(2, 3, 0, 1)
+    return SymmetricBiquadraticTensor.from_flat(m, n, map(fractions.__getitem__, keys))
 
 
 def evaluate(t: SymmetricBiquadraticTensor, x, y):
@@ -190,9 +282,8 @@ def evaluate(t: SymmetricBiquadraticTensor, x, y):
         raise ValueError(f"len(x)={len(xs)} != m={t.m}")
     if len(ys) != t.n:
         raise ValueError(f"len(y)={len(ys)} != n={t.n}")
-    z = [xs[i] * ys[j] for i in range(t.m) for j in range(t.n)]
-    flat = t.entries.reshape(t.m * t.n, t.m * t.n)
-    return np.dot(z, np.dot(flat, z))
+    z = [xi * yj for xi in xs for yj in ys]
+    return sum(map(mul, z, [sum(map(mul, row, z)) for row in t.rows]))
 
 
 @dataclass(frozen=True)
@@ -230,10 +321,9 @@ def permutation_invariant(m: int, n: int, d, a, b, c) -> SymmetricBiquadraticTen
     j != l and c where both differ. The value of an empty orbit (i != k
     with m = 1, j != l with n = 1) is unused.
     """
-    x_apart = 1 - np.eye(m, dtype=int)[:, None, :, None]  # 1 where i != k
-    y_apart = 1 - np.eye(n, dtype=int)[None, :, None, :]  # 1 where j != l
-    orbit = x_apart + 2 * y_apart  # 0, 1, 2, 3 for d, a, b, c
-    return SymmetricBiquadraticTensor(m, n, np.array([d, a, b, c], dtype=object)[orbit])
+    _check_dims(m, n)
+    values = [rational(v) for v in (d, a, b, c)]
+    return SymmetricBiquadraticTensor.from_flat(m, n, map(values.__getitem__, _orbits(m, n)))
 
 
 def monic_to_tensor(p: MonicParams) -> SymmetricBiquadraticTensor:
@@ -246,38 +336,35 @@ def monic_to_tensor(p: MonicParams) -> SymmetricBiquadraticTensor:
     return permutation_invariant(p.m, p.n, ONE, *p.abc)
 
 
-@dataclass(frozen=True, eq=False)
-class BilinearForm:
+@dataclass(frozen=True, eq=False, init=False)
+class BilinearForm(_Rows):
     """Bilinear form f(x, y) = sum_{i,j} W[i,j] x_i y_j with rational W.
 
-    The constructor keeps a read-only object copy of W, coerced by
-    ``rational`` as a tensor's entries are (ints become Fractions, strings
-    are parsed, floats raise TypeError) unless all are Fractions already, as
-    in the hundreds of forms per certificate the exact layer builds.
+    ``rows`` holds W as m tuples of n Fractions. The constructor takes W as
+    a numpy array or nested sequences, coerced by ``rational`` as a
+    tensor's entries are (ints become Fractions, strings are parsed, floats
+    raise TypeError, numpy-integer parts become Python ints); the library's
+    own builders use ``from_flat``. ``W`` is a read-only m x n numpy object
+    array of the same Fractions, built on first access.
     """
 
     m: int
     n: int
-    W: np.ndarray
+    rows: tuple
 
-    def __post_init__(self):
-        if self.W.shape != (self.m, self.n):
-            raise ValueError(f"W shape {self.W.shape} != ({self.m}, {self.n})")
-        W = self.W.astype(object)
-        if set(map(type, W.flat)) != {Fraction}:
-            W = rational_array(W)
-        W.setflags(write=False)
-        object.__setattr__(self, "W", W)
+    def __init__(self, m: int, n: int, W):
+        self._set(m, n, list(map(rational, _flat(W, (m, n), "W"))))
 
     @classmethod
     def unit(cls, m: int, n: int, i: int, j: int):
         """The form x_i y_j (0-based i, j)."""
-        W = np.full((m, n), ZERO, dtype=object)
-        W[i, j] = ONE
-        return cls(m, n, W)
+        flat = [ZERO] * (m * n)
+        flat[i * n + j] = ONE
+        return cls.from_flat(m, n, flat)
 
-    def is_zero(self) -> bool:
-        return bool((self.W == ZERO).all())
+    @cached_property
+    def W(self):
+        return self._array(self.m, self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,41 +394,44 @@ def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
     """Symmetric tensor of sum_p c_p f_p(x,y)^2, by exact expansion.
 
     Works in Python ints. One pass reads the entries of every form with a
-    nonzero weight into a (terms, mn) array U of numerators; only when some
+    nonzero weight into rows U_p of numerators, one per form; only when some
     entry is not an integer is each row scaled to integers (by the lcm L_p
     of its denominators) and its weight to c_p / L_p^2. Over the common
     denominator D of those weights, the flattened tensor
     sum_p c_p vec(W_p) vec(W_p)^T is G / D with G = U^T diag(c) U in
-    integers. Symmetrizing G in integers gives each entry as
-    Fraction(g, 4 D), built once per distinct g.
+    integers, each entry one ``sum(map(mul, ...))`` over two columns of U.
+    G is symmetric, so its orbit sum is 2 (G + G with i and k swapped), and
+    each entry is Fraction(g, 2 D), built once per distinct g.
     """
     m, n = cert.m, cert.n
+    mn = m * n
     terms = [(weight, form) for weight, form in cert.terms if weight != 0]
-    entries = [v for _, form in terms for v in form.W.reshape(-1).tolist()]
-    # Fraction's slots, as in rational; numpy-integer parts would overflow below
+    entries = list(chain.from_iterable(chain.from_iterable(form.rows for _, form in terms)))
+    # Fraction's slots, as in rational; forms hold only Python-int parts
     nums, dens = [v._numerator for v in entries], [v._denominator for v in entries]
-    if {*map(type, nums), *map(type, dens)} != {int}:
-        nums, dens = list(map(int, nums)), list(map(int, dens))
-    U = np.array(nums, dtype=object).reshape(len(terms), m * n)
+    U = list(zip(*[iter(nums)] * mn))
     weights = [weight for weight, _ in terms]
     if dens.count(1) < len(dens):
-        dens = np.array(dens, dtype=object).reshape(U.shape)
-        L = [math.lcm(*row) for row in dens.tolist()]
-        U = U * (np.array(L, dtype=object)[:, None] // dens)
+        dens = list(zip(*[iter(dens)] * mn))
+        L = [math.lcm(*row) for row in dens]
+        U = [list(map(mul, u, map(floordiv, repeat(l), d))) for u, d, l in zip(U, dens, L)]
         weights = [w if l == 1 else Fraction(w.numerator, w.denominator * l * l)
                    for w, l in zip(weights, L)]
     c, D = exactla.common_denominator(weights)
-    G = (U.T * np.array(c, dtype=object)) @ U
-    sym = _orbit_sum(G.reshape(m, n, m, n))
-    fractions = {v: Fraction(v, 4 * D) for v in set(sym.reshape(-1).tolist())}
-    return SymmetricBiquadraticTensor(m, n, np.frompyfunc(fractions.__getitem__, 1, 1)(sym))
+    cols = list(zip(*U)) if U else [()] * mn
+    upper = [[sum(map(mul, wp, col)) for col in cols[p:]]
+             for p, wp in enumerate([list(map(mul, c, col)) for col in cols])]
+    G = list(chain.from_iterable([upper[q][p - q] for q in range(p)] + row for p, row in enumerate(upper)))
+    sym = list(map(add, G, map(G.__getitem__, _symmetries(m, n)[0])))
+    fractions = {v: Fraction(v, 2 * D) for v in set(sym)}
+    return SymmetricBiquadraticTensor.from_flat(m, n, map(fractions.__getitem__, sym))
 
 
 def tensors_equal(s: SymmetricBiquadraticTensor, t: SymmetricBiquadraticTensor) -> bool:
     """Exact entrywise equality of two symmetric tensors of the same shape."""
     if (s.m, s.n) != (t.m, t.n):
         raise ValueError(f"shape mismatch: ({s.m},{s.n}) vs ({t.m},{t.n})")
-    return s.entries.tolist() == t.entries.tolist()
+    return s.rows == t.rows
 
 
 def sample_min(t: SymmetricBiquadraticTensor, trials: int, seed: int):

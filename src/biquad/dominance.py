@@ -12,10 +12,7 @@ x_i y_j + s x_k y_l.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-
-import numpy as np
 
 from .core import (
     MINUS_ONE,
@@ -50,25 +47,24 @@ class NotDiagonallyDominantError(ValueError):
         super().__init__(f"matrix is not diagonally dominant with nonnegative diagonal ({rows})")
 
 
-def flatten(t: SymmetricBiquadraticTensor) -> np.ndarray:
-    """The (mn) x (mn) flattening M of a symmetric tensor, a read-only view of
-    its entries.
+def flatten(t: SymmetricBiquadraticTensor) -> tuple:
+    """The (mn) x (mn) flattening M of a symmetric tensor: its rows, which
+    the tensor stores.
 
     Rows and columns are indexed by pairs (i, j) in row-major order
     (i-1)*n + j (1-based convention). M is symmetric and carries the extra
     internal symmetry M[(i,j),(k,l)] = M[(i,l),(k,j)].
     """
-    mn = t.m * t.n
-    return t.entries.reshape(mn, mn)
+    return t.rows
 
 
-def offdiag_row_sums(M: np.ndarray) -> np.ndarray:
-    """Off-diagonal absolute row sums sum_{q != p} |M[p,q]|, one per row p.
+def offdiag_row_sums(M) -> list[Fraction]:
+    """Off-diagonal absolute row sums sum_{q != p} |M[p][q]|, one per row p.
 
     For a symmetric tensor the sum at row p = (i-1)*n + (j-1) is the row
     bound r_ij of the paper's dominance condition.
     """
-    return np.abs(M).sum(axis=1) - np.abs(M.diagonal())
+    return [sum(map(abs, row)) - abs(row[p]) for p, row in enumerate(M)]
 
 
 def row_bound(t: SymmetricBiquadraticTensor, i: int, j: int) -> Fraction:
@@ -86,11 +82,11 @@ def row_bound(t: SymmetricBiquadraticTensor, i: int, j: int) -> Fraction:
     return offdiag_row_sums(flatten(t))[(i - 1) * t.n + (j - 1)]
 
 
-def dominance_violations(M: np.ndarray) -> list[tuple[int, Fraction, Fraction]]:
-    """(p, M[p,p], bound) for each row p whose diagonal is below its
+def dominance_violations(M) -> list[tuple[int, Fraction, Fraction]]:
+    """(p, M[p][p], bound) for each row p whose diagonal is below its
     off-diagonal absolute row sum; p is the 0-based flat index (i*n + j)."""
-    return [(p, M[p, p], bound) for p, bound in enumerate(offdiag_row_sums(M))
-            if M[p, p] < bound]
+    return [(p, M[p][p], bound) for p, bound in enumerate(offdiag_row_sums(M))
+            if M[p][p] < bound]
 
 
 def is_diagonally_dominated(t: SymmetricBiquadraticTensor) -> bool:
@@ -111,18 +107,18 @@ def dd_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate:
     violating rows) when ``t`` is not diagonally dominated.
     """
     M = flatten(t)
-    alphas = M.diagonal() - offdiag_row_sums(M)
+    alphas = [row[p] - bound for p, (row, bound) in enumerate(zip(M, offdiag_row_sums(M)))]
     if any(alpha < 0 for alpha in alphas):
         raise NotDiagonallyDominantError(dominance_violations(M))
     m, n = t.m, t.n
-    zero = np.full((m, n), ZERO, dtype=object)
     terms = []
-    for p, q in itertools.combinations(range(m * n), 2):
-        if M[p, q] != 0:
-            W = zero.copy()
-            W[divmod(p, n)] = ONE
-            W[divmod(q, n)] = ONE if M[p, q] > 0 else MINUS_ONE
-            terms.append((abs(M[p, q]), BilinearForm(m, n, W)))
+    for p, row in enumerate(M):
+        for q in range(p + 1, m * n):
+            if row[q] != 0:
+                W = [ZERO] * (m * n)
+                W[p] = ONE
+                W[q] = ONE if row[q] > 0 else MINUS_ONE
+                terms.append((abs(row[q]), BilinearForm.from_flat(m, n, W)))
     for p, alpha in enumerate(alphas):
         if alpha != 0:
             terms.append((alpha, BilinearForm.unit(m, n, *divmod(p, n))))

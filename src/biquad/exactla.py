@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-import numpy as np
-
 __all__ = ["common_denominator", "pairs_over_lcm", "solve_linear", "LDLTerm", "LDLResult", "ldlt_psd"]
 
 
@@ -101,15 +99,16 @@ class LDLResult:
     value: Fraction | None = None
 
 
-def ldlt_psd(M: np.ndarray) -> LDLResult:
+def ldlt_psd(M) -> LDLResult:
     """Pivoted exact LDL^T of a symmetric rational matrix, as a PSD test.
 
+    M is its rows (nested sequences or a numpy array) of Fractions or ints.
     Pivots greedily on the largest remaining diagonal entry (the lowest
     index among ties). Succeeds iff M is positive semidefinite; the returned
     terms reconstruct M exactly.
     """
-    N = M.shape[0]
-    nums, q = common_denominator(np.asarray(M, dtype=object).reshape(N * N).tolist())
+    N = len(M)
+    nums, q = common_denominator(chain.from_iterable(M))
     rows = [nums[r * N:(r + 1) * N] for r in range(N)]
     if rows != [list(col) for col in zip(*rows)]:
         raise ValueError("matrix is not symmetric")

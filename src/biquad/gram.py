@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -96,8 +97,7 @@ def _gram_certificate(G: np.ndarray, t: SymmetricBiquadraticTensor,
         return None
     m, n = t.m, t.n
     cert = SOSCertificate(m, n, tuple(
-        (term.pivot / scale, BilinearForm(m, n, np.array(term.vector, dtype=object).reshape(m, n)))
-        for term in res.terms))
+        (term.pivot / scale, BilinearForm.from_flat(m, n, term.vector)) for term in res.terms))
     if not tensors_equal(expand_certificate(cert), t):  # pragma: no cover - defensive
         raise AssertionError("Gram certificate failed exact round-trip")
     return cert
@@ -109,7 +109,9 @@ def flattening_psd_check(t: SymmetricBiquadraticTensor) -> SOSCertificate | None
     The certificate expands back to ``t`` exactly. Returns None when the
     flattening is not PSD, which decides nothing about ``t`` itself.
     """
-    return _gram_certificate(flatten(t), t)
+    # an array, not the rows: perfbench's tracer reads the order of every
+    # ldlt_psd input from its shape
+    return _gram_certificate(np.array(flatten(t), dtype=object), t)
 
 
 def gram_project_psd(G: np.ndarray) -> np.ndarray:
@@ -168,7 +170,8 @@ def _round_at(G: np.ndarray, t: SymmetricBiquadraticTensor, denom: int) -> SOSCe
     mn = m * n
     upper = np.triu_indices(mn)
     rounded = [_nearest_ratio(v, denom) for v in G[upper].tolist()]
-    nums, q = exactla.pairs_over_lcm(rounded + [(a.numerator, a.denominator) for a in t.entries.flat])
+    entries = chain.from_iterable(t.rows)
+    nums, q = exactla.pairs_over_lcm(rounded + [(a.numerator, a.denominator) for a in entries])
     R = np.empty((mn, mn), dtype=object)
     R[upper] = nums[:len(rounded)]
     R.T[upper] = R[upper]  # symmetric, from the upper triangle

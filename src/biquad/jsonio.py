@@ -11,24 +11,29 @@ term:
 
     {"m": 2, "n": 2, "terms": [{"weight": "1/2", "W": [["1", "0"], ["0", "-1"]]}]}
 
-Rationals are written "p/q" (plain "p" for integers) by ``str`` and read by
+Rationals are written "p/q" (plain "p" for integers), the text of ``str``
+built from the Fraction's own numerator and denominator, and read by
 ``core.rational``: "p/q", "p" or a plain decimal, no exponent; floats never
-appear. Output is canonical, the bytes of ``json.dumps(obj, sort_keys=True,
-indent=2)`` plus a newline: ``certificate_text`` writes a certificate in its
-fixed layout, one ``str.join`` per form, and ``dumps_canonical`` writes
-reports and tensors without ``json``'s slow pure-Python indenting encoder.
-A certificate is read in one pass over one array of every term's W.
+appear. A file is refused as it is read, before the exact work it would
+cost, when its denominators have too large an lcm: more digits than Python
+reads from text (4300 by default) for a tensor, or mn times that for a
+certificate. Output is canonical, the bytes of
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline:
+``certificate_text`` writes a certificate in its fixed layout, one
+``str.join`` per form, and ``dumps_canonical`` writes reports and tensors
+without ``json``'s slow pure-Python indenting encoder.
+A certificate is read in one pass over the entries of every term's W.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-
-import numpy as np
 
 from .core import (
     BilinearForm,
@@ -62,7 +67,26 @@ MAX_MN = 64
 
 def rational_to_str(v) -> str:
     """The text "p/q" (or "p") of an exact value; floats raise TypeError."""
-    return str(rational(v))
+    return _texts([rational(v)])[0]
+
+
+def _texts(values) -> list[str]:
+    """``str`` of each Fraction, from its slots: "p", or "p/q" when q != 1."""
+    return [str(v._numerator) if v._denominator == 1 else f"{v._numerator}/{v._denominator}"
+            for v in values]
+
+
+def _check_lcm(denominators, what: str, numbers: int = 1) -> None:
+    """Refuse denominators whose lcm, the common denominator the exact layer
+    would work with, passes ``numbers`` times the digit limit, as soon as it
+    does."""
+    digits = sys.get_int_max_str_digits() * numbers
+    bits = math.ceil(digits * math.log2(10)) if digits else math.inf  # more has > digits digits
+    lcm = 1
+    for q in denominators:
+        lcm = math.lcm(lcm, q)
+        if lcm.bit_length() > bits:
+            raise ValueError(f"the denominators of the {what} have an lcm of more than {digits} digits")
 
 
 def parse_rational(s) -> Fraction:
@@ -116,8 +140,10 @@ def _dumps(obj, pad: str) -> str:
 
 
 def tensor_to_dict(t: SymmetricBiquadraticTensor) -> dict:
-    entries = [{"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": str(v)}
-               for (i, j, k, l), v in np.ndenumerate(t.entries) if v != 0]
+    flat = list(chain.from_iterable(t.rows))
+    index = product(range(t.m), range(t.n), range(t.m), range(t.n))
+    entries = [{"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": text}
+               for (i, j, k, l), v, text in zip(index, flat, _texts(flat)) if v]
     return {"m": t.m, "n": t.n, "entries": entries}
 
 
@@ -157,7 +183,8 @@ def _json_objects(d: dict, key: str):
 
 def tensor_from_dict(d: dict) -> SymmetricBiquadraticTensor:
     m, n = _dims(d)
-    arr = np.full((m, n, m, n), Fraction(0), dtype=object)
+    zero = Fraction(0)
+    arr = [[[[zero] * n for _ in range(m)] for _ in range(n)] for _ in range(m)]
     seen = set()
     read = _Rationals()
     for entry in _json_objects(d, "entries"):
@@ -172,7 +199,8 @@ def tensor_from_dict(d: dict) -> SymmetricBiquadraticTensor:
         if (i, j, k, l) in seen:
             raise ValueError(f"duplicate tensor entry at ({i},{j},{k},{l})")
         seen.add((i, j, k, l))
-        arr[i - 1, j - 1, k - 1, l - 1] = v
+        arr[i - 1][j - 1][k - 1][l - 1] = v
+    _check_lcm((v._denominator for v in read.values()), "tensor entries")
     return symmetrize(arr)
 
 
@@ -186,8 +214,10 @@ def certificate_text(c: SOSCertificate) -> str:
     # what lies between two entries of a row, two rows, and a weight and the next W
     entry, row = '",\n          "', '"\n        ],\n        [\n          "'
     term = '"\n    },\n    {\n      "W": [\n        [\n          "'
-    body = term.join(row.join(entry.join(map(str, r)) for r in form.W.tolist())
-                     + f'"\n        ]\n      ],\n      "weight": "{w}' for w, form in c.terms)
+    weights = _texts(w for w, _ in c.terms)
+    body = term.join(row.join(entry.join(_texts(r)) for r in form.rows)
+                     + f'"\n        ]\n      ],\n      "weight": "{w}'
+                     for w, (_, form) in zip(weights, c.terms))
     return f'{head}[\n    {{\n      "W": [\n        [\n          "{body}"\n    }}\n  ]\n}}\n'
 
 
@@ -202,15 +232,19 @@ def certificate_from_dict(d: dict) -> SOSCertificate:
     try:
         weights = read.each([td["weight"] for td in tds])
         Ws = [td["W"] for td in tds]
-        A = np.array(Ws, dtype=object)
-        if Ws and (A.shape != (len(Ws), m, n)
-                   or not all(type(row) is list for W in Ws for row in W)):
+        if not all(type(W) is list and len(W) == m
+                   and all(type(row) is list and len(row) == n for row in W) for W in Ws):
             raise ValueError(f"W must be {m} rows of {n} entries")
-        values = np.fromiter(read.each(A.ravel().tolist()), object, A.size).reshape(A.shape)
+        values = read.each(list(chain.from_iterable(chain.from_iterable(Ws))))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed certificate term: {clip(str(exc))}") from exc
+    # the expansion's common denominator divides lcm(weights') lcm(W's)^2; an
+    # LDL^T certificate (probe) has up to mn terms, and at 8 x 8 its numbers
+    # have an lcm of 5,500-7,800 digits
+    _check_lcm((v._denominator for v in read.values()), "certificate's weights and W entries", m * n)
+    forms = zip(*[iter(values)] * (m * n))
     return SOSCertificate(m, n, tuple(
-        (w, BilinearForm(m, n, W)) for w, W in zip(weights, values)))
+        (w, BilinearForm.from_flat(m, n, W)) for w, W in zip(weights, forms)))
 
 
 def _load_json(path) -> dict:

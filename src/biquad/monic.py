@@ -15,8 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-
-import numpy as np
+from itertools import chain
 
 from . import exactla
 from .core import (
@@ -153,16 +152,25 @@ def membership_equivalence_check(p: MonicParams) -> bool:
     return psd == inside
 
 
-# the exact entries -1, 0, 1 of the vertex forms, indexed by sign + 1
-_SIGNS = np.array([MINUS_ONE, ZERO, ONE], dtype=object)
+# the exact entries -1, 0, 1 of the sign forms, indexed by sign + 1
+_SIGNS = (MINUS_ONE, ZERO, ONE)
 
 
-def _sign_vectors(size: int, differences: bool) -> list[np.ndarray]:
+def _sign_vectors(size: int, differences: bool) -> list[list[int]]:
     """Integer [e_i - e_k over i < k, lexicographic] if ``differences``, else [ones]."""
-    E = np.eye(size, dtype=int)
     if differences:
-        return [E[i] - E[k] for i, k in itertools.combinations(range(size), 2)]
-    return [E.sum(axis=0)]
+        return [[(r == i) - (r == k) for r in range(size)]
+                for i, k in itertools.combinations(range(size), 2)]
+    return [[1] * size]
+
+
+def _sign_forms(m: int, n: int, dx: bool, dy: bool) -> list[BilinearForm]:
+    """The forms u(x) v(y), u over ``_sign_vectors(m, dx)`` and v over
+    ``_sign_vectors(n, dy)``: W is the outer product of two sign vectors."""
+    by_sign = [{s: [_SIGNS[s * w + 1] for w in v] for s in (-1, 0, 1)}  # row of W for x-sign s
+               for v in _sign_vectors(n, dy)]
+    return [BilinearForm.from_flat(m, n, chain.from_iterable(map(rows.__getitem__, u)))
+            for u in _sign_vectors(m, dx) for rows in by_sign]
 
 
 def vertex_sos(v: int, m: int, n: int) -> SOSCertificate:
@@ -182,10 +190,8 @@ def vertex_sos(v: int, m: int, n: int) -> SOSCertificate:
     if v not in (1, 2, 3, 4):
         raise ValueError(f"vertex id must be 1..4, got {v}")
     dx, dy = v in (2, 3), v in (2, 4)  # differences in x, in y
-    xs, ys = _sign_vectors(m, dx), _sign_vectors(n, dy)
     weight = Fraction(1, (m - 1 if dx else 1) * (n - 1 if dy else 1))
-    return SOSCertificate(m, n, tuple(
-        (weight, BilinearForm(m, n, _SIGNS[np.outer(x, y) + 1])) for x in xs for y in ys))
+    return SOSCertificate(m, n, tuple((weight, form) for form in _sign_forms(m, n, dx, dy)))
 
 
 def merge_proportional(cert: SOSCertificate) -> SOSCertificate:
@@ -203,16 +209,18 @@ def merge_proportional(cert: SOSCertificate) -> SOSCertificate:
     for weight, form in cert.terms:
         if weight == 0:
             continue
-        u, _ = exactla.common_denominator(form.W.reshape(-1))
+        values = list(chain.from_iterable(form.rows))
+        u, _ = exactla.common_denominator(values)
         k = next((k for k, v in enumerate(u) if v), None)
         if k is None:  # the zero form
             continue
         g = math.gcd(*u) if u[k] > 0 else -math.gcd(*u)
         key = tuple(v // g for v in u)
-        lead = form.W.reshape(-1)[k]
+        lead = values[k]
         if key not in groups:
             groups[key] = Fraction(0)
-            reps[key] = form if lead == 1 else BilinearForm(cert.m, cert.n, form.W / lead)
+            reps[key] = form if lead == 1 else BilinearForm.from_flat(
+                cert.m, cert.n, [v / lead for v in values])
         groups[key] += weight if lead == 1 else weight * lead * lead
     return SOSCertificate(cert.m, cert.n, tuple((groups[k], reps[k]) for k in groups))
 
@@ -242,14 +250,30 @@ def symmetric_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate | N
     Requires the tensor to be the ``permutation_invariant`` tensor of its
     own entries d, a, b, c (raises otherwise). d < 0 means not PSD (None);
     d = 0 forces the zero form (an empty certificate) unless some entry is
-    nonzero (None); d > 0 needs m, n >= 2 and scales to the monic case,
-    decomposes there and scales the weights back by d.
+    nonzero (None). For d > 0 and m, n >= 2 it scales to the monic case,
+    decomposes there and scales the weights back by d. For m = 1 the form
+    is x_1^2 q(y), q = d sum_j y_j^2 + b sum_{j != l} y_j y_l, and
+
+        q = (d + (n-1) b)/n (sum_j y_j)^2 + (d - b)/n sum_{j<l} (y_j - y_l)^2,
+
+    so the certificate is those weights on (x_1 sum_j y_j)^2 and on each
+    (x_1 (y_j - y_l))^2, and None when either weight is negative (q then
+    has a negative eigenvalue). n = 1 mirrors it with a and x; 1 x 1 is
+    d (x_1 y_1)^2.
     """
-    e = t.entries[0, 0]
-    d, a, b, c = e[0, 0], e[-1, 0], e[0, -1], e[-1, -1]
-    if not tensors_equal(t, permutation_invariant(t.m, t.n, d, a, b, c)):
+    m, n = t.m, t.n
+    d, b, a, c = (t.rows[0][q] for q in (0, n - 1, (m - 1) * n, m * n - 1))
+    if not tensors_equal(t, permutation_invariant(m, n, d, a, b, c)):
         raise ValueError("tensor is not x- and y-permutation symmetric")
     if d <= 0:
-        return SOSCertificate(t.m, t.n, ()) if t.is_zero() else None
-    cert = monic_sos_decompose(MonicParams(t.m, t.n, a / d, b / d, c / d))
-    return None if cert is None else SOSCertificate(t.m, t.n, tuple((d * w, f) for w, f in cert.terms))
+        return SOSCertificate(m, n, ()) if t.is_zero() else None
+    if m == 1 or n == 1:
+        size, off = (n, b) if m == 1 else (m, a)
+        whole, apart = (d + (size - 1) * off) / size, (d - off) / size
+        if whole < 0 or apart < 0:
+            return None
+        return SOSCertificate(m, n, tuple(
+            (w, form) for w, dx, dy in ((whole, False, False), (apart, n == 1, m == 1)) if w != 0
+            for form in _sign_forms(m, n, dx, dy)))
+    cert = monic_sos_decompose(MonicParams(m, n, a / d, b / d, c / d))
+    return None if cert is None else SOSCertificate(m, n, tuple((d * w, f) for w, f in cert.terms))

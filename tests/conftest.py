@@ -33,7 +33,7 @@ from biquad.core import (
     BilinearForm,
     SOSCertificate,
     SymmetricBiquadraticTensor,
-    rational_array,
+    rational,
     symmetrize,
 )
 from biquad.exactla import LDLResult, LDLTerm
@@ -41,6 +41,11 @@ from biquad.gram import GramPoint, SOSProbeResult
 
 settings.register_profile("biquad", derandomize=True, max_examples=40, deadline=None)
 settings.load_profile("biquad")
+
+
+def rational_array(data) -> np.ndarray:
+    """A new object ndarray of Fractions from nested data, by ``core.rational``."""
+    return np.frompyfunc(rational, 1, 1)(np.asarray(data, dtype=object))
 
 
 def random_rational(rng, denom=12, lo=-3, hi=3) -> Fraction:
@@ -234,8 +239,8 @@ def fraction_ldlt_psd(M: np.ndarray) -> LDLResult:
     Pivots greedily on the largest remaining diagonal entry. Succeeds iff M is
     positive semidefinite; the returned terms reconstruct M exactly.
     """
-    N = M.shape[0]
     A = np.array(M, dtype=object)
+    N = A.shape[0]
     if not bool((A == A.T).all()):
         raise ValueError("matrix is not symmetric")
     active = list(range(N))

@@ -79,7 +79,7 @@ def test_c02_row_sum_equivalence(dd_corpus):
         for i in range(1, t.m + 1):
             for j in range(1, t.n + 1):
                 p = (i - 1) * t.n + (j - 1)
-                off = sum(abs(M[p, q]) for q in range(t.m * t.n) if q != p)
+                off = sum(abs(M[p][q]) for q in range(t.m * t.n) if q != p)
                 assert row_bound(t, i, j) == off
                 checked += 1
     report("02 row-sum-equivalence", True, f"{checked} rows across 500 tensors, exact")

@@ -129,7 +129,7 @@ class TestLDLT:
 class TestAffineProjection:
     def test_flattening_is_fixed_point(self, rng):
         t = random_symmetric_tensor(rng, 2, 3)
-        G = flatten(t).astype(np.float64)
+        G = np.array(flatten(t), dtype=np.float64)
         P = kernels.project_affine(G, t.to_float())
         assert np.abs(P - G).max() < 1e-12
 
@@ -240,7 +240,7 @@ class TestBarrierNewtonSystem:
     def test_directions_keep_the_form(self, m, n, rng):
         t = random_symmetric_tensor(rng, m, n)
         a4 = t.to_float()
-        G = flatten(t).astype(np.float64) + np.tensordot(
+        G = np.array(flatten(t), dtype=np.float64) + np.tensordot(
             rng.standard_normal(math.comb(m, 2) * math.comb(n, 2)), gram_direction_stack(m, n), 1)
         assert kernels.affine_residual(G, a4) < 1e-12
 

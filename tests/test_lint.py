@@ -39,3 +39,36 @@ def test_every_import_is_used_or_exported(path):
     unused = [name for name in imported_names(tree)
               if name not in used and name not in declared_exports(tree)]
     assert not unused, f"{path.name} imports {unused} but neither uses nor exports them"
+
+
+EXACT_LAYER = ["__init__", "cli", "core", "dominance", "exactla", "jsonio", "monic"]
+
+
+def import_time_modules(tree: ast.Module) -> list[str]:
+    """Modules imported while the module body runs: every import outside a
+    function body (class bodies and if/try blocks included)."""
+    modules, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+        stack.extend(ast.iter_child_nodes(node))
+    return modules
+
+
+@pytest.mark.parametrize("name", EXACT_LAYER)
+def test_exact_layer_does_not_import_numpy_at_module_level(name):
+    # the exact commands start without numpy; only a function body (a numpy
+    # view, to_float, gen) may import it, when called
+    modules = import_time_modules(ast.parse((SRC / f"{name}.py").read_text()))
+    assert not [m for m in modules if m.split(".")[0] == "numpy"]
+
+
+def test_the_float_modules_import_numpy():
+    # the check above finds a module-level numpy import where there is one
+    for name in ("classes", "gram", "kernels"):
+        assert "numpy" in import_time_modules(ast.parse((SRC / f"{name}.py").read_text()))

@@ -14,6 +14,8 @@ from biquad.classes import m_identity
 from biquad.core import (
     MonicParams,
     SymmetricBiquadraticTensor,
+    evaluate,
+    expand_certificate,
     monic_to_tensor,
     permutation_invariant,
     symmetrize,
@@ -116,7 +118,9 @@ class TestParentCorpus:
         """Zero, scaled identity, random invariant and one-orbit-perturbed
         tensors over every (m, n) in {1, 2, 3}^2, with the outcome (None,
         ValueError, or the certificate's terms) that the earlier check by
-        adjacent transpositions plus a monic re-check gave."""
+        adjacent transpositions plus a monic re-check gave; the 119
+        invariant 1 x n and m x 1 tensors with d > 0, once ValueError, hold
+        the outcome of the closed-form certificate for those shapes."""
         records = json.loads(CORPUS.read_text())
         assert len(records) == 387
         mismatches = []
@@ -134,3 +138,33 @@ class TestParentCorpus:
             if got != r["outcome"]:
                 mismatches.append((r, got))
         assert not mismatches
+
+
+class TestOneByN:
+    """m = 1 or n = 1: the form is x_1^2 q(y) (or its mirror), certified in
+    closed form when PSD; None comes with a vector where the form is negative."""
+
+    def test_one_by_one(self):
+        cert = symmetric_sos_decompose(permutation_invariant(1, 1, F(3, 2), 0, 0, 0))
+        assert [(w, f.W.tolist()) for w, f in cert.terms] == [(F(3, 2), [[1]])]
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (1, 5), (2, 1), (4, 1)])
+    def test_certificate_or_negative_value(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        size = max(m, n)
+        ones, apart = [F(1)] * size, [F(1), F(-1)] + [F(0)] * (size - 2)
+        outcomes = set()
+        for _ in range(40):
+            d = F(int(rng.integers(1, 9)), 4)
+            off = F(int(rng.integers(-12, 13)), 8) * d
+            t = permutation_invariant(m, n, d, off, off, 0)
+            cert = symmetric_sos_decompose(t)
+            if cert is None:
+                # q's two eigenvectors: all ones, and e_1 - e_2
+                values = [evaluate(t, v, [F(1)]) if n == 1 else evaluate(t, [F(1)], v) for v in (ones, apart)]
+                assert min(values) < 0
+            else:
+                assert all(w > 0 for w, _ in cert.terms)
+                assert tensors_equal(expand_certificate(cert), t)
+            outcomes.add(cert is None)
+        assert outcomes == {True, False}
