@@ -175,12 +175,12 @@ def classify(t: SymmetricBiquadraticTensor, seed: int = 0) -> ClassReport:
 # random generators
 # ---------------------------------------------------------------------------
 
-def _random_symmetric_offdiag(m, n, rng, lo, hi):
-    """Symmetric tensor with zero diagonal and off-diagonals in [lo, hi]."""
+def _random_symmetric(m, n, rng, lo, hi):
+    """symmetrize of m x n x m x n draws, in index order, of multiples of
+    1/DENOM in [lo, hi]."""
     arr = np.empty((m, n, m, n), dtype=object)
     for idx in np.ndindex(m, n, m, n):
         arr[idx] = Fraction(int(rng.integers(lo * DENOM, hi * DENOM + 1)), DENOM)
-    np.fill_diagonal(arr.reshape(m * n, m * n), ZERO)
     return symmetrize(arr)
 
 
@@ -194,23 +194,20 @@ def _with_diagonal(t, diag):
 
 def _gen_dd(m, n, rng):
     # each diagonal entry is its row bound plus a slack >= 0
-    base = _random_symmetric_offdiag(m, n, rng, -1, 1)
+    base = _random_symmetric(m, n, rng, -1, 1)
     slack = [Fraction(int(rng.integers(0, DENOM + 1)), DENOM) for _ in range(m * n)]
     return _with_diagonal(base, list(map(add, offdiag_row_sums(flatten(base)), slack)))
 
 
 def _gen_z(m, n, rng):
     # off-diagonals <= 0, any nonnegative diagonal
-    base = _random_symmetric_offdiag(m, n, rng, -1, 0)
+    base = _random_symmetric(m, n, rng, -1, 0)
     diag = [Fraction(int(rng.integers(0, 2 * DENOM + 1)), DENOM) for _ in range(m * n)]
     return _with_diagonal(base, diag)
 
 
 def _gen_m(m, n, rng):
-    arr = np.empty((m, n, m, n), dtype=object)
-    for idx in np.ndindex(m, n, m, n):
-        arr[idx] = Fraction(int(rng.integers(0, DENOM + 1)), DENOM)
-    B = symmetrize(arr)
+    B = _random_symmetric(m, n, rng, 0, 1)
     est = lambda_max_estimate(B, restarts=10, seed=int(rng.integers(0, 2**31)))
     # alpha strictly above the estimate + 0.1, as a rational; B >= 0 makes
     # every off-diagonal entry of alpha*I - B nonpositive.
@@ -219,8 +216,8 @@ def _gen_m(m, n, rng):
 
 
 def _gen_b0(m, n, rng):
-    base = _random_symmetric_offdiag(m, n, rng, -1, 1)
     mn = m * n
+    base = _with_diagonal(_random_symmetric(m, n, rng, -1, 1), [ZERO] * mn)
     # zero diagonal, so the row sums are the off-diagonal parts; a common
     # diagonal d passes row p iff sums[p] + d >= mn * off_max[p]
     sums, off_max = _b0_rows(base)

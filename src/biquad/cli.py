@@ -286,7 +286,9 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_vector(text: str, length: int, name: str) -> list[Fraction]:
-    parts = [s for s in text.split(",") if s.strip()]
+    parts = text.split(",")
+    if not all(s.strip() for s in parts):
+        raise ValueError(f"{name} has an empty field: {jsonio.clip(repr(text))}")
     if len(parts) != length:
         raise ValueError(f"{name} needs {length} comma-separated rationals, got {len(parts)}")
     return [_rational(s) for s in parts]

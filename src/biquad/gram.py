@@ -88,9 +88,8 @@ def _gram_certificate(G: np.ndarray, t: SymmetricBiquadraticTensor,
     by ``scale`` is the weight of one bilinear form, its factor column.
     Factor columns do not change under a positive scaling, so an integer
     multiple of the Gram point is factored in its place: ``_round_at``
-    passes the matrix B with scale 2q, its Gram point being B / (2q). The
-    certificate is expanded and compared with ``t`` exactly before it is
-    returned. Returns None when G is not PSD.
+    passes q G(t~) with scale q. The certificate is expanded and compared
+    with ``t`` exactly before it is returned. Returns None when G is not PSD.
     """
     res = exactla.ldlt_psd(G)
     if not res.ok:
@@ -115,7 +114,8 @@ def flattening_psd_check(t: SymmetricBiquadraticTensor) -> SOSCertificate | None
 
 
 def gram_project_psd(G: np.ndarray) -> np.ndarray:
-    """Project a symmetric float matrix onto the PSD cone (eigenvalue clip)."""
+    """Project a symmetric float matrix onto the PSD cone (eigenvalue clip).
+    Unused by the library; kept because the benchmark's tracer names it."""
     Gs = 0.5 * (G + G.T)
     try:
         w, V = np.linalg.eigh(Gs)
@@ -154,37 +154,30 @@ def _nearest_ratio(v: float, denom: int) -> tuple[int, int]:
     return p0 + k * p1, q0 + k * q1
 
 
-def _round_at(G: np.ndarray, t: SymmetricBiquadraticTensor, denom: int) -> SOSCertificate | None:
-    """Round a numeric Gram point to rationals at one denominator and verify.
+def _round_at(shift: np.ndarray, dirs, t: SymmetricBiquadraticTensor,
+              denom: int) -> SOSCertificate | None:
+    """Round the barrier's free parameters at one denominator and verify.
 
-    Continued-fraction rounding of each upper-triangle entry to denominator
-    <= ``denom`` (``_nearest_ratio``) gives a symmetric matrix; its exact
-    projection onto the affine family (``kernels.project_affine``), whose
-    expansion equals ``t``, goes through rational LDL^T, so no inexact
-    certificate can escape. The projection runs in integers: with the
-    rounded entries and those of ``t`` written as R4 and A4 (tensor layout)
-    over one denominator q, the Gram matrix is B / (2q) with
-    B = R4 - R4.swap(j, l) + 2 A4, and B is what the LDL^T factors.
+    Continued-fraction rounding of each ``shift[k]`` to denominator
+    <= ``denom`` (``_nearest_ratio``) gives t~, and G(t~) = F + sum_k
+    t~_k N_k lies in the affine family, so it expands to ``t`` with no
+    projection. With t~ and the entries of ``t`` over one denominator q,
+    ``_gram_at`` builds q G(t~) in integers for the rational LDL^T, so no
+    inexact certificate can escape.
     """
-    m, n = t.m, t.n
-    mn = m * n
-    upper = np.triu_indices(mn)
-    rounded = [_nearest_ratio(v, denom) for v in G[upper].tolist()]
+    mn = t.m * t.n
+    rounded = [_nearest_ratio(v, denom) for v in shift.tolist()]
     entries = chain.from_iterable(t.rows)
     nums, q = exactla.pairs_over_lcm(rounded + [(a.numerator, a.denominator) for a in entries])
-    R = np.empty((mn, mn), dtype=object)
-    R[upper] = nums[:len(rounded)]
-    R.T[upper] = R[upper]  # symmetric, from the upper triangle
-    R4 = R.reshape(m, n, m, n)
-    A4 = np.array(nums[len(rounded):], dtype=object).reshape(m, n, m, n)
-    B = R4 - R4.transpose(0, 3, 2, 1) + 2 * A4
-    return _gram_certificate(B.reshape(mn, mn), t, 2 * q)
+    K = len(rounded)
+    F = np.array(nums[K:], dtype=object).reshape(mn, mn)
+    return _gram_certificate(_gram_at(F, np.array(nums[:K], dtype=object), dirs), t, q)
 
 
-def _rationalize(G: np.ndarray, t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
+def _rationalize(shift: np.ndarray, dirs, t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
     """``_round_at`` at each denominator of the escalating ladder in turn."""
     for denom in RATIONALIZE_DENOMINATORS:
-        cert = _round_at(G, t, denom)
+        cert = _round_at(shift, dirs, t, denom)
         if cert is not None:
             return cert
     return None
@@ -200,7 +193,8 @@ NEWTON_DECREMENT_STOP = 1e-8  # inner loop ends at lambda^2 / 2 <= this
 
 
 def _gram_at(F: np.ndarray, t: np.ndarray, dirs) -> np.ndarray:
-    """G(t) = F + sum_k t_k N_k, added at the 4K distinct flat positions."""
+    """G(t) = F + sum_k t_k N_k, added at the 4K distinct flat positions, on
+    float64 arrays (the barrier) or integer object arrays (``_round_at``)."""
     p, q, r, u = dirs
     mn = F.shape[0]
     G = F.copy()
@@ -295,10 +289,11 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
     ``max_iter``) and ``trace`` holds s after each one.
 
     The solve stops at the first Newton step with s >= mn / D0, D0 the first
-    rationalization denominator: rounding at D0 moves each entry by at most
-    1/(2 D0), the exact affine projection does not lengthen that move, so by
-    Weyl's inequality the rounded point keeps lambda_min >= s - mn/(2 D0) > 0
-    and the ladder's first rung certifies it. Any final point with s >= -tol
+    rationalization denominator: rounding each shift t_k at D0 moves it by at
+    most 1/(2 D0), direction N_k moves 4 distinct positions by that much, and
+    a row of G holds at most (m-1)(n-1) of them, so by Weyl's inequality the
+    rounded point keeps lambda_min >= s - (m-1)(n-1)/(2 D0) > 0 and the
+    ladder's first rung certifies it. Any final point with s >= -tol
     is rounded up the ladder from D0, the only attempt at a certificate.
     ``trace`` and ``iterations`` end at the step that stopped the solve.
 
@@ -332,7 +327,7 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
     if s < -tol:
         status = "infeasible_suspected" if bound < -tol else "inconclusive"
         return SOSProbeResult(status, None, it, point, trace)
-    cert = _rationalize(G, t)
+    cert = _rationalize(shift, dirs, t)
     status = "feasible_numerical" if cert is None else "sos_certified"
     return SOSProbeResult(status, cert, it, point, trace)
 

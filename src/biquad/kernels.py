@@ -5,11 +5,11 @@ smallest/largest-eigenvector refinement used by ``sample_min`` and the
 M-eigenvalue ascent, and the Newton system of the log-barrier Gram search in
 ``gram.sos_probe``. The refinement reshapes the tensor once per call into an
 n^2 x m^2 and an m^2 x n^2 matrix, so each of its half-steps is one matrix
-product per start followed by a batched ``eigh``. Beside them sits the
-affine Gram projection, one formula for float64 arrays and for ``Fraction``
-object arrays. The library's rounding (``gram._round_at``) computes that
-projection in integers instead; this form is the reference the tests
-compare it against.
+product per start followed by a batched ``eigh``. Beside them sit the
+affine Gram residual, read by ``gram.sos_probe``, and the affine Gram
+projection, which the library no longer calls (``gram._round_at`` rounds
+the barrier's free parameters, whose points need no projection); it is kept
+only because the benchmark's tracer names it.
 """
 
 from __future__ import annotations
@@ -165,9 +165,9 @@ def project_affine(G: np.ndarray, a4: np.ndarray) -> np.ndarray:
     positions coincide (j = l, or i = k under matrix symmetry) get pinned to
     a[i,j,k,l]; genuine pairs are shifted by half the violation each, which
     in tensor layout collapses to (G4 - G4.swap(j,l))/2 + a4 after
-    symmetrising G. Works for float64 and for Fraction object arrays; on the
-    latter it is the reference for the integer projection in
-    ``gram._round_at``.
+    symmetrising G. Works for float64 and for Fraction object arrays. No
+    library code calls it: it is kept only because the benchmark's tracer
+    (``perfbench/tracer.py``, ``LAYERS``) names it.
     """
     m, n = a4.shape[0], a4.shape[1]
     G4 = ((G + G.T) / 2).reshape(m, n, m, n)

@@ -8,7 +8,8 @@ evaluated as literal weighted squares, the dominance and B0 row quantities
 are computed from their two-family tensor-index formulas, the barrier
 Newton system is contracted from dense direction matrices, the Gram probe
 runs its barrier to the full duality gap before it rounds, the Gram
-rounding projects and factors its rounded point on Fractions, certificates are written
+rounding sums its rounded shifts times dense direction matrices and factors
+the point on Fractions, certificates are written
 to JSON objects value by value, LDL^T,
 certificate expansion, term merging and symmetrization are the all-Fraction
 implementations the integer versions replaced, and the monic barycentric coordinates are
@@ -196,22 +197,23 @@ def full_solve_probe(t, max_iter=5000, tol=1e-9) -> SOSProbeResult:
     if s < -tol:
         status = "infeasible_suspected" if bound < -tol else "inconclusive"
         return SOSProbeResult(status, None, len(trace), point, trace)
-    cert = gram._rationalize(G, t)
+    cert = gram._rationalize(shift, dirs, t)
     status = "feasible_numerical" if cert is None else "sos_certified"
     return SOSProbeResult(status, cert, len(trace), point, trace)
 
 
-def fraction_round_at(G: np.ndarray, t, denom: int):
-    """``gram._round_at`` computed on Fractions: the rounded upper triangle,
-    mirrored, is projected by ``kernels.project_affine`` on Fraction
-    objects, and ``fraction_ldlt_psd`` factors the projected point. Its
-    terms are the certificate; None when the point is not PSD."""
+def fraction_round_at(shift: np.ndarray, t, denom: int):
+    """``gram._round_at`` computed on Fractions: each shift is rounded by
+    ``Fraction.limit_denominator``, the Gram point is the flattening plus
+    the dense Fraction sum of the rounded shifts times the direction
+    matrices, and ``fraction_ldlt_psd`` factors it. Its terms are the
+    certificate; None when the point is not PSD."""
     m, n = t.m, t.n
-    upper = np.triu_indices(m * n)
-    rat = np.empty((m * n, m * n), dtype=object)
-    rat[upper] = [Fraction(float(v)).limit_denominator(denom) for v in G[upper]]
-    rat.T[upper] = rat[upper]
-    res = fraction_ldlt_psd(kernels.project_affine(rat, t.entries))
+    mn = m * n
+    stack = gram_direction_stack(m, n).astype(int).astype(object)
+    rounded = [Fraction(float(v)).limit_denominator(denom) for v in shift]
+    G = sum((x * N for x, N in zip(rounded, stack)), t.entries.reshape(mn, mn))
+    res = fraction_ldlt_psd(G)
     if not res.ok:
         return None
     return SOSCertificate(m, n, tuple(

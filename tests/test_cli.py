@@ -272,6 +272,14 @@ class TestEval:
         code, _, err = run(capsys, "eval", identity_file, "-x", "1,2,3", "-y", "1,1")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["1,,2", "1,2,", "1, ,2", ",1,2"])
+    @pytest.mark.parametrize("flag", ["-x", "-y"])
+    def test_empty_field_is_usage_error(self, capsys, identity_file, flag, value):
+        # empty fields were dropped: -x 1,,2 was read as (1, 2) and exited 0
+        vectors = {"-x": "1,1", "-y": "1,1", flag: value}
+        assert run(capsys, "eval", identity_file, "-x", vectors["-x"], "-y", vectors["-y"]) == (
+            2, "", f"error: {flag} has an empty field: {value!r}\n")
+
 
 class TestErrorPaths:
     def test_malformed_json_exit_two_with_position(self, capsys, tmp_path):

@@ -150,10 +150,10 @@ GOLDEN = {
     "probe-dd22": ("4a216068e7bbe87723c637594f04e311e79ae56d2c2d37f0648f95b2151add65", 0),
     "probe-dd33": ("622a8e72fde3a688e9fff1500315698d23f02ea9c2874023bca606a4f73b7cea", 0),
     "probe-sos22": ("e18dfd4a49d33c47a9fbc1e0d0330dafea299f2760da0481b3a85730c8ccdb47", 0),
-    "probe-sos33": ("b18cfe3de635c0fb99847b18217f0b52b8f5f9fcdd62977604737e6d42921d0d", 0),
+    "probe-sos33": ("b784dbc66d09c4c2fce14f294196a92513656497c8bc5196b1c7e1736cab5f39", 0),
     "probe-trace-choi": ("23c78fc974bd68f1e23b9f13ebc0952ff1baa025d6e39e223bf8444e37e45e5f", 1),
     "probe-trace-rank1": ("b4fd4f79fd4c6cc4fb2b4295f2d163e27ffd8fb20d288181169faa8371fad86a", 0),
-    "probe-trace-sos33": ("3807c82c1adee7e07633a7cd213d08848562f54b4c43370d926d2c8c23c5de55", 0),
+    "probe-trace-sos33": ("dcfdc3d02d230719ce6acd0a0e5a9edc1048530d96cbac50ff51720b806799f4", 0),
     "verify-match-22": ("2dc6f13146065ccd2a11894f170a19ad0cb9e5d727b158a3c7aac0918e6018a6", 0),
     "verify-match-33": ("2dc6f13146065ccd2a11894f170a19ad0cb9e5d727b158a3c7aac0918e6018a6", 0),
     "verify-mismatch": ("0a0b5710ef96a6702d5fc7b595a7a96356c8800475b75cc6c0fa54274bb93bb6", 1),

@@ -14,6 +14,7 @@ from biquad import exactla, gram, jsonio, kernels
 from biquad.core import (
     MonicParams,
     SOSCertificate,
+    SymmetricBiquadraticTensor,
     evaluate,
     expand_certificate,
     monic_to_tensor,
@@ -168,8 +169,9 @@ def canonical_certificate(cert):
 
 
 class TestIntegerRounding:
-    """``_round_at`` rounds, projects and factors in integers; it must give
-    what ``fraction_round_at``, the Fraction version, gives."""
+    """``_round_at`` rounds the shifts and factors the Gram point in
+    integers; it must give what ``fraction_round_at``, the Fraction
+    version, gives."""
 
     @pytest.mark.parametrize("m,n", list(itertools.product(range(1, 4), repeat=2)))
     def test_agrees_with_fraction_rounding(self, m, n):
@@ -177,19 +179,18 @@ class TestIntegerRounding:
         mn = m * n
         dirs = kernels.gram_directions(m, n)
         certified = []
-        # P = S + shift I for a random rational symmetric S with entries in
-        # [-1, 1]: positive definite, mostly indefinite, negative definite
-        for shift in (2 * mn, 0, -2 * mn):
+        # the flattening of S + d I for a random rational symmetric S with
+        # entries in [-1, 1]: positive definite, mostly indefinite, negative
+        # definite; then random float shifts of its family
+        for d in (2 * mn, 0, -2 * mn):
             qs = rng.integers(1, 13, mn * mn).tolist()
             S = np.array([F(int(rng.integers(-q, q + 1)), q) for q in qs], dtype=object).reshape(mn, mn)
-            P = np.triu(S) + np.triu(S, 1).T + shift * np.eye(mn, dtype=int)
+            P = np.triu(S) + np.triu(S, 1).T + d * np.eye(mn, dtype=int)
             t = symmetrize(P.reshape(m, n, m, n))
-            noise = 1e-3 * rng.standard_normal((mn, mn))
-            G = gram._gram_at(P.astype(np.float64), 0.3 * rng.standard_normal(dirs[0].size), dirs)
-            G += noise + noise.T
+            x = 0.3 * rng.standard_normal(dirs[0].size)
             for denom in gram.RATIONALIZE_DENOMINATORS:
-                cert = gram._round_at(G, t, denom)
-                reference = fraction_round_at(G, t, denom)
+                cert = gram._round_at(x, dirs, t, denom)
+                reference = fraction_round_at(x, t, denom)
                 assert (cert is None) == (reference is None)
                 if cert is not None:
                     assert canonical_certificate(cert) == canonical_certificate(reference)
@@ -310,9 +311,9 @@ class TestSOSProbe:
         early = sos_probe(t)
         real, calls = gram._round_at, []
 
-        def refuse_first(G, tensor, denom):
+        def refuse_first(shift, dirs, tensor, denom):
             calls.append(denom)
-            return None if len(calls) == 1 else real(G, tensor, denom)
+            return None if len(calls) == 1 else real(shift, dirs, tensor, denom)
 
         monkeypatch.setattr(gram, "_round_at", refuse_first)
         res = sos_probe(t)
@@ -325,11 +326,22 @@ class TestSOSProbe:
     def test_no_rounding_leaves_feasible_numerical(self, monkeypatch):
         # the barrier reaches s >= -tol, but when no rung of the ladder
         # verifies, no exact certificate is recovered
-        monkeypatch.setattr(gram, "_round_at", lambda G, t, denom: None)
+        monkeypatch.setattr(gram, "_round_at", lambda shift, dirs, t, denom: None)
         res = sos_probe(rank_one_sos_tensor(), tol=1e-9)
         assert res.status == "feasible_numerical"
         assert res.certificate is None and not res.certified
         assert res.iterations == len(res.trace) > 0
+
+    @pytest.mark.parametrize("m,n", [(1, 2), (2, 1)])
+    def test_no_free_direction_leaves_feasible_numerical(self, m, n):
+        # K = 0: the family is the flattening alone, indefinite by 1e-12, so
+        # the barrier ends within tol of 0 and every rung refuses the point
+        near = 1 + F(1, 10**12)
+        t = SymmetricBiquadraticTensor(m, n, np.array([1, near, near, 1], dtype=object).reshape(m, n, m, n))
+        assert kernels.gram_directions(m, n)[0].size == 0
+        res = sos_probe(t)
+        assert res.status == "feasible_numerical"
+        assert res.certificate is None
 
     def test_ladder_is_nonempty_and_increasing(self):
         # the early stop at s >= mn / D0 reads the first rung unguarded

@@ -72,3 +72,37 @@ def test_the_float_modules_import_numpy():
     # the check above finds a module-level numpy import where there is one
     for name in ("classes", "gram", "kernels"):
         assert "numpy" in import_time_modules(ast.parse((SRC / f"{name}.py").read_text()))
+
+
+# Functions the library no longer calls, kept only because the benchmark's
+# tracer names them; removed together with this set once it stops naming them.
+BENCHMARK_ONLY = {"kernels.project_affine", "gram.gram_project_psd"}
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name the code reads, calls or imports: bare names, attribute
+    names and imported names (strings such as ``__all__`` entries aside)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("qualname", sorted(BENCHMARK_ONLY))
+def test_benchmark_only_names_are_defined(qualname):
+    # the tracer looks each one up on its module
+    module, name = qualname.split(".")
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+@pytest.mark.parametrize("qualname", sorted(BENCHMARK_ONLY))
+def test_benchmark_only_names_are_not_used(qualname):
+    name = qualname.split(".")[1]
+    users = [p.name for p in sorted(SRC.glob("*.py")) if name in referenced_names(ast.parse(p.read_text()))]
+    assert not users, f"{qualname} is kept only for the benchmark but {users} use it"

@@ -1,5 +1,6 @@
 """Property tests: JSON round trips, symmetrization, certificate
-re-verification, and the Gram probe against its full solve.
+re-verification, the Gram probe against its full solve, and the rounding of
+its early-stop point.
 
 Examples are drawn by hypothesis under the deterministic profile loaded in
 ``tests/conftest.py``, so every run sees the same bounded set.
@@ -9,10 +10,10 @@ import json
 from fractions import Fraction as F
 
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from biquad import jsonio
+from biquad import gram, jsonio, kernels
 from biquad.core import (
     BilinearForm,
     MonicParams,
@@ -176,10 +177,10 @@ def test_monic_certificates_reverify(m, n, weights):
 
 
 @st.composite
-def integer_square_sums(draw):
+def integer_square_sums(draw, max_m=4):
     """A sum of at least mn squares of m x n bilinear forms with integer
-    coefficients in [-3, 3], for m, n in {2, 3, 4}."""
-    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    coefficients in [-3, 3], for m in 2..``max_m`` and n in {2, 3, 4}."""
+    m, n = draw(st.integers(2, max_m)), draw(st.integers(2, 4))
     count = draw(st.integers(m * n, m * n + 2))
     values = draw(st.lists(st.integers(-3, 3), min_size=count * m * n, max_size=count * m * n))
     forms = np.array(values).reshape(count, m, n)
@@ -197,3 +198,21 @@ def test_probe_matches_the_full_solve(t):
     for r in (res, full):
         assert (r.certificate is not None) == r.certified
         assert r.certificate is None or tensors_equal(expand_certificate(r.certificate), t)
+
+
+@given(integer_square_sums(max_m=3))
+def test_the_early_stop_point_rounds_at_the_first_rung(t):
+    # rounding each shift at D0 moves G by at most (m-1)(n-1)/(2 D0) < mn/(2 D0)
+    # in norm, so a point with s >= mn/D0 stays positive definite (Weyl)
+    mn = t.m * t.n
+    dirs = kernels.gram_directions(t.m, t.n)
+    d0 = gram.RATIONALIZE_DENOMINATORS[0]
+    F0 = t.to_float().reshape(mn, mn)
+    shift, s, _, _ = gram._barrier_max_min_eig(F0, dirs, 5000, 1e-9, mn / d0)
+    assume(s >= mn / d0)
+    rounded = [float(F(v).limit_denominator(d0)) for v in shift]
+    move = gram._gram_at(F0, np.array(rounded), dirs) - gram._gram_at(F0, shift, dirs)
+    assert np.linalg.norm(move, 2) <= (t.m - 1) * (t.n - 1) / (2 * d0) * (1 + 1e-9)
+    cert = gram._round_at(shift, dirs, t, d0)
+    assert cert is not None
+    assert tensors_equal(expand_certificate(cert), t)
