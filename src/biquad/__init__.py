@@ -3,7 +3,24 @@ tensors, with numerical probes for everything the exact layer cannot decide.
 The float layer's names (``classes``, ``gram``) load on first use.
 """
 
-import importlib
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    """The submodule ``name``, registered in ``sys.modules`` at once and its
+    body run on first attribute access (``importlib.util.LazyLoader``): only
+    the work that uses a float module imports numpy, while perfbench's
+    tracer still finds every module in ``sys.modules``."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# registered before `core` and `cli` import them by name
+kernels, classes, gram = _lazy("kernels"), _lazy("classes"), _lazy("gram")
 
 from .core import (
     BilinearForm,
@@ -22,7 +39,6 @@ from .core import (
 from .dominance import (
     NotDiagonallyDominantError,
     dd_sos_decompose,
-    flatten,
     is_diagonally_dominated,
     row_bound,
 )
@@ -41,14 +57,14 @@ _FLOAT_NAMES = {
     "classes": ("ClassReport", "classify", "gen_tensor", "is_b0_tensor", "is_z_tensor",
                 "lambda_max_estimate", "m_identity", "z_split"),
     "gram": ("GramPoint", "SOSProbeResult", "choi_form", "conjecture_sweep",
-             "flattening_psd_check", "gram_project_psd", "sos_probe"),
+             "flattening_psd_check", "sos_probe"),
 }
 _FLOAT_HOME = {name: module for module, names in _FLOAT_NAMES.items() for name in names}
 
 
 def __getattr__(name):
     if name in _FLOAT_HOME:
-        return getattr(importlib.import_module(f"{__name__}.{_FLOAT_HOME[name]}"), name)
+        return getattr(globals()[_FLOAT_HOME[name]], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -28,7 +28,7 @@ from .core import (
     permutation_invariant,
     symmetrize,
 )
-from .dominance import flatten, is_diagonally_dominated, offdiag_row_sums
+from .dominance import is_diagonally_dominated, offdiag_row_sums
 
 __all__ = [
     "MTensorReport",
@@ -63,13 +63,13 @@ def m_identity(m: int, n: int) -> SymmetricBiquadraticTensor:
 
 def is_z_tensor(t: SymmetricBiquadraticTensor) -> bool:
     """True iff every off-diagonal entry (not of the form a[i,j,i,j]) is <= 0."""
-    return all(v <= 0 for p, row in enumerate(flatten(t)) for v in row[:p] + row[p + 1:])
+    return all(v <= 0 for p, row in enumerate(t.rows) for v in row[:p] + row[p + 1:])
 
 
 def _minus(alpha: Fraction, t: SymmetricBiquadraticTensor) -> SymmetricBiquadraticTensor:
     """alpha * I - t, whose flattening is alpha times the identity minus t's."""
     mn = t.m * t.n
-    values = [-v for v in chain.from_iterable(flatten(t))]
+    values = [-v for v in chain.from_iterable(t.rows)]
     values[::mn + 1] = [alpha + v for v in values[::mn + 1]]
     return SymmetricBiquadraticTensor.from_flat(t.m, t.n, values)
 
@@ -83,7 +83,7 @@ def z_split(t: SymmetricBiquadraticTensor) -> tuple[Fraction, SymmetricBiquadrat
     """
     if not is_z_tensor(t):
         raise ValueError("not a Z-tensor: some off-diagonal entry is positive")
-    alpha = max(row[p] for p, row in enumerate(flatten(t)))
+    alpha = max(row[p] for p, row in enumerate(t.rows))
     return alpha, _minus(alpha, t)
 
 
@@ -110,7 +110,7 @@ def lambda_max_estimate(B: SymmetricBiquadraticTensor, restarts: int = 20, seed:
 def _b0_rows(t: SymmetricBiquadraticTensor) -> tuple[list[Fraction], list[Fraction]]:
     # Per flattening row p: the signed row sum S_p (diagonal included) and
     # max(0, off-diagonal entries of row p).
-    M = flatten(t)
+    M = t.rows
     return [sum(row) for row in M], [max(row[:p] + (ZERO,) + row[p + 1:]) for p, row in enumerate(M)]
 
 
@@ -187,7 +187,7 @@ def _random_symmetric(m, n, rng, lo, hi):
 def _with_diagonal(t, diag):
     """Copy of t with the flattening's diagonal replaced by the mn Fractions
     diag (each a[i,j,i,j] is its own symmetry orbit)."""
-    values = list(chain.from_iterable(flatten(t)))
+    values = list(chain.from_iterable(t.rows))
     values[::t.m * t.n + 1] = diag
     return SymmetricBiquadraticTensor.from_flat(t.m, t.n, values)
 
@@ -196,7 +196,7 @@ def _gen_dd(m, n, rng):
     # each diagonal entry is its row bound plus a slack >= 0
     base = _random_symmetric(m, n, rng, -1, 1)
     slack = [Fraction(int(rng.integers(0, DENOM + 1)), DENOM) for _ in range(m * n)]
-    return _with_diagonal(base, list(map(add, offdiag_row_sums(flatten(base)), slack)))
+    return _with_diagonal(base, list(map(add, offdiag_row_sums(base.rows), slack)))
 
 
 def _gen_z(m, n, rng):

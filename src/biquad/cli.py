@@ -12,8 +12,9 @@ failures so pipelines can branch on verdicts:
 All reports are single JSON documents on stdout with sorted keys; identical
 argv and seed give byte-identical output. Flags and files take rationals as
 ``core.rational`` reads them: "p/q", "p" or a plain decimal, no exponent.
-The float modules (``classes``, ``gram``, ``kernels``) load lazily, on first
-use by classify, gen, probe or sweep: the exact commands run without numpy.
+The float modules (``classes``, ``gram``, ``kernels``), which the package
+registers lazily, load on first use by classify, gen, probe or sweep: the
+exact commands run without numpy.
 """
 
 from __future__ import annotations
@@ -21,22 +22,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
-from . import dominance, jsonio, monic
+from . import classes, dominance, gram, jsonio, monic
 from .core import (
     MonicParams,
     evaluate,
     expand_certificate,
-    lazy_module,
     rational,
     tensors_equal,
 )
-
-classes = lazy_module(f"{__package__}.classes")
-gram = lazy_module(f"{__package__}.gram")
 
 # gen's and sweep's --class choices; classes.GENERATOR_CLASSES and
 # gram.SWEEP_CLASSES, which the tests pin them to, would load numpy.
@@ -122,7 +120,7 @@ def _violation_records(violations, n: int) -> list[dict]:
 
 def _cmd_check_dd(args) -> int:
     t = jsonio.load_tensor(args.tensor)
-    violations = _violation_records(dominance.dominance_violations(dominance.flatten(t)), t.n)
+    violations = _violation_records(dominance.dominance_violations(t.rows), t.n)
     ok = not violations
     _emit(args, {"diagonally_dominated": ok, "violations": violations})
     return 0 if ok else 1
@@ -269,7 +267,7 @@ def _cmd_sweep(args) -> int:
                                      fixture_dir=fixture_dir)
         gram.write_sweep_csv(rows, fh)
     if args.output:
-        _emit(args, {"trials": args.trials, "counts": gram.sweep_counts(rows),
+        _emit(args, {"trials": args.trials, "counts": Counter(r.status for r in rows),
                      "csv": str(args.output)})
     return 0
 

@@ -22,7 +22,6 @@ use 1-based indices.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import numbers
 import re
@@ -33,7 +32,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
 from operator import add, floordiv, mul
 
-from . import exactla
+from . import exactla, kernels
 
 __all__ = [
     "rational",
@@ -48,32 +47,12 @@ __all__ = [
     "expand_certificate",
     "tensors_equal",
     "sample_min",
-    "lazy_module",
 ]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
-
-def lazy_module(name: str):
-    """The module ``name``, registered in ``sys.modules`` and on its package
-    at once, its body run on first attribute access
-    (``importlib.util.LazyLoader``). The float modules load this way, so
-    that only the work that uses them imports numpy."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    package, _, child = name.rpartition(".")
-    setattr(sys.modules[package], child, module)
-    return module
-
-
-kernels = lazy_module(f"{__package__}.kernels")
 
 def rational(value) -> Fraction:
     """Coerce an exact value (Fraction, integer, or rational text) to Fraction.

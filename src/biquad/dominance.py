@@ -1,10 +1,11 @@
-"""Diagonal dominance: flattening, the row-bound test, and the explicit
-square certificate a diagonally dominated tensor always admits.
+"""Diagonal dominance: the row-bound test, and the explicit square
+certificate a diagonally dominated tensor always admits.
 
 The flattening pairs z[(i,j)] = x_i y_j and rewrites the form as z^T M z with
-M[(i,j),(k,l)] = a[i,j,k,l]. Diagonal dominance of the tensor (each diagonal
-entry at least its row bound r_ij) is exactly diagonal dominance of M, and a
-diagonally dominant symmetric matrix with nonnegative diagonal splits into
+M[(i,j),(k,l)] = a[i,j,k,l], which a tensor stores as its ``rows``. Diagonal
+dominance of the tensor (each diagonal entry at least its row bound r_ij) is
+exactly diagonal dominance of M, and a diagonally dominant symmetric matrix
+with nonnegative diagonal splits into
      sum_p alpha_p e_p e_p^T  +  sum_{p<q} beta_pq (e_p + s_pq e_q)(...)^T,
 whose terms pull back to squares of the bilinear forms x_i y_j and
 x_i y_j + s x_k y_l.
@@ -25,7 +26,6 @@ from .core import (
 
 __all__ = [
     "NotDiagonallyDominantError",
-    "flatten",
     "offdiag_row_sums",
     "row_bound",
     "dominance_violations",
@@ -45,17 +45,6 @@ class NotDiagonallyDominantError(ValueError):
         self.violations = tuple(violations)
         rows = ", ".join(f"row {p}: diag {d} < bound {r}" for p, d, r in self.violations)
         super().__init__(f"matrix is not diagonally dominant with nonnegative diagonal ({rows})")
-
-
-def flatten(t: SymmetricBiquadraticTensor) -> tuple:
-    """The (mn) x (mn) flattening M of a symmetric tensor: its rows, which
-    the tensor stores.
-
-    Rows and columns are indexed by pairs (i, j) in row-major order
-    (i-1)*n + j (1-based convention). M is symmetric and carries the extra
-    internal symmetry M[(i,j),(k,l)] = M[(i,l),(k,j)].
-    """
-    return t.rows
 
 
 def offdiag_row_sums(M) -> list[Fraction]:
@@ -79,7 +68,7 @@ def row_bound(t: SymmetricBiquadraticTensor, i: int, j: int) -> Fraction:
     """
     if not (1 <= i <= t.m) or not (1 <= j <= t.n):
         raise IndexError(f"(i, j) = ({i}, {j}) out of range for ({t.m}, {t.n})")
-    return offdiag_row_sums(flatten(t))[(i - 1) * t.n + (j - 1)]
+    return offdiag_row_sums(t.rows)[(i - 1) * t.n + (j - 1)]
 
 
 def dominance_violations(M) -> list[tuple[int, Fraction, Fraction]]:
@@ -91,7 +80,7 @@ def dominance_violations(M) -> list[tuple[int, Fraction, Fraction]]:
 
 def is_diagonally_dominated(t: SymmetricBiquadraticTensor) -> bool:
     """True iff a[i,j,i,j] >= r_ij for every (i, j)."""
-    return not dominance_violations(flatten(t))
+    return not dominance_violations(t.rows)
 
 
 def dd_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate:
@@ -106,7 +95,7 @@ def dd_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate:
     ``t`` exactly. Raises :class:`NotDiagonallyDominantError` (identifying the
     violating rows) when ``t`` is not diagonally dominated.
     """
-    M = flatten(t)
+    M = t.rows
     alphas = [row[p] - bound for p, (row, bound) in enumerate(zip(M, offdiag_row_sums(M)))]
     if any(alpha < 0 for alpha in alphas):
         raise NotDiagonallyDominantError(dominance_violations(M))

@@ -36,14 +36,12 @@ from .core import (
     symmetrize,
     tensors_equal,
 )
-from .dominance import flatten
 
 __all__ = [
     "GramPoint",
     "SOSProbeResult",
     "SweepRow",
     "flattening_psd_check",
-    "gram_project_psd",
     "sos_probe",
     "conjecture_sweep",
     "write_sweep_csv",
@@ -110,7 +108,7 @@ def flattening_psd_check(t: SymmetricBiquadraticTensor) -> SOSCertificate | None
     """
     # an array, not the rows: perfbench's tracer reads the order of every
     # ldlt_psd input from its shape
-    return _gram_certificate(np.array(flatten(t), dtype=object), t)
+    return _gram_certificate(np.array(t.rows, dtype=object), t)
 
 
 def gram_project_psd(G: np.ndarray) -> np.ndarray:
@@ -303,11 +301,16 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
 
     * s >= -tol and rationalization verifies -> ``sos_certified``
     * s >= -tol but no exact certificate recovered -> ``feasible_numerical``
-    * s < -tol and the duality bound puts the float optimum s* below -tol
-      -> ``infeasible_suspected`` (evidence of an empty spectrahedron, not
-      proof)
+    * s < -tol and the duality bound s + mn / tau falls below -tol ->
+      ``infeasible_suspected``: evidence of an empty spectrahedron, not
+      proof, since the bound, taken at a float64 centre, can undershoot
+      s* near 0
     * otherwise -> ``inconclusive``: ``max_iter`` ran out, or float64 could
       not close the gap, first
+
+    With m = 1 or n = 1 the family has no free direction (K = 0): it is the
+    flattening alone, which the exact LDL^T has refused, so no barrier runs
+    and the result is ``infeasible_suspected`` with no iterations.
     """
     _check_tol(tol)
     cert = flattening_psd_check(t)
@@ -319,6 +322,9 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
     a4 = t.to_float()
     F = a4.reshape(mn, mn)
     dirs = kernels.gram_directions(t.m, t.n)
+    if dirs[0].size == 0:
+        return SOSProbeResult("infeasible_suspected", None, 0,
+                              GramPoint(0.0, max(0.0, -float(np.linalg.eigvalsh(F)[0]))))
     stop_at = mn / RATIONALIZE_DENOMINATORS[0]
     shift, s, trace, bound = _barrier_max_min_eig(F, dirs, max_iter, tol, stop_at)
     G = _gram_at(F, shift, dirs)
@@ -381,13 +387,6 @@ def write_sweep_csv(rows, fh) -> None:
     for r in rows:
         writer.writerow([r.trial, r.seed, r.status, r.iterations,
                          f"{r.residual_affine:.3e}", f"{r.residual_psd:.3e}"])
-
-
-def sweep_counts(rows) -> dict:
-    counts: dict[str, int] = {}
-    for r in rows:
-        counts[r.status] = counts.get(r.status, 0) + 1
-    return counts
 
 
 def choi_form() -> SymmetricBiquadraticTensor:

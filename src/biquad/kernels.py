@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["random_unit_pairs", "refine_batch", "refine_best", "gram_directions",
-           "barrier_newton_system", "project_affine", "affine_residual"]
+           "barrier_newton_system", "affine_residual"]
 
 # The refinement policy of the float probes (``core.sample_min`` and
 # ``classes.lambda_max_estimate``), applied by ``refine_best``: at most

@@ -6,6 +6,7 @@ comparisons for everything rational, -1e-7 / -1e-9 for the float probes.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,8 +22,8 @@ from biquad.core import (
     sample_min,
     tensors_equal,
 )
-from biquad.dominance import dd_sos_decompose, flatten, row_bound
-from biquad.gram import choi_form, conjecture_sweep, sos_probe, sweep_counts, write_sweep_csv
+from biquad.dominance import dd_sos_decompose, row_bound
+from biquad.gram import choi_form, conjecture_sweep, sos_probe, write_sweep_csv
 from biquad.monic import (
     barycentric,
     m_eigen_monic,
@@ -75,7 +76,7 @@ def test_c01_dd_roundtrip(dd_corpus):
 def test_c02_row_sum_equivalence(dd_corpus):
     checked = 0
     for t in dd_corpus:
-        M = flatten(t)
+        M = t.rows
         for i in range(1, t.m + 1):
             for j in range(1, t.n + 1):
                 p = (i - 1) * t.n + (j - 1)
@@ -227,7 +228,7 @@ def test_c07_structured_classes_sample_psd():
 
 def test_c08_choi_fixture():
     t = choi_form()
-    res = exactla.ldlt_psd(flatten(t))
+    res = exactla.ldlt_psd(t.rows)
     assert not res.ok
     assert res.failure == "negative_pivot"
     assert res.value < 0
@@ -254,7 +255,7 @@ def test_c09_conjecture_sweeps(tmp_path):
             with open(csv_path, "w", newline="") as fh:
                 write_sweep_csv(rows, fh)
             assert len(csv_path.read_text().strip().splitlines()) == 201
-            counts = sweep_counts(rows)
+            counts = dict(Counter(r.status for r in rows))
             if klass == "m_tensor":
                 suspicions += counts.get("infeasible_suspected", 0)
             summaries.append(f"{klass}@{size}x{size}:{counts}")

@@ -25,7 +25,7 @@ from biquad.classes import (
     m_identity,
     z_split,
 )
-from biquad.dominance import flatten, is_diagonally_dominated, row_bound
+from biquad.dominance import is_diagonally_dominated, row_bound
 from biquad.gram import flattening_psd_check
 
 from conftest import (
@@ -43,7 +43,7 @@ ALL_SIZES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
 
 class TestMIdentity:
     def test_flattening_is_identity(self):
-        M = flatten(m_identity(2, 2))
+        M = m_identity(2, 2).rows
         assert all(M[p][q] == (1 if p == q else 0) for p in range(4) for q in range(4))
 
     def test_unit_value(self):
@@ -152,7 +152,7 @@ class TestB0:
         for _ in range(3):
             t = random_symmetric_tensor(rng, m, n)
             # diagonal lifted by a random amount so both verdicts occur
-            diagonal = [row[p] for p, row in enumerate(flatten(t))]
+            diagonal = [row[p] for p, row in enumerate(t.rows)]
             lift = [v + F(int(rng.integers(0, 8 * m * n)), 4) for v in diagonal]
             for s in (t, with_flat_diagonal(t, lift)):
                 assert is_b0_tensor(s) == two_family_is_b0(s)

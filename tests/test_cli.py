@@ -221,6 +221,20 @@ class TestGenClassifyProbe:
         assert report["certified"] is True
         assert report["certificate"] == {"m": 2, "n": 2, "terms": []}
 
+    @pytest.mark.parametrize("m,n", [(1, 2), (2, 1), (1, 3)])
+    def test_probe_without_free_directions_exits_one(self, capsys, tmp_path, m, n):
+        # m = 1 or n = 1: the Gram family is the flattening alone; here
+        # diag(1, -1, ...), whose exact LDL^T refuses it
+        path = tmp_path / "t.json"
+        entries = [{"i": i, "j": j, "k": i, "l": j, "v": "-1" if i + j > 2 else "1"}
+                   for i in range(1, m + 1) for j in range(1, n + 1)]
+        path.write_text(json.dumps({"m": m, "n": n, "entries": entries}))
+        code, out, _ = run(capsys, "probe", str(path), "--trace")
+        assert code == 1
+        report = parse(out)
+        assert (report["status"], report["iterations"], report["trace"]) == ("infeasible_suspected", 0, [])
+        assert (report["residual_affine"], report["residual_psd"]) == (0.0, 1.0)
+
     def test_sweep_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, "sweep", "--class", "m_tensor", "-m", "2", "-n", "2",

@@ -21,7 +21,6 @@ from biquad.dominance import (
     NotDiagonallyDominantError,
     dd_sos_decompose,
     dominance_violations,
-    flatten,
     is_diagonally_dominated,
     row_bound,
 )
@@ -43,7 +42,7 @@ def flat_offdiag_abs_row_sum(M, p: int) -> F:
 
 class TestFlatten:
     def test_identity_flattens_to_identity_matrix(self):
-        M = flatten(m_identity(2, 2))
+        M = m_identity(2, 2).rows
         assert [len(row) for row in M] == [4] * 4
         for p in range(4):
             for q in range(4):
@@ -54,7 +53,7 @@ class TestFlatten:
         # diagonal 1, a at x-swap positions ((11),(21)) and ((12),(22)), b at
         # y-swap positions, c at the double-swap positions.
         a, b, c = F(1, 3), F(-2, 5), F(7, 11)
-        M = flatten(monic_to_tensor(MonicParams(2, 2, a, b, c)))
+        M = monic_to_tensor(MonicParams(2, 2, a, b, c)).rows
         expected = [
             [1, b, a, c],
             [b, 1, c, a],
@@ -66,12 +65,12 @@ class TestFlatten:
                 assert M[p][q] == expected[p][q]
 
     def test_zero_tensor(self):
-        M = flatten(SymmetricBiquadraticTensor.zeros(2, 3))
+        M = SymmetricBiquadraticTensor.zeros(2, 3).rows
         assert all(v == 0 for row in M for v in row)
 
     def test_internal_symmetry_invariant(self, rng):
         t = random_symmetric_tensor(rng, 3, 2)
-        M = flatten(t)
+        M = t.rows
         m, n = 3, 2
         for i in range(m):
             for j in range(n):
@@ -81,7 +80,7 @@ class TestFlatten:
 
     def test_quadratic_form_identity(self, rng):
         t = random_symmetric_tensor(rng, 2, 3)
-        M = flatten(t)
+        M = t.rows
         for _ in range(10):
             x = random_rational_vector(rng, 2)
             y = random_rational_vector(rng, 3)
@@ -91,7 +90,7 @@ class TestFlatten:
 
     def test_is_the_stored_read_only_rows(self, rng):
         t = random_symmetric_tensor(rng, 2, 3)
-        M = flatten(t)
+        M = t.rows
         assert [len(row) for row in M] == [6] * 6
         assert M is t.rows and M == tuple(map(tuple, t.entries.reshape(6, 6).tolist()))
         with pytest.raises(TypeError):
@@ -125,7 +124,7 @@ class TestRowBound:
             m = int(rng.integers(1, 4))
             n = int(rng.integers(1, 4))
             t = random_symmetric_tensor(rng, m, n)
-            M = flatten(t)
+            M = t.rows
             for i in range(1, m + 1):
                 for j in range(1, n + 1):
                     p = (i - 1) * n + (j - 1)
@@ -164,7 +163,7 @@ class TestIsDiagonallyDominated:
     def test_matches_flat_matrix_dominance(self, rng):
         for _ in range(20):
             t = random_symmetric_tensor(rng, 2, 2)
-            M = flatten(t)
+            M = t.rows
             flat_dd = all(
                 M[p][p] >= flat_offdiag_abs_row_sum(M, p) for p in range(4)
             )
@@ -179,13 +178,13 @@ class TestIsDiagonallyDominated:
         bounds = [two_family_row_bound(base, i0, j0) for i0 in range(m) for j0 in range(n)]
         tight = with_flat_diagonal(base, bounds)
         assert is_diagonally_dominated(tight)
-        assert dominance_violations(flatten(tight)) == []
+        assert dominance_violations(tight.rows) == []
         p = int(rng.integers(0, m * n))
         lowered = list(bounds)
         lowered[p] -= F(1, 64)
         below = with_flat_diagonal(base, lowered)
         assert not is_diagonally_dominated(below)
-        assert dominance_violations(flatten(below)) == [(p, lowered[p], bounds[p])]
+        assert dominance_violations(below.rows) == [(p, lowered[p], bounds[p])]
 
 
 class TestDDMatrixDecompose:

@@ -5,6 +5,7 @@ system, and conjecture sweeps."""
 import io
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -23,14 +24,12 @@ from biquad.core import (
     tensors_equal,
 )
 from biquad.classes import gen_tensor, m_identity
-from biquad.dominance import dd_sos_decompose, flatten
+from biquad.dominance import dd_sos_decompose
 from biquad.gram import (
     choi_form,
     conjecture_sweep,
     flattening_psd_check,
-    gram_project_psd,
     sos_probe,
-    sweep_counts,
     write_sweep_csv,
 )
 
@@ -81,7 +80,7 @@ class TestFlatteningPSDCheck:
     def test_choi_flattening_rejected_with_negative_pivot(self):
         t = choi_form()
         assert flattening_psd_check(t) is None
-        res = exactla.ldlt_psd(flatten(t))
+        res = exactla.ldlt_psd(t.rows)
         assert not res.ok
         assert res.failure == "negative_pivot"
         assert res.value < 0
@@ -130,7 +129,7 @@ class TestLDLT:
 class TestAffineProjection:
     def test_flattening_is_fixed_point(self, rng):
         t = random_symmetric_tensor(rng, 2, 3)
-        G = np.array(flatten(t), dtype=np.float64)
+        G = np.array(t.rows, dtype=np.float64)
         P = kernels.project_affine(G, t.to_float())
         assert np.abs(P - G).max() < 1e-12
 
@@ -241,7 +240,7 @@ class TestBarrierNewtonSystem:
     def test_directions_keep_the_form(self, m, n, rng):
         t = random_symmetric_tensor(rng, m, n)
         a4 = t.to_float()
-        G = np.array(flatten(t), dtype=np.float64) + np.tensordot(
+        G = np.array(t.rows, dtype=np.float64) + np.tensordot(
             rng.standard_normal(math.comb(m, 2) * math.comb(n, 2)), gram_direction_stack(m, n), 1)
         assert kernels.affine_residual(G, a4) < 1e-12
 
@@ -250,16 +249,16 @@ class TestPSDProjection:
     def test_psd_input_unchanged(self, rng):
         A = rng.standard_normal((5, 5))
         G = A @ A.T
-        assert np.abs(gram_project_psd(G) - G).max() < 1e-10
+        assert np.abs(gram.gram_project_psd(G) - G).max() < 1e-10
 
     def test_indefinite_diagonal(self):
         G = np.diag([1.0, -1.0])
-        assert np.allclose(gram_project_psd(G), np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(gram.gram_project_psd(G), np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_negative_rank_one_goes_to_zero(self, rng):
         v = rng.standard_normal(4)
         G = -np.outer(v, v)
-        assert np.abs(gram_project_psd(G)).max() < 1e-10
+        assert np.abs(gram.gram_project_psd(G)).max() < 1e-10
 
 
 class TestSOSProbe:
@@ -333,15 +332,22 @@ class TestSOSProbe:
         assert res.iterations == len(res.trace) > 0
 
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 1)])
-    def test_no_free_direction_leaves_feasible_numerical(self, m, n):
-        # K = 0: the family is the flattening alone, indefinite by 1e-12, so
-        # the barrier ends within tol of 0 and every rung refuses the point
+    def test_no_free_direction_is_refused_without_a_solve(self, m, n, monkeypatch):
+        # K = 0: the family is the flattening alone, indefinite by 1e-12,
+        # which the exact LDL^T has already refused
+        def unreachable(*args):
+            raise AssertionError("ran with no free direction")
+
+        monkeypatch.setattr(gram, "_barrier_max_min_eig", unreachable)
+        monkeypatch.setattr(gram, "_round_at", unreachable)
         near = 1 + F(1, 10**12)
         t = SymmetricBiquadraticTensor(m, n, np.array([1, near, near, 1], dtype=object).reshape(m, n, m, n))
         assert kernels.gram_directions(m, n)[0].size == 0
         res = sos_probe(t)
-        assert res.status == "feasible_numerical"
-        assert res.certificate is None
+        assert (res.status, res.certificate, res.iterations, res.trace) == ("infeasible_suspected", None, 0, [])
+        # lambda_min of [[1, 1 + e], [1 + e, 1]] is -e, with e = 1e-12 in float64
+        assert res.residuals.residual_affine == 0.0
+        assert res.residuals.residual_psd == pytest.approx(1e-12, rel=1e-3)
 
     def test_ladder_is_nonempty_and_increasing(self):
         # the early stop at s >= mn / D0 reads the first rung unguarded
@@ -441,8 +447,6 @@ class TestConjectureSweep:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "trial,seed,status,iterations,residual_affine,residual_psd"
         assert len(lines) == 6
-        counts = sweep_counts(rows)
-        assert sum(counts.values()) == 5
 
     def test_b0_sweep_runs(self):
         rows = conjecture_sweep("b0", 4, seed=1, m=2, n=2, max_iter=800, tol=1e-7)
@@ -453,7 +457,7 @@ class TestConjectureSweep:
         # flattening; Dykstra left it feasible_numerical, the barrier certifies
         rows = conjecture_sweep("m_tensor", 200, seed=909, m=2, n=2, max_iter=1500, tol=1e-8)
         assert rows[74].status == "sos_certified"
-        assert sweep_counts(rows) == {"flattening_psd": 199, "sos_certified": 1}
+        assert Counter(r.status for r in rows) == {"flattening_psd": 199, "sos_certified": 1}
 
     def test_suspected_tensor_saved_as_fixture(self, monkeypatch, tmp_path):
         generated = []

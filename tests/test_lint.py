@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import biquad
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "biquad"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -106,3 +108,23 @@ def test_benchmark_only_names_are_not_used(qualname):
     name = qualname.split(".")[1]
     users = [p.name for p in sorted(SRC.glob("*.py")) if name in referenced_names(ast.parse(p.read_text()))]
     assert not users, f"{qualname} is kept only for the benchmark but {users} use it"
+
+
+@pytest.mark.parametrize("qualname", sorted(BENCHMARK_ONLY))
+def test_benchmark_only_names_are_not_exported(qualname):
+    name = qualname.split(".")[1]
+    exporters = [p.name for p in MODULES if name in declared_exports(ast.parse(p.read_text()))]
+    assert not exporters, f"{qualname} is kept only for the benchmark but {exporters} export it"
+    assert name not in vars(biquad) and name not in biquad._FLOAT_HOME
+
+
+def test_only_the_package_makes_modules_lazy():
+    # biquad/__init__ registers the float modules; the others import them by name
+    users = [p.name for p in sorted(SRC.glob("*.py")) if "LazyLoader" in p.read_text()]
+    assert users == ["__init__.py"]
+
+
+@pytest.mark.parametrize("module", sorted(biquad._FLOAT_NAMES))
+def test_float_names_are_exported_by_their_module(module):
+    exports = declared_exports(ast.parse((SRC / f"{module}.py").read_text()))
+    assert set(biquad._FLOAT_NAMES[module]) <= exports

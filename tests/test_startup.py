@@ -113,6 +113,16 @@ def test_class_choices_are_the_module_constants():
     assert choices("sweep") == tuple(gram.SWEEP_CLASSES)
 
 
+def test_each_float_module_is_registered_once():
+    # the package registers them; core and cli import those same modules
+    from biquad import cli, core
+
+    for name in ("kernels", "classes", "gram"):
+        assert getattr(biquad, name) is sys.modules[f"biquad.{name}"]
+    assert core.kernels is biquad.kernels
+    assert (cli.classes, cli.gram) == (biquad.classes, biquad.gram)
+
+
 def test_float_names_load_from_the_package():
     assert biquad.sos_probe is gram.sos_probe and biquad.m_identity is classes.m_identity
     with pytest.raises(AttributeError):
