@@ -18,8 +18,6 @@ from fractions import Fraction
 from itertools import chain
 from operator import add
 
-import numpy as np
-
 from . import kernels
 from .core import (
     ONE,
@@ -43,9 +41,8 @@ __all__ = [
     "GENERATOR_CLASSES",
 ]
 
-# classify's ascent: random starts, and the gap between alpha and the
-# estimate below which the M-tensor verdict is 'unknown'.
-RESTARTS = 20
+# The gap between alpha and classify's ascent estimate below which the
+# M-tensor verdict is 'unknown'.
 MARGIN = 1e-6
 
 # Generated entries are multiples of 1/DENOM.
@@ -158,7 +155,7 @@ def classify(t: SymmetricBiquadraticTensor, seed: int = 0) -> ClassReport:
     if zq:
         t.to_float()  # the verdict below is float: name an entry beyond its range
         alpha, B = z_split(t)
-        est = lambda_max_estimate(B, restarts=RESTARTS, seed=seed)
+        est = lambda_max_estimate(B, seed=seed)
         if float(alpha) >= est + MARGIN:
             verdict = "yes"
         elif est >= float(alpha) + MARGIN:
@@ -175,13 +172,14 @@ def classify(t: SymmetricBiquadraticTensor, seed: int = 0) -> ClassReport:
 # random generators
 # ---------------------------------------------------------------------------
 
+def _draws(rng, lo, hi, size):
+    """Multiples of 1/DENOM in [lo, hi], an array of Fractions of the given
+    size drawn in one call, in index order."""
+    return rng.integers(lo * DENOM, hi * DENOM + 1, size=size).astype(object) * Fraction(1, DENOM)
+
+
 def _random_symmetric(m, n, rng, lo, hi):
-    """symmetrize of m x n x m x n draws, in index order, of multiples of
-    1/DENOM in [lo, hi]."""
-    arr = np.empty((m, n, m, n), dtype=object)
-    for idx in np.ndindex(m, n, m, n):
-        arr[idx] = Fraction(int(rng.integers(lo * DENOM, hi * DENOM + 1)), DENOM)
-    return symmetrize(arr)
+    return symmetrize(_draws(rng, lo, hi, (m, n, m, n)))
 
 
 def _with_diagonal(t, diag):
@@ -195,15 +193,13 @@ def _with_diagonal(t, diag):
 def _gen_dd(m, n, rng):
     # each diagonal entry is its row bound plus a slack >= 0
     base = _random_symmetric(m, n, rng, -1, 1)
-    slack = [Fraction(int(rng.integers(0, DENOM + 1)), DENOM) for _ in range(m * n)]
-    return _with_diagonal(base, list(map(add, offdiag_row_sums(base.rows), slack)))
+    return _with_diagonal(base, list(map(add, offdiag_row_sums(base.rows), _draws(rng, 0, 1, m * n))))
 
 
 def _gen_z(m, n, rng):
     # off-diagonals <= 0, any nonnegative diagonal
     base = _random_symmetric(m, n, rng, -1, 0)
-    diag = [Fraction(int(rng.integers(0, 2 * DENOM + 1)), DENOM) for _ in range(m * n)]
-    return _with_diagonal(base, diag)
+    return _with_diagonal(base, _draws(rng, 0, 2, m * n).tolist())
 
 
 def _gen_m(m, n, rng):
@@ -222,8 +218,7 @@ def _gen_b0(m, n, rng):
     # diagonal d passes row p iff sums[p] + d >= mn * off_max[p]
     sums, off_max = _b0_rows(base)
     need = max([Fraction(0), *(mn * top - s for s, top in zip(sums, off_max))])
-    slack = Fraction(int(rng.integers(0, DENOM + 1)), DENOM)
-    return _with_diagonal(base, [need + slack] * mn)
+    return _with_diagonal(base, [need + _draws(rng, 0, 1, None)] * mn)
 
 
 _GENERATORS = {"dd": _gen_dd, "z": _gen_z, "m": _gen_m, "b0": _gen_b0}

@@ -91,7 +91,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_count(flag: str, value: int, cap: int) -> None:
     if not 1 <= value <= cap:
-        raise ValueError(f"{flag} must be between 1 and {cap}, got {value}")
+        raise ValueError(f"{flag} must be between 1 and {cap}, got {jsonio.clip(str(value))}")
 
 
 def _emit(args, payload: dict) -> None:
@@ -163,7 +163,6 @@ def _cmd_classify_monic(args) -> int:
 
 
 def _cmd_decompose_monic(args) -> int:
-    jsonio.check_dims(args.m, args.n)
     p = MonicParams(args.m, args.n, args.a, args.b, args.c)
     cert = monic.monic_sos_decompose(p)
     if cert is None:
@@ -226,7 +225,6 @@ def _cmd_classify(args) -> int:
 def _cmd_gen(args) -> int:
     import numpy as np
 
-    jsonio.check_dims(args.m, args.n)
     rng = np.random.default_rng(args.seed)
     t = classes.gen_tensor(args.klass, args.m, args.n, rng)
     _write_or_emit(args, jsonio.dumps_canonical(jsonio.tensor_to_dict(t)))
@@ -255,19 +253,18 @@ def _cmd_probe(args) -> int:
 def _cmd_sweep(args) -> int:
     _check_count("--trials", args.trials, MAX_TRIALS)
     _check_count("--max-iter", args.max_iter, MAX_ITER)
-    jsonio.check_dims(args.m, args.n)
     if (work := sweep_work(args.trials, args.m, args.n, args.max_iter)) > MAX_SWEEP_WORK:
         raise ValueError(f"sweep estimate trials*(m*n)^3*(max_iter+{SWEEP_EXACT_ITERS}) = {work} "
                          f"exceeds the maximum {MAX_SWEEP_WORK}; use fewer --trials or --max-iter")
     fixture_dir = Path(args.output).resolve().parent if args.output else None
     # Open -o first, so an unwritable path fails before the sweep runs.
     with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as fh:
-        rows = gram.conjecture_sweep(args.klass, args.trials, args.seed, args.m, args.n,
-                                     max_iter=args.max_iter, tol=args.tol,
-                                     fixture_dir=fixture_dir)
-        gram.write_sweep_csv(rows, fh)
+        results = gram.conjecture_sweep(args.klass, args.trials, args.seed, args.m, args.n,
+                                        max_iter=args.max_iter, tol=args.tol,
+                                        fixture_dir=fixture_dir)
+        gram.write_sweep_csv(results, args.seed, fh)
     if args.output:
-        _emit(args, {"trials": args.trials, "counts": Counter(r.status for r in rows),
+        _emit(args, {"trials": args.trials, "counts": Counter(r.status for r in results),
                      "csv": str(args.output)})
     return 0
 
@@ -324,9 +321,19 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _integer_flag(text: str) -> int:
+    """``int`` for argparse, which would echo a refused value whole; past 100 characters
+    of repr it is clipped (int's own reason only quotes it or names the digit limit)."""
+    try:
+        return int(text)
+    except ValueError:
+        length = f" ({len(text)} characters)" if len(repr(text)) > 100 else ""
+        raise argparse.ArgumentTypeError(f"invalid int value: {jsonio.clip(repr(text))}{length}") from None
+
+
 def _add_dims(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-m", type=int, required=True, help="x dimension")
-    p.add_argument("-n", type=int, required=True, help="y dimension")
+    p.add_argument("-m", type=_integer_flag, required=True, help="x dimension")
+    p.add_argument("-n", type=_integer_flag, required=True, help="y dimension")
 
 
 def _add_abc(p: argparse.ArgumentParser) -> None:
@@ -372,17 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", _cmd_classify, "structured-class membership report")
     p.add_argument("tensor")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_integer_flag, default=0, help="RNG seed (default 0)")
 
     p = add("gen", _cmd_gen, "generate a random member of a structured class")
     p.add_argument("--class", dest="klass", required=True, choices=GEN_CLASSES)
     _add_dims(p)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_integer_flag, default=0, help="RNG seed (default 0)")
     p.add_argument("-o", "--output", help="write the tensor JSON here")
 
     p = add("probe", _cmd_probe, "log-barrier Gram search for a certificate")
     p.add_argument("tensor")
-    p.add_argument("--max-iter", type=int, default=5000)
+    p.add_argument("--max-iter", type=_integer_flag, default=5000)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--trace", action="store_true",
                    help="include s, the barrier's lower bound on lambda_min(G), per Newton step")
@@ -390,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep", _cmd_sweep, "probe a batch of random class members, emit CSV")
     p.add_argument("--class", dest="klass", required=True, choices=SWEEP_CLASSES)
     _add_dims(p)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--trials", type=_integer_flag, required=True)
+    p.add_argument("--seed", type=_integer_flag, default=0, help="RNG seed (default 0)")
+    p.add_argument("--max-iter", type=_integer_flag, default=2000)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("-o", "--output", help="write the CSV here (infeasible fixtures go beside it)")
 
@@ -416,6 +423,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; preserve both.
         return int(exc.code or 0)
     try:
+        if "m" in args:  # every command with -m has -n too
+            jsonio.check_dims(args.m, args.n)
         return args.handler(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

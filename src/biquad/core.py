@@ -334,13 +334,6 @@ class BilinearForm(_Rows):
     def __init__(self, m: int, n: int, W):
         self._set(m, n, list(map(rational, _flat(W, (m, n), "W"))))
 
-    @classmethod
-    def unit(cls, m: int, n: int, i: int, j: int):
-        """The form x_i y_j (0-based i, j)."""
-        flat = [ZERO] * (m * n)
-        flat[i * n + j] = ONE
-        return cls.from_flat(m, n, flat)
-
     @cached_property
     def W(self):
         return self._array(self.m, self.n)

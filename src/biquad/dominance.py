@@ -110,5 +110,7 @@ def dd_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate:
                 terms.append((abs(row[q]), BilinearForm.from_flat(m, n, W)))
     for p, alpha in enumerate(alphas):
         if alpha != 0:
-            terms.append((alpha, BilinearForm.unit(m, n, *divmod(p, n))))
+            W = [ZERO] * (m * n)
+            W[p] = ONE
+            terms.append((alpha, BilinearForm.from_flat(m, n, W)))
     return SOSCertificate(m, n, tuple(terms))

@@ -10,7 +10,7 @@ canonical member is the flattening itself. This module provides:
   not necessary, for the existence of a certificate.
 * ``sos_probe``: a log-barrier Newton method that maximises the smallest
   eigenvalue over the affine family, followed by rationalization and exact
-  re-verification of the interior point it ends at. A float optimum below
+  re-verification of the interior point it ends at. A duality bound below
   zero is reported as *suspected* infeasibility, never as proof.
 * ``conjecture_sweep``: batch probes over random members of the structured
   classes, tabulated to CSV.
@@ -26,8 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import exactla, jsonio, kernels
-from .classes import gen_tensor
+from . import classes, exactla, jsonio, kernels
 from .core import (
     BilinearForm,
     SOSCertificate,
@@ -40,7 +39,6 @@ from .core import (
 __all__ = [
     "GramPoint",
     "SOSProbeResult",
-    "SweepRow",
     "flattening_psd_check",
     "sos_probe",
     "conjecture_sweep",
@@ -338,23 +336,13 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
     return SOSProbeResult(status, cert, it, point, trace)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    trial: int
-    seed: int
-    status: str
-    iterations: int
-    residual_affine: float
-    residual_psd: float
-
-
 SWEEP_CLASSES = {"m_tensor": "m", "b0": "b0"}
 
 
 def conjecture_sweep(klass: str, trials: int, seed: int, m: int, n: int,
                      max_iter: int = 2000, tol: float = 1e-8,
-                     fixture_dir=None) -> list[SweepRow]:
-    """Probe ``trials`` random members of a structured class.
+                     fixture_dir=None) -> list[SOSProbeResult]:
+    """The probe results of ``trials`` random members of a structured class.
 
     ``klass`` is ``m_tensor`` or ``b0``. Deterministic per seed. When
     ``fixture_dir`` is given, any tensor whose probe reports
@@ -368,25 +356,24 @@ def conjecture_sweep(klass: str, trials: int, seed: int, m: int, n: int,
     if klass not in SWEEP_CLASSES:
         raise ValueError(f"unknown sweep class {klass!r}; expected one of {tuple(SWEEP_CLASSES)}")
     gen_class = SWEEP_CLASSES[klass]
-    rows = []
+    results = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        t = gen_tensor(gen_class, m, n, rng)
-        res = sos_probe(t, max_iter=max_iter, tol=tol)
-        rows.append(SweepRow(trial, seed, res.status, res.iterations,
-                             res.residuals.residual_affine, res.residuals.residual_psd))
+        t = classes.gen_tensor(gen_class, m, n, rng)
+        results.append(res := sos_probe(t, max_iter=max_iter, tol=tol))
         if res.status == "infeasible_suspected" and fixture_dir is not None:
             path = Path(fixture_dir) / f"{klass}_m{m}_n{n}_seed{seed}_trial{trial}.json"
             jsonio.save_tensor(t, path)
-    return rows
+    return results
 
 
-def write_sweep_csv(rows, fh) -> None:
+def write_sweep_csv(results, seed: int, fh) -> None:
+    """One CSV row per trial of a ``conjecture_sweep`` run with ``seed``."""
     writer = csv.writer(fh)
     writer.writerow(["trial", "seed", "status", "iterations", "residual_affine", "residual_psd"])
-    for r in rows:
-        writer.writerow([r.trial, r.seed, r.status, r.iterations,
-                         f"{r.residual_affine:.3e}", f"{r.residual_psd:.3e}"])
+    for trial, r in enumerate(results):
+        writer.writerow([trial, seed, r.status, r.iterations,
+                         f"{r.residuals.residual_affine:.3e}", f"{r.residuals.residual_psd:.3e}"])
 
 
 def choi_form() -> SymmetricBiquadraticTensor:

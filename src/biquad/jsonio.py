@@ -136,16 +136,17 @@ def tensor_to_dict(t: SymmetricBiquadraticTensor) -> dict:
 
 def check_dims(m: int, n: int) -> None:
     """Reject dimensions below 1 or with m*n above MAX_MN, before any allocation."""
+    got = f"got m={clip(str(m))}, n={clip(str(n))}"
     if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be >= 1, got m={m}, n={n}")
+        raise ValueError(f"dimensions must be >= 1, {got}")
     if m * n > MAX_MN:
-        raise ValueError(f"m*n = {m * n} exceeds the supported maximum {MAX_MN}")
+        raise ValueError(f"m*n exceeds the supported maximum {MAX_MN}, {got}")
 
 
 def _integer(value, name: str) -> int:
     """A JSON integer; true/false, 2.0 and "2" are not one."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+        raise ValueError(f"{name} must be a JSON integer, got {clip(repr(value))}")
     return value
 
 
@@ -182,7 +183,7 @@ def tensor_from_dict(d: dict) -> SymmetricBiquadraticTensor:
             raise ValueError(f"malformed tensor entry {clip(repr(entry))}: "
                              f"{clip(str(exc))}") from exc
         if not (1 <= i <= m and 1 <= k <= m and 1 <= j <= n and 1 <= l <= n):
-            raise ValueError(f"tensor entry index ({i},{j},{k},{l}) out of range for ({m},{n})")
+            raise ValueError(f"tensor entry index {clip(f'({i},{j},{k},{l})')} out of range for ({m},{n})")
         if (i, j, k, l) in seen:
             raise ValueError(f"duplicate tensor entry at ({i},{j},{k},{l})")
         seen.add((i, j, k, l))

@@ -253,7 +253,7 @@ def test_c09_conjecture_sweeps(tmp_path):
             assert len(rows) == 200
             csv_path = tmp_path / f"sweep_{klass}_{size}.csv"
             with open(csv_path, "w", newline="") as fh:
-                write_sweep_csv(rows, fh)
+                write_sweep_csv(rows, 909, fh)
             assert len(csv_path.read_text().strip().splitlines()) == 201
             counts = dict(Counter(r.status for r in rows))
             if klass == "m_tensor":

@@ -215,7 +215,7 @@ class TestMonicToTensor:
 
 class TestExpandCertificate:
     def test_single_unit_square(self):
-        cert = SOSCertificate(2, 2, ((F(1), BilinearForm.unit(2, 2, 0, 0)),))
+        cert = SOSCertificate(2, 2, ((F(1), BilinearForm(2, 2, [[1, 0], [0, 0]])),))
         t = expand_certificate(cert)
         assert t.entry(1, 1, 1, 1) == 1
         assert sum(1 for v in t.entries.flat if v != 0) == 1
@@ -233,7 +233,7 @@ class TestExpandCertificate:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            SOSCertificate(2, 2, ((F(-1), BilinearForm.unit(2, 2, 0, 0)),))
+            SOSCertificate(2, 2, ((F(-1), BilinearForm(2, 2, [[1, 0], [0, 0]])),))
 
     @pytest.mark.parametrize("entry,square", [
         (F(np.int64(2**32), np.int64(1)), 2**64),  # the x1^2 y1^2 coefficient read 0

@@ -443,7 +443,7 @@ class TestConjectureSweep:
         rows = conjecture_sweep("m_tensor", 5, seed=3, m=2, n=2, max_iter=800, tol=1e-7)
         assert len(rows) == 5
         buf = io.StringIO()
-        write_sweep_csv(rows, buf)
+        write_sweep_csv(rows, 3, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "trial,seed,status,iterations,residual_affine,residual_psd"
         assert len(lines) == 6
@@ -466,7 +466,7 @@ class TestConjectureSweep:
             generated.append(gen_tensor(*args))
             return generated[-1]
 
-        monkeypatch.setattr(gram, "gen_tensor", recording_gen)
+        monkeypatch.setattr(gram.classes, "gen_tensor", recording_gen)
         monkeypatch.setattr(gram, "sos_probe", suspected_probe)
         rows = conjecture_sweep("b0", 2, seed=4, m=2, n=3, fixture_dir=tmp_path)
         assert [r.status for r in rows] == ["infeasible_suspected"] * 2
@@ -483,7 +483,7 @@ class TestConjectureSweep:
     def test_bad_tol_rejected_before_the_first_trial(self, monkeypatch, tol):
         def no_work(*args):
             raise AssertionError("a trial ran")
-        monkeypatch.setattr(gram, "gen_tensor", no_work)
+        monkeypatch.setattr(gram.classes, "gen_tensor", no_work)
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             conjecture_sweep("b0", 3, seed=0, m=2, n=2, tol=tol)
 

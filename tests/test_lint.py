@@ -43,7 +43,9 @@ def test_every_import_is_used_or_exported(path):
     assert not unused, f"{path.name} imports {unused} but neither uses nor exports them"
 
 
-EXACT_LAYER = ["__init__", "cli", "core", "dominance", "exactla", "jsonio", "monic"]
+# classes is registered lazily with the float modules, but its own body
+# imports no numpy: its generators take the caller's numpy Generator
+EXACT_LAYER = ["__init__", "classes", "cli", "core", "dominance", "exactla", "jsonio", "monic"]
 
 
 def import_time_modules(tree: ast.Module) -> list[str]:
@@ -72,7 +74,7 @@ def test_exact_layer_does_not_import_numpy_at_module_level(name):
 
 def test_the_float_modules_import_numpy():
     # the check above finds a module-level numpy import where there is one
-    for name in ("classes", "gram", "kernels"):
+    for name in ("gram", "kernels"):
         assert "numpy" in import_time_modules(ast.parse((SRC / f"{name}.py").read_text()))
 
 

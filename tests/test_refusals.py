@@ -1,7 +1,9 @@
 """Refusals of bad input that no other test reaches: each raises its own
 type and message, or for the CLI exits 2 with one ``error:`` line."""
 
+import argparse
 import json
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from biquad import gram, kernels, monic
 from biquad.classes import lambda_max_estimate, m_identity
-from biquad.cli import main
+from biquad.cli import _integer_flag, build_parser, main
 from biquad.core import BilinearForm, SOSCertificate, SymmetricBiquadraticTensor
 from biquad.exactla import solve_linear
 from biquad.monic import vertex_sos
@@ -22,7 +24,10 @@ from biquad.monic import vertex_sos
      "entries shape (2, 2, 2, 1) != (2, 2, 2, 2)"),
     (lambda: BilinearForm(2, 3, np.zeros((3, 2), dtype=object)),
      "W shape (3, 2) != (2, 3)"),
-    (lambda: SOSCertificate(2, 2, ((F(1), BilinearForm.unit(2, 3, 0, 0)),)),
+    (lambda: SymmetricBiquadraticTensor(1, 2, [[[[1, 0]], [[0]]]]),
+     "entries must be nested sequences of shape (1, 2, 1, 2)"),
+    (lambda: BilinearForm(2, 2, [[1, 0], [0]]), "W must be nested sequences of shape (2, 2)"),
+    (lambda: SOSCertificate(2, 2, ((F(1), BilinearForm(2, 3, [[1, 0, 0], [0, 0, 0]])),)),
      "form dimensions (2,3) != certificate (2,2)"),
     (lambda: vertex_sos(1, 1, 2), "vertex certificates need m, n >= 2, got (1, 2)"),
     (lambda: vertex_sos(5, 2, 2), "vertex id must be 1..4, got 5"),
@@ -42,6 +47,82 @@ def cli_error(capsys, *argv) -> str:
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     return lines[0]
+
+
+# The refusals of oversized dimensions and integers, for every subcommand and
+# flag the parser has: a new one is covered without a new test.
+SUBCOMMANDS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+DIM_COMMANDS = [name for name, p in SUBCOMMANDS.items()
+                if any("-m" in a.option_strings for a in p._actions)]
+INTEGER_FLAGS = [(name, a.option_strings[0]) for name, p in SUBCOMMANDS.items()
+                 for a in p._actions if a.type is _integer_flag]
+
+
+def least_argv(command: str, given: set) -> list[str]:
+    """A value for each required argument of ``command`` whose option is
+    not in ``given``; a positional gets a path never read."""
+    argv = [command]
+    for a in SUBCOMMANDS[command]._actions:
+        if a.required and not set(a.option_strings) & given:
+            value = (a.choices[0] if a.choices else "1" if a.type is _integer_flag
+                     else "0" if a.option_strings else "never-read.json")
+            argv += [*a.option_strings[:1], value]
+    return argv
+
+
+def test_the_parser_walk_finds_the_commands_and_flags():
+    assert set(DIM_COMMANDS) >= {"classify-monic", "decompose-monic", "vertices", "audit-grid",
+                                 "gen", "sweep"}
+    assert set(INTEGER_FLAGS) >= {("sweep", "--trials"), ("probe", "--max-iter"),
+                                  ("classify", "--seed"), ("gen", "-n")}
+
+
+@pytest.mark.parametrize("m", ["9", "9" * 4000], ids=["9", "4000-digits"])
+@pytest.mark.parametrize("command", DIM_COMMANDS)
+def test_every_command_with_dimensions_refuses_them_at_once(capsys, command, m):
+    # audit-grid -m 9 -n 9 ran for 2.4 s, and with a 4000-digit -m for minutes
+    start = time.perf_counter()
+    line = cli_error(capsys, *least_argv(command, {"-m", "-n"}), "-m", m, "-n", "9")
+    assert time.perf_counter() - start < 2
+    assert line.startswith("error: m*n exceeds the supported maximum 64, got m=")
+    assert len(line) < 200
+
+
+@pytest.mark.parametrize("command,flag", INTEGER_FLAGS, ids=[" ".join(p) for p in INTEGER_FLAGS])
+def test_a_long_integer_flag_is_refused_briefly(capsys, command, flag):
+    # argparse echoed the whole value, 5 KB
+    code = main([*least_argv(command, {flag}), flag, "9" * 5000])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert len(captured.err.encode()) <= 400
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument {flag}: invalid int value: '{'9' * 96}... (5000 characters)")
+
+
+def test_a_short_bad_integer_flag_reads_as_argparse_wrote_it(capsys):
+    assert main(["vertices", "-m", "abc", "-n", "2"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "biquad vertices: error: argument -m: invalid int value: 'abc'")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--class", "b0", "-m", "2", "-n", "2", "--trials", "9" * 4000),
+    ("probe", "never-read.json", "--max-iter", "9" * 4000),
+])
+def test_a_long_count_is_clipped(capsys, argv):
+    assert len(cli_error(capsys, *argv)) < 200
+
+
+@pytest.mark.parametrize("tensor", [
+    {"m": 2, "n": 2, "entries": [{"i": 10**3999, "j": 1, "k": 1, "l": 1, "v": "1"}]},
+    {"m": 10**3999, "n": 2, "entries": []},
+    {"m": "9" * 5000, "n": 2, "entries": []},
+], ids=["index", "dimension", "string-dimension"])
+def test_a_long_number_in_a_file_is_clipped(capsys, tmp_path, tensor):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tensor))
+    assert len(cli_error(capsys, "check-dd", str(path))) < 200 + len(str(path))
 
 
 def test_vertices_of_a_degenerate_tetrahedron(capsys):

@@ -75,6 +75,18 @@ def test_a_float_command_loads_numpy(files):
     assert proc.stderr == "numpy loaded: True\n"
 
 
+def test_probe_leaves_the_generators_unloaded(files):
+    # gram reads classes only to generate a sweep's tensors
+    proc = python("-c", """
+import sys
+from biquad.cli import main
+main(["probe", "--quiet", sys.argv[1]])
+print(type(sys.modules["biquad.gram"]).__name__, type(sys.modules["biquad.classes"]).__name__)
+""", str(files / "t.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module _LazyModule\n"
+
+
 def test_cli_import_registers_every_traced_module_lazily():
     # perfbench's tracer looks up sys.modules["biquad.<m>"] for each module
     # of LAYERS right after `import biquad.cli`; the float ones load when read
