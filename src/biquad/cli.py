@@ -30,6 +30,8 @@ from pathlib import Path
 from . import classes, dominance, gram, jsonio, monic
 from .core import (
     MonicParams,
+    check_dims,
+    clip,
     evaluate,
     expand_certificate,
     rational,
@@ -91,7 +93,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_count(flag: str, value: int, cap: int) -> None:
     if not 1 <= value <= cap:
-        raise ValueError(f"{flag} must be between 1 and {cap}, got {jsonio.clip(str(value))}")
+        raise ValueError(f"{flag} must be between 1 and {cap}, got {clip(str(value))}")
 
 
 def _emit(args, payload: dict) -> None:
@@ -251,21 +253,34 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import csv
+
     _check_count("--trials", args.trials, MAX_TRIALS)
     _check_count("--max-iter", args.max_iter, MAX_ITER)
     if (work := sweep_work(args.trials, args.m, args.n, args.max_iter)) > MAX_SWEEP_WORK:
         raise ValueError(f"sweep estimate trials*(m*n)^3*(max_iter+{SWEEP_EXACT_ITERS}) = {work} "
                          f"exceeds the maximum {MAX_SWEEP_WORK}; use fewer --trials or --max-iter")
     fixture_dir = Path(args.output).resolve().parent if args.output else None
-    # Open -o first, so an unwritable path fails before the sweep runs.
+    counts = Counter()
+    # Open -o first, so an unwritable path fails before the sweep runs, and
+    # write each row as its trial ends, so a stopped sweep keeps the rows
+    # of the trials it finished.
     with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as fh:
-        results = gram.conjecture_sweep(args.klass, args.trials, args.seed, args.m, args.n,
-                                        max_iter=args.max_iter, tol=args.tol,
-                                        fixture_dir=fixture_dir)
-        gram.write_sweep_csv(results, args.seed, fh)
+        trials = gram.conjecture_sweep(args.klass, args.trials, args.seed, args.m, args.n,
+                                       max_iter=args.max_iter, tol=args.tol)
+        writer = csv.writer(fh)
+        writer.writerow(["trial", "seed", "status", "iterations", "residual_affine", "residual_psd"])
+        fh.flush()
+        for trial, (t, r) in enumerate(trials):
+            writer.writerow([trial, args.seed, r.status, r.iterations,
+                             f"{r.residuals.residual_affine:.3e}", f"{r.residuals.residual_psd:.3e}"])
+            fh.flush()
+            counts[r.status] += 1
+            if r.status == "infeasible_suspected" and fixture_dir is not None:
+                name = f"{args.klass}_m{args.m}_n{args.n}_seed{args.seed}_trial{trial}.json"
+                jsonio.save_tensor(t, fixture_dir / name)
     if args.output:
-        _emit(args, {"trials": args.trials, "counts": Counter(r.status for r in results),
-                     "csv": str(args.output)})
+        _emit(args, {"trials": args.trials, "counts": counts, "csv": str(args.output)})
     return 0
 
 
@@ -283,7 +298,7 @@ def _cmd_verify(args) -> int:
 def _parse_vector(text: str, length: int, name: str) -> list[Fraction]:
     parts = text.split(",")
     if not all(s.strip() for s in parts):
-        raise ValueError(f"{name} has an empty field: {jsonio.clip(repr(text))}")
+        raise ValueError(f"{name} has an empty field: {clip(repr(text))}")
     if len(parts) != length:
         raise ValueError(f"{name} needs {length} comma-separated rationals, got {len(parts)}")
     return [_rational(s) for s in parts]
@@ -308,8 +323,8 @@ def _rational(text: str, short: str = "") -> Fraction:
         return rational(text)
     except ValueError as exc:
         if len(repr(text)) > 100:
-            short = (f"invalid rational value: {jsonio.clip(repr(text))} ({len(text)} characters): "
-                     f"{jsonio.clip(str(exc))}")
+            short = (f"invalid rational value: {clip(repr(text))} ({len(text)} characters): "
+                     f"{clip(str(exc))}")
         raise ValueError(short or str(exc)) from None
 
 
@@ -328,7 +343,7 @@ def _integer_flag(text: str) -> int:
         return int(text)
     except ValueError:
         length = f" ({len(text)} characters)" if len(repr(text)) > 100 else ""
-        raise argparse.ArgumentTypeError(f"invalid int value: {jsonio.clip(repr(text))}{length}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(repr(text))}{length}") from None
 
 
 def _add_dims(p: argparse.ArgumentParser) -> None:
@@ -424,7 +439,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if "m" in args:  # every command with -m has -n too
-            jsonio.check_dims(args.m, args.n)
+            check_dims(args.m, args.n)
         return args.handler(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

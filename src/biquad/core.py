@@ -35,6 +35,8 @@ from operator import add, floordiv, mul
 from . import exactla, kernels
 
 __all__ = [
+    "MAX_MN",
+    "check_dims",
     "rational",
     "SymmetricBiquadraticTensor",
     "BilinearForm",
@@ -90,9 +92,25 @@ def rational(value) -> Fraction:
     raise TypeError(f"expected an exact rational value, got {type(value).__name__}: {value!r}")
 
 
-def _check_dims(m: int, n: int) -> None:
+# Largest m*n accepted: the exact layer is sized for (mn) x (mn)
+# flattenings with mn <= 64, and a tensor has (mn)^2 rational entries.
+MAX_MN = 64
+
+
+def clip(text: str) -> str:
+    """text, cut to 100 characters, for echoing input in an error."""
+    return text if len(text) <= 100 else text[:97] + "..."
+
+
+def check_dims(m: int, n: int) -> None:
+    """Reject dimensions below 1 or with m*n above MAX_MN, before any allocation."""
     if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be >= 1, got m={m}, n={n}")
+        reason = "dimensions must be >= 1"
+    elif m * n > MAX_MN:
+        reason = f"m*n exceeds the supported maximum {MAX_MN}"
+    else:
+        return
+    raise ValueError(f"{reason}, got m={clip(str(m))}, n={clip(str(n))}")
 
 
 def _flat(data, shape: tuple, name: str) -> list:
@@ -183,7 +201,7 @@ class SymmetricBiquadraticTensor(_Rows):
     rows: tuple
 
     def __init__(self, m: int, n: int, entries):
-        _check_dims(m, n)
+        check_dims(m, n)
         flat = list(map(rational, _flat(entries, (m, n, m, n), "entries")))
         x_swap, _, pair_swap = _symmetries(m, n)
         # list equality skips __eq__ for identical objects
@@ -237,7 +255,7 @@ def symmetrize(arr) -> SymmetricBiquadraticTensor:
     """
     m = len(arr)
     n = len(arr[0]) if m else 0
-    _check_dims(m, n)
+    check_dims(m, n)
     flat = list(map(rational, _flat(arr, (m, n, m, n), "entries")))
     num, den = [v._numerator for v in flat], [v._denominator for v in flat]
     N, Q = num, den
@@ -300,7 +318,7 @@ def permutation_invariant(m: int, n: int, d, a, b, c) -> SymmetricBiquadraticTen
     j != l and c where both differ. The value of an empty orbit (i != k
     with m = 1, j != l with n = 1) is unused.
     """
-    _check_dims(m, n)
+    check_dims(m, n)
     values = [rational(v) for v in (d, a, b, c)]
     return SymmetricBiquadraticTensor.from_flat(m, n, map(values.__getitem__, _orbits(m, n)))
 
@@ -353,6 +371,7 @@ class SOSCertificate:
     terms: tuple
 
     def __post_init__(self):
+        check_dims(self.m, self.n)
         terms = tuple((rational(w), f) for (w, f) in self.terms)
         for w, f in terms:
             if w < 0:

@@ -12,21 +12,20 @@ canonical member is the flattening itself. This module provides:
   eigenvalue over the affine family, followed by rationalization and exact
   re-verification of the interior point it ends at. A duality bound below
   zero is reported as *suspected* infeasibility, never as proof.
-* ``conjecture_sweep``: batch probes over random members of the structured
-  classes, tabulated to CSV.
+* ``conjecture_sweep``: probes of random members of the structured classes,
+  yielded one trial at a time (``biquad sweep`` writes them as CSV rows).
 """
 
 from __future__ import annotations
 
-import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
-from . import classes, exactla, jsonio, kernels
+from . import classes, exactla, kernels
 from .core import (
     BilinearForm,
     SOSCertificate,
@@ -42,7 +41,6 @@ __all__ = [
     "flattening_psd_check",
     "sos_probe",
     "conjecture_sweep",
-    "write_sweep_csv",
     "choi_form",
 ]
 
@@ -339,16 +337,14 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
 SWEEP_CLASSES = {"m_tensor": "m", "b0": "b0"}
 
 
-def conjecture_sweep(klass: str, trials: int, seed: int, m: int, n: int,
-                     max_iter: int = 2000, tol: float = 1e-8,
-                     fixture_dir=None) -> list[SOSProbeResult]:
-    """The probe results of ``trials`` random members of a structured class.
+def conjecture_sweep(klass: str, trials: int, seed: int, m: int, n: int, max_iter: int = 2000,
+                     tol: float = 1e-8) -> Iterator[tuple[SymmetricBiquadraticTensor, SOSProbeResult]]:
+    """Each of ``trials`` random members of a structured class with its probe result.
 
-    ``klass`` is ``m_tensor`` or ``b0``. Deterministic per seed. When
-    ``fixture_dir`` is given, any tensor whose probe reports
-    ``infeasible_suspected`` is saved there as a JSON fixture for inspection
-    (such a tensor would be evidence against the class being closed under
-    square certificates). Arguments are checked before the first trial.
+    ``klass`` is ``m_tensor`` or ``b0``. Trial k draws its tensor from
+    ``default_rng([seed, k])``. The arguments are checked when this is
+    called; the pairs are yielded lazily, one trial at a time, so a caller
+    that keeps none of them holds one trial's tensor and certificate at most.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -356,24 +352,9 @@ def conjecture_sweep(klass: str, trials: int, seed: int, m: int, n: int,
     if klass not in SWEEP_CLASSES:
         raise ValueError(f"unknown sweep class {klass!r}; expected one of {tuple(SWEEP_CLASSES)}")
     gen_class = SWEEP_CLASSES[klass]
-    results = []
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        t = classes.gen_tensor(gen_class, m, n, rng)
-        results.append(res := sos_probe(t, max_iter=max_iter, tol=tol))
-        if res.status == "infeasible_suspected" and fixture_dir is not None:
-            path = Path(fixture_dir) / f"{klass}_m{m}_n{n}_seed{seed}_trial{trial}.json"
-            jsonio.save_tensor(t, path)
-    return results
-
-
-def write_sweep_csv(results, seed: int, fh) -> None:
-    """One CSV row per trial of a ``conjecture_sweep`` run with ``seed``."""
-    writer = csv.writer(fh)
-    writer.writerow(["trial", "seed", "status", "iterations", "residual_affine", "residual_psd"])
-    for trial, r in enumerate(results):
-        writer.writerow([trial, seed, r.status, r.iterations,
-                         f"{r.residuals.residual_affine:.3e}", f"{r.residuals.residual_psd:.3e}"])
+    tensors = (classes.gen_tensor(gen_class, m, n, np.random.default_rng([seed, trial]))
+               for trial in range(trials))
+    return ((t, sos_probe(t, max_iter=max_iter, tol=tol)) for t in tensors)
 
 
 def choi_form() -> SymmetricBiquadraticTensor:

@@ -39,6 +39,8 @@ from .core import (
     BilinearForm,
     SOSCertificate,
     SymmetricBiquadraticTensor,
+    check_dims,
+    clip,
     rational,
     symmetrize,
 )
@@ -56,13 +58,7 @@ __all__ = [
     "load_certificate",
     "save_certificate",
     "dumps_canonical",
-    "MAX_MN",
-    "check_dims",
 ]
-
-# Largest m*n accepted from outside: the exact layer is sized for (mn) x (mn)
-# flattenings with mn <= 64, and a tensor has (mn)^2 rational entries.
-MAX_MN = 64
 
 
 def rational_to_str(v) -> str:
@@ -97,11 +93,6 @@ def parse_rational(s) -> Fraction:
     raise ValueError(f"expected a rational string, got {type(s).__name__}: {s!r}")
 
 
-def clip(text: str) -> str:
-    """text, cut to 100 characters, for echoing input in an error."""
-    return text if len(text) <= 100 else text[:97] + "..."
-
-
 class _Rationals(dict):
     """parse_rational that parses each distinct string once; one per file.
     Only strings are cached: true would otherwise find the cached 1."""
@@ -132,15 +123,6 @@ def tensor_to_dict(t: SymmetricBiquadraticTensor) -> dict:
     entries = [{"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": text}
                for (i, j, k, l), v, text in zip(index, flat, _texts(flat)) if v]
     return {"m": t.m, "n": t.n, "entries": entries}
-
-
-def check_dims(m: int, n: int) -> None:
-    """Reject dimensions below 1 or with m*n above MAX_MN, before any allocation."""
-    got = f"got m={clip(str(m))}, n={clip(str(n))}"
-    if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be >= 1, {got}")
-    if m * n > MAX_MN:
-        raise ValueError(f"m*n exceeds the supported maximum {MAX_MN}, {got}")
 
 
 def _integer(value, name: str) -> int:

@@ -5,6 +5,8 @@ lines. Tolerances are pinned here and nowhere else: exact (zero-tolerance)
 comparisons for everything rational, -1e-7 / -1e-9 for the float probes.
 """
 
+import csv
+import json
 import time
 from collections import Counter
 from fractions import Fraction as F
@@ -14,6 +16,7 @@ import pytest
 
 from biquad import exactla
 from biquad.classes import gen_tensor, m_identity
+from biquad.cli import main
 from biquad.core import (
     MonicParams,
     evaluate,
@@ -23,7 +26,7 @@ from biquad.core import (
     tensors_equal,
 )
 from biquad.dominance import dd_sos_decompose, row_bound
-from biquad.gram import choi_form, conjecture_sweep, sos_probe, write_sweep_csv
+from biquad.gram import choi_form, sos_probe
 from biquad.monic import (
     barycentric,
     m_eigen_monic,
@@ -243,19 +246,21 @@ def test_c08_choi_fixture():
            f"probe reports {probe.status} (reported, not proof)")
 
 
-def test_c09_conjecture_sweeps(tmp_path):
+def test_c09_conjecture_sweeps(capsys, tmp_path):
     suspicions = 0
     summaries = []
     for klass in ("m_tensor", "b0"):
         for size in (2, 3):
-            rows = conjecture_sweep(klass, 200, seed=909, m=size, n=size,
-                                    max_iter=1500, tol=1e-8, fixture_dir=tmp_path)
-            assert len(rows) == 200
             csv_path = tmp_path / f"sweep_{klass}_{size}.csv"
-            with open(csv_path, "w", newline="") as fh:
-                write_sweep_csv(rows, 909, fh)
-            assert len(csv_path.read_text().strip().splitlines()) == 201
-            counts = dict(Counter(r.status for r in rows))
+            code = main(["sweep", "--class", klass, "-m", str(size), "-n", str(size),
+                         "--trials", "200", "--seed", "909", "--max-iter", "1500", "--tol", "1e-8",
+                         "-o", str(csv_path)])
+            assert code == 0
+            with open(csv_path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [row["trial"] for row in rows] == [str(k) for k in range(200)]
+            counts = dict(Counter(row["status"] for row in rows))
+            assert json.loads(capsys.readouterr().out)["counts"] == counts
             if klass == "m_tensor":
                 suspicions += counts.get("infeasible_suspected", 0)
             summaries.append(f"{klass}@{size}x{size}:{counts}")

@@ -10,7 +10,7 @@ import pytest
 
 import biquad
 from biquad import gram, jsonio
-from biquad.classes import m_identity
+from biquad.classes import gen_tensor, m_identity
 from biquad.cli import (
     MAX_GRID_POINTS,
     MAX_ITER,
@@ -20,9 +20,8 @@ from biquad.cli import (
     main,
     sweep_work,
 )
-from biquad.core import MonicParams, monic_to_tensor
-from biquad.gram import choi_form
-from biquad.jsonio import MAX_MN
+from biquad.core import MAX_MN, MonicParams, monic_to_tensor, tensors_equal
+from biquad.gram import choi_form, sos_probe
 
 from conftest import suspected_probe
 
@@ -238,25 +237,50 @@ class TestGenClassifyProbe:
     def test_sweep_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, "sweep", "--class", "m_tensor", "-m", "2", "-n", "2",
-                           "--trials", "3", "--seed", "7", "--max-iter", "400",
+                           "--trials", "5", "--seed", "3", "--max-iter", "800", "--tol", "1e-7",
                            "-o", str(csv_path))
         assert code == 0
         lines = csv_path.read_text().strip().splitlines()
-        assert len(lines) == 4
+        assert lines[0] == "trial,seed,status,iterations,residual_affine,residual_psd"
+        assert [line.split(",")[:2] for line in lines[1:]] == [[str(k), "3"] for k in range(5)]
         report = parse(out)
-        assert report["trials"] == 3
+        assert report["trials"] == 5
+        assert sum(report["counts"].values()) == 5
+
+    def test_sweep_writes_each_row_as_its_trial_ends(self, capsys, tmp_path, monkeypatch):
+        csv_path = tmp_path / "sweep.csv"
+        lines_at_start = []
+
+        def probe(t, max_iter, tol):
+            lines_at_start.append(len(csv_path.read_text().splitlines()))
+            return sos_probe(t, max_iter=max_iter, tol=tol)
+
+        monkeypatch.setattr(gram, "sos_probe", probe)
+        code, _, _ = run(capsys, "sweep", "--class", "m_tensor", "-m", "2", "-n", "2",
+                         "--trials", "4", "--seed", "3", "-o", str(csv_path))
+        assert code == 0
+        # trial k starts with the header and the rows of trials 0..k-1 on disk
+        assert lines_at_start == [1, 2, 3, 4]
 
     def test_sweep_output_puts_fixtures_beside_the_csv(self, capsys, tmp_path, monkeypatch):
+        generated = []
+
+        def recording_gen(*args):
+            generated.append(gen_tensor(*args))
+            return generated[-1]
+
+        monkeypatch.setattr(gram.classes, "gen_tensor", recording_gen)
         monkeypatch.setattr(gram, "sos_probe", suspected_probe)
         runs = tmp_path / "runs"
         runs.mkdir()
-        code, out, _ = run(capsys, "sweep", "--class", "m_tensor", "-m", "2", "-n", "2",
-                           "--trials", "2", "--seed", "6", "-o", str(runs / "sweep.csv"))
+        code, out, _ = run(capsys, "sweep", "--class", "b0", "-m", "2", "-n", "3",
+                           "--trials", "2", "--seed", "4", "-o", str(runs / "sweep.csv"))
         assert code == 0
         assert parse(out)["counts"] == {"infeasible_suspected": 2}
         assert sorted(p.name for p in runs.iterdir()) == [
-            "m_tensor_m2_n2_seed6_trial0.json", "m_tensor_m2_n2_seed6_trial1.json", "sweep.csv"]
-        assert jsonio.load_tensor(runs / "m_tensor_m2_n2_seed6_trial1.json").m == 2
+            "b0_m2_n3_seed4_trial0.json", "b0_m2_n3_seed4_trial1.json", "sweep.csv"]
+        for k, t in enumerate(generated):
+            assert tensors_equal(jsonio.load_tensor(runs / f"b0_m2_n3_seed4_trial{k}.json"), t)
 
 
 class TestEval:

@@ -117,6 +117,8 @@ CASES = {
     "probe-trace-sos33": ["probe", "--trace", "{sos33}"],
     "probe-trace-rank1": ["probe", "--trace", "{rank1}"],
     "probe-trace-choi": ["probe", "--trace", "{choi}"],
+    "sweep-m_tensor22": ["sweep", "--class", "m_tensor", "-m", "2", "-n", "2", "--trials", "80",
+                         "--seed", "909"],
 }
 
 # name -> (sha256 of stdout, exit code)
@@ -154,6 +156,7 @@ GOLDEN = {
     "probe-trace-choi": ("23c78fc974bd68f1e23b9f13ebc0952ff1baa025d6e39e223bf8444e37e45e5f", 1),
     "probe-trace-rank1": ("b4fd4f79fd4c6cc4fb2b4295f2d163e27ffd8fb20d288181169faa8371fad86a", 0),
     "probe-trace-sos33": ("dcfdc3d02d230719ce6acd0a0e5a9edc1048530d96cbac50ff51720b806799f4", 0),
+    "sweep-m_tensor22": ("6b821fb31c345f9e5c82404622e6a4c09c33c8c8c3fb34375ec921f6bf082812", 0),
     "verify-match-22": ("2dc6f13146065ccd2a11894f170a19ad0cb9e5d727b158a3c7aac0918e6018a6", 0),
     "verify-match-33": ("2dc6f13146065ccd2a11894f170a19ad0cb9e5d727b158a3c7aac0918e6018a6", 0),
     "verify-mismatch": ("0a0b5710ef96a6702d5fc7b595a7a96356c8800475b75cc6c0fa54274bb93bb6", 1),

@@ -2,7 +2,6 @@
 integer rounding of Gram points, the log-barrier probe and its Newton
 system, and conjecture sweeps."""
 
-import io
 import itertools
 import math
 from collections import Counter
@@ -30,7 +29,6 @@ from biquad.gram import (
     conjecture_sweep,
     flattening_psd_check,
     sos_probe,
-    write_sweep_csv,
 )
 
 from conftest import (
@@ -42,7 +40,6 @@ from conftest import (
     has_biquadratic_symmetry,
     ldl_pivots,
     random_symmetric_tensor,
-    suspected_probe,
 )
 
 
@@ -439,41 +436,36 @@ class TestChoiFixture:
 
 
 class TestConjectureSweep:
-    def test_rows_and_csv(self, tmp_path):
-        rows = conjecture_sweep("m_tensor", 5, seed=3, m=2, n=2, max_iter=800, tol=1e-7)
-        assert len(rows) == 5
-        buf = io.StringIO()
-        write_sweep_csv(rows, 3, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "trial,seed,status,iterations,residual_affine,residual_psd"
-        assert len(lines) == 6
-
     def test_b0_sweep_runs(self):
-        rows = conjecture_sweep("b0", 4, seed=1, m=2, n=2, max_iter=800, tol=1e-7)
-        assert len(rows) == 4
+        pairs = list(conjecture_sweep("b0", 4, seed=1, m=2, n=2, max_iter=800, tol=1e-7))
+        assert len(pairs) == 4
+        assert [(t.m, t.n) for t, _ in pairs] == [(2, 2)] * 4
+
+    def test_trial_k_draws_from_seed_and_k(self):
+        (t, r), = conjecture_sweep("m_tensor", 1, seed=3, m=2, n=2, max_iter=800, tol=1e-7)
+        assert tensors_equal(t, gen_tensor("m", 2, 2, np.random.default_rng([3, 0])))
+        assert r.status == sos_probe(t, max_iter=800, tol=1e-7).status
 
     def test_c09_changes_one_trial(self):
         # criterion 09's 2x2 M-tensor sweep: trial 74 has an indefinite
         # flattening; Dykstra left it feasible_numerical, the barrier certifies
-        rows = conjecture_sweep("m_tensor", 200, seed=909, m=2, n=2, max_iter=1500, tol=1e-8)
-        assert rows[74].status == "sos_certified"
-        assert Counter(r.status for r in rows) == {"flattening_psd": 199, "sos_certified": 1}
+        statuses = [r.status for _, r in conjecture_sweep("m_tensor", 200, seed=909, m=2, n=2,
+                                                          max_iter=1500, tol=1e-8)]
+        assert statuses[74] == "sos_certified"
+        assert Counter(statuses) == {"flattening_psd": 199, "sos_certified": 1}
 
-    def test_suspected_tensor_saved_as_fixture(self, monkeypatch, tmp_path):
-        generated = []
+    def test_trials_run_only_as_they_are_taken(self, monkeypatch):
+        drawn = []
 
         def recording_gen(*args):
-            generated.append(gen_tensor(*args))
-            return generated[-1]
+            drawn.append(args)
+            return gen_tensor(*args)
 
         monkeypatch.setattr(gram.classes, "gen_tensor", recording_gen)
-        monkeypatch.setattr(gram, "sos_probe", suspected_probe)
-        rows = conjecture_sweep("b0", 2, seed=4, m=2, n=3, fixture_dir=tmp_path)
-        assert [r.status for r in rows] == ["infeasible_suspected"] * 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            f"b0_m2_n3_seed4_trial{k}.json" for k in range(2)]
-        for k, t in enumerate(generated):
-            assert tensors_equal(jsonio.load_tensor(tmp_path / f"b0_m2_n3_seed4_trial{k}.json"), t)
+        pairs = conjecture_sweep("b0", 3, seed=0, m=2, n=2)
+        assert drawn == []
+        next(pairs)
+        assert len(drawn) == 1
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
@@ -492,6 +484,6 @@ class TestConjectureSweep:
             conjecture_sweep("dd", 3, seed=0, m=2, n=2)
 
     def test_deterministic(self):
-        a = conjecture_sweep("m_tensor", 3, seed=8, m=2, n=2, max_iter=500, tol=1e-7)
-        b = conjecture_sweep("m_tensor", 3, seed=8, m=2, n=2, max_iter=500, tol=1e-7)
-        assert [r.status for r in a] == [r.status for r in b]
+        a, b = (conjecture_sweep("m_tensor", 3, seed=8, m=2, n=2, max_iter=500, tol=1e-7)
+                for _ in range(2))
+        assert [r.status for _, r in a] == [r.status for _, r in b]

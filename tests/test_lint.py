@@ -72,6 +72,21 @@ def test_exact_layer_does_not_import_numpy_at_module_level(name):
     assert not [m for m in modules if m.split(".")[0] == "numpy"]
 
 
+@pytest.mark.parametrize("name", ["gram", "kernels", "classes"])
+def test_the_float_modules_write_no_files(name):
+    # CSV rows and tensor fixtures are the CLI's to write, through jsonio;
+    # every import counts, function bodies' too
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0])
+            if node.level:  # from . import jsonio
+                imported |= {alias.name for alias in node.names}
+    assert not imported & {"jsonio", "csv", "pathlib"}
+
+
 def test_the_float_modules_import_numpy():
     # the check above finds a module-level numpy import where there is one
     for name in ("gram", "kernels"):

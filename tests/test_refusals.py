@@ -12,9 +12,18 @@ import pytest
 from biquad import gram, kernels, monic
 from biquad.classes import lambda_max_estimate, m_identity
 from biquad.cli import _integer_flag, build_parser, main
-from biquad.core import BilinearForm, SOSCertificate, SymmetricBiquadraticTensor
+from biquad.core import (
+    BilinearForm,
+    SOSCertificate,
+    SymmetricBiquadraticTensor,
+    permutation_invariant,
+    symmetrize,
+)
 from biquad.exactla import solve_linear
 from biquad.monic import vertex_sos
+
+
+TOO_LARGE = "m*n exceeds the supported maximum 64, got m=9, n=9"
 
 
 @pytest.mark.parametrize("build,message", [
@@ -33,6 +42,10 @@ from biquad.monic import vertex_sos
     (lambda: vertex_sos(5, 2, 2), "vertex id must be 1..4, got 5"),
     (lambda: lambda_max_estimate(m_identity(2, 2), restarts=0), "restarts must be >= 1, got 0"),
     (lambda: solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)]), "singular linear system"),
+    # one size rule: the library builds no tensor or certificate its readers refuse
+    (lambda: symmetrize(np.zeros((9, 9, 9, 9), dtype=int)), TOO_LARGE),
+    (lambda: permutation_invariant(9, 9, 1, 0, 0, 0), TOO_LARGE),
+    (lambda: SOSCertificate(9, 9, ()), TOO_LARGE),
 ])
 def test_library_refusal(build, message):
     with pytest.raises(ValueError) as info:
