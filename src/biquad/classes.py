@@ -13,7 +13,7 @@ generator builds a class member by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from operator import add
@@ -125,8 +125,7 @@ def is_b0_tensor(t: SymmetricBiquadraticTensor) -> bool:
     return all(s / mn >= top for s, top in zip(sums, off_max))
 
 
-@dataclass(frozen=True)
-class MTensorReport:
+class MTensorReport(namedtuple("MTensorReport", "alpha lambda_max_estimate verdict")):
     """Three-valued M-tensor verdict with the evidence behind it.
 
     verdict 'yes' means alpha >= estimate + margin (heuristic: the estimate
@@ -136,17 +135,10 @@ class MTensorReport:
     with empty evidence.
     """
 
-    alpha: Fraction | None
-    lambda_max_estimate: float | None
-    verdict: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    is_z: bool
-    is_b0: bool
-    is_dd: bool
-    m_tensor: MTensorReport
+ClassReport = namedtuple("ClassReport", "is_z is_b0 is_dd m_tensor")
 
 
 def classify(t: SymmetricBiquadraticTensor, seed: int = 0) -> ClassReport:

@@ -12,7 +12,8 @@ is the symmetric representative of a form, checked on construction;
 coefficient data without the symmetry (tensor files, random draws) enters
 through ``symmetrize``, and ``permutation_invariant`` builds those fixed by
 every permutation of x and of y. The exact layer does not import numpy;
-the numpy views ``entries`` and ``W`` and ``to_float`` import it when used.
+the numpy views ``entries`` and ``W`` and ``to_float`` import it when used,
+and ``gram``'s exact stage reads ``rows`` alone.
 Floating point appears only in the numerical probes (``sample_min`` and the
 search in ``kernels``).
 
@@ -26,7 +27,7 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
@@ -129,14 +130,22 @@ def _flat(data, shape: tuple, name: str) -> list:
     return flat
 
 
-class _Rows:
+class _Frozen:
+    """Fields set once, in ``__dict__``; assigning or deleting one raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Rows(_Frozen):
     """Dimensions m, n and ``rows``, tuples of Fractions, set once."""
 
     def _set(self, m: int, n: int, flat) -> None:
         width = m * n if isinstance(self, SymmetricBiquadraticTensor) else n  # a form's rows are W's
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(zip(*[iter(flat)] * width)))
+        self.__dict__.update(m=m, n=n, rows=tuple(zip(*[iter(flat)] * width)))
 
     @classmethod
     def from_flat(cls, m: int, n: int, values):
@@ -180,7 +189,6 @@ def _orbits(m: int, n: int) -> tuple[int, ...]:
     return tuple((i != k) + 2 * (j != l) for i, j, k, l in product(range(m), range(n), range(m), range(n)))
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class SymmetricBiquadraticTensor(_Rows):
     """Dense m x n biquadratic tensor with exact rational entries, satisfying
     a[i,j,k,l] = a[k,j,i,l] = a[k,l,i,j].
@@ -195,10 +203,6 @@ class SymmetricBiquadraticTensor(_Rows):
     Instances are immutable; ``entries`` is a read-only m x n x m x n numpy
     object array of the same Fractions, built on first access.
     """
-
-    m: int
-    n: int
-    rows: tuple
 
     def __init__(self, m: int, n: int, entries):
         check_dims(m, n)
@@ -283,28 +287,25 @@ def evaluate(t: SymmetricBiquadraticTensor, x, y):
     return sum(map(mul, z, [sum(map(mul, row, z)) for row in t.rows]))
 
 
-@dataclass(frozen=True)
-class MonicParams:
+class MonicParams(namedtuple("MonicParams", "m n a b c")):
     """Parameters (a, b, c) of a monic symmetric biquadratic form.
 
     The form has unit diagonal coefficients, coefficient a on the
     sum_{i != k} x_i x_k y_j^2 block, b on sum_{j != l} x_i^2 y_j y_l, and c
     on sum_{i != k, j != l} x_i y_j x_k y_l. Requires m, n >= 2 (the off-block
-    sums are empty otherwise).
+    sums are empty otherwise); a, b and c are coerced by ``rational``.
     """
 
-    m: int
-    n: int
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2 or self.n < 2:
-            raise ValueError(f"monic forms need m, n >= 2, got m={self.m}, n={self.n}")
-        object.__setattr__(self, "a", rational(self.a))
-        object.__setattr__(self, "b", rational(self.b))
-        object.__setattr__(self, "c", rational(self.c))
+    def __new__(cls, m: int, n: int, a, b, c):
+        if m < 2 or n < 2:
+            raise ValueError(f"monic forms need m, n >= 2, got m={m}, n={n}")
+        return super().__new__(cls, m, n, rational(a), rational(b), rational(c))
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def abc(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -333,7 +334,6 @@ def monic_to_tensor(p: MonicParams) -> SymmetricBiquadraticTensor:
     return permutation_invariant(p.m, p.n, ONE, *p.abc)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class BilinearForm(_Rows):
     """Bilinear form f(x, y) = sum_{i,j} W[i,j] x_i y_j with rational W.
 
@@ -345,10 +345,6 @@ class BilinearForm(_Rows):
     array of the same Fractions, built on first access.
     """
 
-    m: int
-    n: int
-    rows: tuple
-
     def __init__(self, m: int, n: int, W):
         self._set(m, n, list(map(rational, _flat(W, (m, n), "W"))))
 
@@ -357,28 +353,24 @@ class BilinearForm(_Rows):
         return self._array(self.m, self.n)
 
 
-@dataclass(frozen=True, eq=False)
-class SOSCertificate:
+class SOSCertificate(_Frozen):
     """Weighted sum of squares of bilinear forms: sum_p c_p * f_p(x,y)^2.
 
-    All weights must be nonnegative rationals and all forms must share the
-    certificate's (m, n). The expansion (``expand_certificate``) is the
-    symmetric tensor this certificate proves nonnegative.
+    ``terms`` is a tuple of (weight, form) pairs. All weights must be
+    nonnegative rationals and all forms must share the certificate's (m, n).
+    The expansion (``expand_certificate``) is the symmetric tensor this
+    certificate proves nonnegative.
     """
 
-    m: int
-    n: int
-    terms: tuple
-
-    def __post_init__(self):
-        check_dims(self.m, self.n)
-        terms = tuple((rational(w), f) for (w, f) in self.terms)
+    def __init__(self, m: int, n: int, terms):
+        check_dims(m, n)
+        terms = tuple((rational(w), f) for (w, f) in terms)
         for w, f in terms:
             if w < 0:
                 raise ValueError(f"certificate weight {w} is negative")
-            if f.m != self.m or f.n != self.n:
-                raise ValueError(f"form dimensions ({f.m},{f.n}) != certificate ({self.m},{self.n})")
-        object.__setattr__(self, "terms", terms)
+            if f.m != m or f.n != n:
+                raise ValueError(f"form dimensions ({f.m},{f.n}) != certificate ({m},{n})")
+        self.__dict__.update(m=m, n=n, terms=terms)
 
 
 def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:

@@ -18,7 +18,7 @@ plain Gaussian elimination on Fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 
@@ -70,17 +70,14 @@ def solve_linear(A, b) -> list[Fraction]:
     return x
 
 
-@dataclass(frozen=True)
-class LDLTerm:
+class LDLTerm(namedtuple("LDLTerm", "pivot vector")):
     """One rank-1 term pivot * v v^T of a PSD factorization (v has a unit
     leading coefficient at the pivot index)."""
 
-    pivot: Fraction
-    vector: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LDLResult:
+class LDLResult(namedtuple("LDLResult", "ok terms failure index value", defaults=((), None, None, None))):
     """Outcome of the pivoted PSD factorization attempt.
 
     ``ok`` means M = sum_k pivot_k v_k v_k^T with every pivot > 0:
@@ -92,11 +89,7 @@ class LDLResult:
     ``value`` locate the violation.
     """
 
-    ok: bool
-    terms: tuple = ()
-    failure: str | None = None
-    index: int | None = None
-    value: Fraction | None = None
+    __slots__ = ()
 
 
 def ldlt_psd(M) -> LDLResult:

@@ -14,16 +14,17 @@ canonical member is the flattening itself. This module provides:
   zero is reported as *suspected* infeasibility, never as proof.
 * ``conjecture_sweep``: probes of random members of the structured classes,
   yielded one trial at a time (``biquad sweep`` writes them as CSV rows).
+
+numpy is imported only by the float functions, when called, so a tensor
+whose flattening is PSD is certified without it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import chain
-
-import numpy as np
 
 from . import classes, exactla, kernels
 from .core import (
@@ -47,25 +48,22 @@ __all__ = [
 RATIONALIZE_DENOMINATORS = (10, 100, 1000, 10_000, 100_000, 1_000_000)
 
 
-@dataclass
-class GramPoint:
+class GramPoint(namedtuple("GramPoint", "residual_affine residual_psd")):
     """The two feasibility residuals of a Gram candidate G.
 
     residual_affine: max constraint violation |G[(i,j),(k,l)] + G[(i,l),(k,j)]
     - 2 a[i,j,k,l]|. residual_psd: the most negative eigenvalue, clipped at 0.
     """
 
-    residual_affine: float
-    residual_psd: float
+    __slots__ = ()
 
 
-@dataclass
-class SOSProbeResult:
-    status: str
-    certificate: SOSCertificate | None
-    iterations: int
-    residuals: GramPoint
-    trace: list = field(default_factory=list)
+class SOSProbeResult(namedtuple("SOSProbeResult", "status certificate iterations residuals trace")):
+    __slots__ = ()
+
+    def __new__(cls, status, certificate, iterations, residuals, trace=None):
+        return super().__new__(cls, status, certificate, iterations, residuals,
+                               [] if trace is None else trace)
 
     @property
     def certified(self) -> bool:
@@ -73,8 +71,15 @@ class SOSProbeResult:
         return self.status in ("sos_certified", "flattening_psd") and self.certificate is not None
 
 
-def _gram_certificate(G: np.ndarray, t: SymmetricBiquadraticTensor,
-                      scale: int = 1) -> SOSCertificate | None:
+class _SquareRows(tuple):
+    """The rows of a square matrix, with an array's ``shape``."""
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), len(self)
+
+
+def _gram_certificate(G, t: SymmetricBiquadraticTensor, scale: int = 1) -> SOSCertificate | None:
     """Exact certificate from the rational Gram point G / ``scale`` of ``t``,
     when it is PSD.
 
@@ -102,14 +107,15 @@ def flattening_psd_check(t: SymmetricBiquadraticTensor) -> SOSCertificate | None
     The certificate expands back to ``t`` exactly. Returns None when the
     flattening is not PSD, which decides nothing about ``t`` itself.
     """
-    # an array, not the rows: perfbench's tracer reads the order of every
-    # ldlt_psd input from its shape
-    return _gram_certificate(np.array(t.rows, dtype=object), t)
+    # rows, not an array, with the shape perfbench's tracer reads as the order
+    return _gram_certificate(_SquareRows(t.rows), t)
 
 
-def gram_project_psd(G: np.ndarray) -> np.ndarray:
+def gram_project_psd(G):
     """Project a symmetric float matrix onto the PSD cone (eigenvalue clip).
     Unused by the library; kept because the benchmark's tracer names it."""
+    import numpy as np
+
     Gs = 0.5 * (G + G.T)
     try:
         w, V = np.linalg.eigh(Gs)
@@ -148,8 +154,7 @@ def _nearest_ratio(v: float, denom: int) -> tuple[int, int]:
     return p0 + k * p1, q0 + k * q1
 
 
-def _round_at(shift: np.ndarray, dirs, t: SymmetricBiquadraticTensor,
-              denom: int) -> SOSCertificate | None:
+def _round_at(shift, dirs, t: SymmetricBiquadraticTensor, denom: int) -> SOSCertificate | None:
     """Round the barrier's free parameters at one denominator and verify.
 
     Continued-fraction rounding of each ``shift[k]`` to denominator
@@ -159,6 +164,8 @@ def _round_at(shift: np.ndarray, dirs, t: SymmetricBiquadraticTensor,
     ``_gram_at`` builds q G(t~) in integers for the rational LDL^T, so no
     inexact certificate can escape.
     """
+    import numpy as np
+
     mn = t.m * t.n
     rounded = [_nearest_ratio(v, denom) for v in shift.tolist()]
     entries = chain.from_iterable(t.rows)
@@ -168,7 +175,7 @@ def _round_at(shift: np.ndarray, dirs, t: SymmetricBiquadraticTensor,
     return _gram_certificate(_gram_at(F, np.array(nums[:K], dtype=object), dirs), t, q)
 
 
-def _rationalize(shift: np.ndarray, dirs, t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
+def _rationalize(shift, dirs, t: SymmetricBiquadraticTensor) -> SOSCertificate | None:
     """``_round_at`` at each denominator of the escalating ladder in turn."""
     for denom in RATIONALIZE_DENOMINATORS:
         cert = _round_at(shift, dirs, t, denom)
@@ -186,7 +193,7 @@ BARRIER_GROWTH = 5.0        # tau grows by this factor per outer step
 NEWTON_DECREMENT_STOP = 1e-8  # inner loop ends at lambda^2 / 2 <= this
 
 
-def _gram_at(F: np.ndarray, t: np.ndarray, dirs) -> np.ndarray:
+def _gram_at(F, t, dirs):
     """G(t) = F + sum_k t_k N_k, added at the 4K distinct flat positions, on
     float64 arrays (the barrier) or integer object arrays (``_round_at``)."""
     p, q, r, u = dirs
@@ -200,8 +207,10 @@ def _gram_at(F: np.ndarray, t: np.ndarray, dirs) -> np.ndarray:
     return G
 
 
-def _inverse_if_pd(M: np.ndarray) -> np.ndarray | None:
+def _inverse_if_pd(M):
     """M^-1 through Cholesky, or None when M is not numerically PD."""
+    import numpy as np
+
     try:
         Li = np.linalg.inv(np.linalg.cholesky(M))
     except np.linalg.LinAlgError:
@@ -209,7 +218,7 @@ def _inverse_if_pd(M: np.ndarray) -> np.ndarray | None:
     return Li.T @ Li
 
 
-def _barrier_max_min_eig(F: np.ndarray, dirs, max_iter: int, tol: float, stop_at: float = math.inf):
+def _barrier_max_min_eig(F, dirs, max_iter: int, tol: float, stop_at: float = math.inf):
     """Maximise s subject to G(t) - s I PSD by a damped-Newton log-barrier
     method (Boyd & Vandenberghe, section 11.3).
 
@@ -229,6 +238,8 @@ def _barrier_max_min_eig(F: np.ndarray, dirs, max_iter: int, tol: float, stop_at
     up to the step that stopped the solve, and bound = s + mn/tau at the
     last centre reached (inf before the first), the duality bound s* <= bound.
     """
+    import numpy as np
+
     mn = F.shape[0]
     eye = np.eye(mn)
     t = np.zeros(dirs[0].size)
@@ -314,6 +325,8 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
         # exact all the way: no float conversion, so any rational entry works
         return SOSProbeResult("flattening_psd", cert, 0, GramPoint(0.0, 0.0))
 
+    import numpy as np
+
     mn = t.m * t.n
     a4 = t.to_float()
     F = a4.reshape(mn, mn)
@@ -351,6 +364,8 @@ def conjecture_sweep(klass: str, trials: int, seed: int, m: int, n: int, max_ite
     _check_tol(tol)
     if klass not in SWEEP_CLASSES:
         raise ValueError(f"unknown sweep class {klass!r}; expected one of {tuple(SWEEP_CLASSES)}")
+    import numpy as np
+
     gen_class = SWEEP_CLASSES[klass]
     tensors = (classes.gen_tensor(gen_class, m, n, np.random.default_rng([seed, trial]))
                for trial in range(trials))
@@ -367,9 +382,9 @@ def choi_form() -> SymmetricBiquadraticTensor:
     Used as the negative fixture: its flattening is not PSD (exact negative
     pivot) even though sampling finds no negative value.
     """
-    data = np.zeros((3, 3, 3, 3), dtype=int)
+    data = [[[[0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
     for i in range(3):
         k = (i + 1) % 3
-        data[i, i, i, i] = data[i, k, i, k] = 1  # x_i^2 y_i^2, x_i^2 y_k^2
-        data[i, i, k, k] = -2  # x_i y_i x_k y_k
+        data[i][i][i][i] = data[i][k][i][k] = 1  # x_i^2 y_i^2, x_i^2 y_k^2
+        data[i][i][k][k] = -2  # x_i y_i x_k y_k
     return symmetrize(data)

@@ -45,6 +45,18 @@ def test_entries_are_read_only():
         t.entries[0, 0, 0, 0] = F(2)
 
 
+def test_fields_cannot_be_assigned():
+    t = m_identity(2, 2)
+    form = BilinearForm(1, 1, [[1]])
+    cert = SOSCertificate(1, 1, ((F(1), form),))
+    for value, name in ((t, "m"), (form, "rows"), (cert, "terms")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert (t.m, form.rows, cert.terms) == (2, ((F(1),),), ((F(1), form),))
+
+
 def test_constructor_rejects_float_entries():
     # this tensor used to build, and evaluate returned the float 0.5
     with pytest.raises(TypeError):
@@ -211,6 +223,19 @@ class TestMonicToTensor:
             MonicParams(1, 2, 0, 0, 0)
         with pytest.raises(ValueError):
             MonicParams(2, 1, 0, 0, 0)
+
+    def test_coerces_and_compares_by_value(self):
+        p = MonicParams(2, 3, "1/2", np.int64(-1), F(2, 6))
+        assert p.abc == (F(1, 2), F(-1), F(1, 3))
+        assert all(type(v) is F and type(v.numerator) is int for v in p.abc)
+        q = MonicParams(2, 3, F(1, 2), -1, "1/3")
+        assert p == q and hash(p) == hash(q)
+        assert p != MonicParams(3, 2, F(1, 2), -1, "1/3")
+        with pytest.raises(TypeError):
+            MonicParams(2, 2, 0.5, 0, 0)
+        with pytest.raises(ValueError):
+            p._replace(m=1)
+        assert p._replace(a="2") == MonicParams(2, 3, 2, -1, F(1, 3))
 
 
 class TestExpandCertificate:

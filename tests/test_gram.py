@@ -85,6 +85,19 @@ class TestFlatteningPSDCheck:
     def test_sos_tensor_with_indefinite_flattening(self):
         assert flattening_psd_check(rank_one_sos_tensor()) is None
 
+    def test_ldlt_input_carries_its_order(self, monkeypatch):
+        # perfbench's tracer counts the order of each ldlt_psd input by its shape
+        shapes = []
+
+        def recording(M):
+            shapes.append(M.shape)
+            return real(M)
+
+        real = exactla.ldlt_psd
+        monkeypatch.setattr(exactla, "ldlt_psd", recording)
+        assert flattening_psd_check(m_identity(2, 3)) is not None
+        assert shapes == [(6, 6)]
+
 
 class TestLDLT:
     def to_obj(self, rows):
@@ -266,6 +279,11 @@ class TestSOSProbe:
         assert res.certified
         assert res.iterations == 0
         assert tensors_equal(expand_certificate(res.certificate), t)
+
+    def test_results_without_a_trace_share_no_list(self):
+        a, b = (gram.SOSProbeResult("inconclusive", None, 0, gram.GramPoint(0.0, 0.0)) for _ in range(2))
+        assert a.trace == b.trace == [] and a.trace is not b.trace
+        assert a == b and not a.certified
 
     def test_choi_suspected_infeasible(self):
         res = sos_probe(choi_form(), max_iter=2000, tol=1e-9)

@@ -43,9 +43,11 @@ def test_every_import_is_used_or_exported(path):
     assert not unused, f"{path.name} imports {unused} but neither uses nor exports them"
 
 
-# classes is registered lazily with the float modules, but its own body
-# imports no numpy: its generators take the caller's numpy Generator
-EXACT_LAYER = ["__init__", "classes", "cli", "core", "dominance", "exactla", "jsonio", "monic"]
+# classes and gram are registered lazily with the float modules, but their
+# bodies import no numpy: classes' generators take the caller's numpy
+# Generator, and gram's float functions import it when called, so its exact
+# stage (flattening_psd_check) runs without it
+EXACT_LAYER = ["__init__", "classes", "cli", "core", "dominance", "exactla", "gram", "jsonio", "monic"]
 
 
 def import_time_modules(tree: ast.Module) -> list[str]:
@@ -72,25 +74,36 @@ def test_exact_layer_does_not_import_numpy_at_module_level(name):
     assert not [m for m in modules if m.split(".")[0] == "numpy"]
 
 
-@pytest.mark.parametrize("name", ["gram", "kernels", "classes"])
-def test_the_float_modules_write_no_files(name):
-    # CSV rows and tensor fixtures are the CLI's to write, through jsonio;
-    # every import counts, function bodies' too
+def every_import(path: Path) -> set[str]:
+    """The top-level name of every module an import statement of ``path``
+    names, function bodies included, and the names a relative import binds."""
     imported = set()
-    for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").split(".")[0])
             if node.level:  # from . import jsonio
                 imported |= {alias.name for alias in node.names}
-    assert not imported & {"jsonio", "csv", "pathlib"}
+    return imported
+
+
+@pytest.mark.parametrize("name", ["gram", "kernels", "classes"])
+def test_the_float_modules_write_no_files(name):
+    # CSV rows and tensor fixtures are the CLI's to write, through jsonio
+    assert not every_import(SRC / f"{name}.py") & {"jsonio", "csv", "pathlib"}
 
 
 def test_the_float_modules_import_numpy():
     # the check above finds a module-level numpy import where there is one
-    for name in ("gram", "kernels"):
-        assert "numpy" in import_time_modules(ast.parse((SRC / f"{name}.py").read_text()))
+    assert "numpy" in import_time_modules(ast.parse((SRC / "kernels.py").read_text()))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # dataclasses imports inspect, ast, dis and tokenize, about 8 ms of every
+    # CLI process; the value types are plain classes and namedtuples
+    assert "dataclasses" not in every_import(path)
 
 
 # Functions the library no longer calls, kept only because the benchmark's

@@ -69,9 +69,20 @@ def test_exact_commands_run_without_numpy(files, command):
     assert proc.stderr == "numpy loaded: False\n"
 
 
-def test_a_float_command_loads_numpy(files):
+def test_probe_of_a_psd_flattening_runs_without_numpy(files):
+    # the exact LDL^T of t.json's flattening certifies it
     proc = python("-c", DRIVER, "probe", str(files / "t.json"))
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["status"] == "flattening_psd"
+    assert proc.stderr == "numpy loaded: False\n"
+
+
+def test_a_float_command_loads_numpy(tmp_path):
+    # Choi's flattening is not PSD, so probe runs the float barrier
+    jsonio.save_tensor(gram.choi_form(), tmp_path / "choi.json")
+    proc = python("-c", DRIVER, "probe", str(tmp_path / "choi.json"))
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["status"] == "infeasible_suspected"
     assert proc.stderr == "numpy loaded: True\n"
 
 
@@ -96,7 +107,7 @@ import biquad.cli
 from perfbench.tracer import LAYERS
 missing = sorted({m for m, _ in LAYERS} - {n[7:] for n in sys.modules if n.startswith("biquad.")})
 before = "numpy" in sys.modules
-sys.modules["biquad.gram"].sos_probe
+sys.modules["biquad.kernels"].refine_batch
 print(missing, before, "numpy" in sys.modules)
 """)
     assert proc.returncode == 0, proc.stderr
