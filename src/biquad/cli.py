@@ -4,8 +4,8 @@ Exit codes distinguish mathematically negative answers from operational
 failures so pipelines can branch on verdicts:
 
     0  success / affirmative (PSD, dominated, verified, report produced)
-    1  negative verdict (not PSD, not dominated, verification failed,
-       suspected infeasibility, audit found disagreements)
+    1  negative verdict (not PSD, not SOS, not dominated, verification
+       failed, suspected infeasibility, audit found disagreements)
     2  usage or I/O error (bad flags, malformed JSON, a bad rational such as
        "1/0" or "1e3", an unreadable or unwritable path, dimension mismatch)
 
@@ -15,7 +15,7 @@ argv and seed give byte-identical output. Flags and files take rationals as
 The float modules (``classes``, ``gram``, ``kernels``), which the package
 registers lazily, load on first use by classify, gen, probe or sweep. numpy
 loads only for float work: the exact commands never import it, and probe
-imports it only when the exact LDL^T of the flattening refuses the tensor.
+imports it only when the exact LDL^T refuses a flattening with m, n >= 2.
 """
 
 from __future__ import annotations
@@ -242,8 +242,8 @@ def _cmd_probe(args) -> int:
         "status": res.status,
         "certified": res.certified,
         "iterations": res.iterations,
-        "residual_affine": res.residuals.residual_affine,
-        "residual_psd": res.residuals.residual_psd,
+        "s": res.residuals.s,
+        "bound": res.residuals.bound,
         "certificate": None,
     }
     if args.trace:
@@ -255,7 +255,7 @@ def _cmd_probe(args) -> int:
             cert = jsonio.certificate_text(res.certificate)[:-1].replace("\n", "\n  ")
             text = text.replace('"certificate": null', '"certificate": ' + cert, 1)
         sys.stdout.write(text)
-    return 1 if res.status == "infeasible_suspected" else 0
+    return 1 if res.status in ("infeasible_suspected", "not_sos") else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -275,11 +275,11 @@ def _cmd_sweep(args) -> int:
         trials = gram.conjecture_sweep(args.klass, args.trials, args.seed, args.m, args.n,
                                        max_iter=args.max_iter, tol=args.tol)
         writer = csv.writer(fh)
-        writer.writerow(["trial", "seed", "status", "iterations", "residual_affine", "residual_psd"])
+        writer.writerow(["trial", "seed", "status", "iterations", "s", "bound"])
         fh.flush()
         for trial, (t, r) in enumerate(trials):
             writer.writerow([trial, args.seed, r.status, r.iterations,
-                             f"{r.residuals.residual_affine:.3e}", f"{r.residuals.residual_psd:.3e}"])
+                             *("" if v is None else f"{v:.3e}" for v in r.residuals)])
             fh.flush()
             counts[r.status] += 1
             if r.status == "infeasible_suspected" and fixture_dir is not None:

@@ -48,11 +48,12 @@ __all__ = [
 RATIONALIZE_DENOMINATORS = (10, 100, 1000, 10_000, 100_000, 1_000_000)
 
 
-class GramPoint(namedtuple("GramPoint", "residual_affine residual_psd")):
-    """The two feasibility residuals of a Gram candidate G.
+class GramPoint(namedtuple("GramPoint", "s bound")):
+    """What decided a probe's verdict, ``SOSProbeResult.residuals``.
 
-    residual_affine: max constraint violation |G[(i,j),(k,l)] + G[(i,l),(k,j)]
-    - 2 a[i,j,k,l]|. residual_psd: the most negative eigenvalue, clipped at 0.
+    s: the barrier's final s, with G(t) - s I PD there, so s < s* = max
+    lambda_min over the Gram family. bound: s* <= s + mn / tau at the last
+    centre reached, None before the first. Exact verdicts carry (None, None).
     """
 
     __slots__ = ()
@@ -315,29 +316,24 @@ def sos_probe(t: SymmetricBiquadraticTensor, max_iter: int = 5000, tol: float = 
     * otherwise -> ``inconclusive``: ``max_iter`` ran out, or float64 could
       not close the gap, first
 
-    With m = 1 or n = 1 the family has no free direction (K = 0): it is the
-    flattening alone, which the exact LDL^T has refused, so no barrier runs
-    and the result is ``infeasible_suspected`` with no iterations.
+    With m = 1 or n = 1 (K = 0) the family is the flattening A alone and the
+    form is x_1^2 y^T A y or its mirror, so the exact refusal of A proves
+    ``t`` neither PSD nor SOS: ``not_sos``, with no float step run.
     """
     _check_tol(tol)
     cert = flattening_psd_check(t)
     if cert is not None:
         # exact all the way: no float conversion, so any rational entry works
-        return SOSProbeResult("flattening_psd", cert, 0, GramPoint(0.0, 0.0))
-
-    import numpy as np
+        return SOSProbeResult("flattening_psd", cert, 0, GramPoint(None, None))
+    if t.m == 1 or t.n == 1:
+        return SOSProbeResult("not_sos", None, 0, GramPoint(None, None))
 
     mn = t.m * t.n
-    a4 = t.to_float()
-    F = a4.reshape(mn, mn)
+    F = t.to_float().reshape(mn, mn)
     dirs = kernels.gram_directions(t.m, t.n)
-    if dirs[0].size == 0:
-        return SOSProbeResult("infeasible_suspected", None, 0,
-                              GramPoint(0.0, max(0.0, -float(np.linalg.eigvalsh(F)[0]))))
     stop_at = mn / RATIONALIZE_DENOMINATORS[0]
     shift, s, trace, bound = _barrier_max_min_eig(F, dirs, max_iter, tol, stop_at)
-    G = _gram_at(F, shift, dirs)
-    point = GramPoint(kernels.affine_residual(G, a4), max(0.0, -float(np.linalg.eigvalsh(G)[0])))
+    point = GramPoint(s, None if bound == math.inf else bound)
     it = len(trace)
     if s < -tol:
         status = "infeasible_suspected" if bound < -tol else "inconclusive"

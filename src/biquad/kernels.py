@@ -6,10 +6,10 @@ M-eigenvalue ascent, and the Newton system of the log-barrier Gram search in
 ``gram.sos_probe``. The refinement reshapes the tensor once per call into an
 n^2 x m^2 and an m^2 x n^2 matrix, so each of its half-steps is one matrix
 product per start followed by a batched ``eigh``. Beside them sit the
-affine Gram residual, read by ``gram.sos_probe``, and the affine Gram
-projection, which the library no longer calls (``gram._round_at`` rounds
-the barrier's free parameters, whose points need no projection); it is kept
-only because the benchmark's tracer names it.
+affine Gram projection and residual, which the library no longer calls
+(``gram._round_at`` rounds the barrier's free parameters, whose points lie
+in the family, and the probe reports the barrier's own s and bound); they
+are kept only because the benchmark's tracer names them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["random_unit_pairs", "refine_batch", "refine_best", "gram_directions",
-           "barrier_newton_system", "affine_residual"]
+           "barrier_newton_system"]
 
 # The refinement policy of the float probes (``core.sample_min`` and
 # ``classes.lambda_max_estimate``), applied by ``refine_best``: at most

@@ -22,6 +22,7 @@ bounded.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -177,7 +178,7 @@ def ldl_pivots(res: LDLResult) -> tuple:
 def suspected_probe(t, max_iter, tol) -> SOSProbeResult:
     """Stand-in for ``gram.sos_probe`` that reports every tensor as
     ``infeasible_suspected``, for the sweep's fixture path."""
-    return SOSProbeResult("infeasible_suspected", None, 7, GramPoint(0.5, 0.25))
+    return SOSProbeResult("infeasible_suspected", None, 7, GramPoint(-0.5, -0.25))
 
 
 def full_solve_probe(t, max_iter=5000, tol=1e-9) -> SOSProbeResult:
@@ -186,14 +187,12 @@ def full_solve_probe(t, max_iter=5000, tol=1e-9) -> SOSProbeResult:
     denominator ladder. The status rules are the probe's."""
     cert = gram.flattening_psd_check(t)
     if cert is not None:
-        return SOSProbeResult("flattening_psd", cert, 0, GramPoint(0.0, 0.0))
+        return SOSProbeResult("flattening_psd", cert, 0, GramPoint(None, None))
     mn = t.m * t.n
-    a4 = t.to_float()
-    F = a4.reshape(mn, mn)
+    F = t.to_float().reshape(mn, mn)
     dirs = kernels.gram_directions(t.m, t.n)
     shift, s, trace, bound = gram._barrier_max_min_eig(F, dirs, max_iter, tol)
-    G = gram._gram_at(F, shift, dirs)
-    point = GramPoint(kernels.affine_residual(G, a4), max(0.0, -float(np.linalg.eigvalsh(G)[0])))
+    point = GramPoint(s, None if bound == math.inf else bound)
     if s < -tol:
         status = "infeasible_suspected" if bound < -tol else "inconclusive"
         return SOSProbeResult(status, None, len(trace), point, trace)

@@ -223,7 +223,8 @@ class TestGenClassifyProbe:
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 1), (1, 3)])
     def test_probe_without_free_directions_exits_one(self, capsys, tmp_path, m, n):
         # m = 1 or n = 1: the Gram family is the flattening alone; here
-        # diag(1, -1, ...), whose exact LDL^T refuses it
+        # diag(1, -1, ...), whose exact LDL^T refuses it, which proves the
+        # form x1^2 y^T A y (or its mirror) neither PSD nor SOS
         path = tmp_path / "t.json"
         entries = [{"i": i, "j": j, "k": i, "l": j, "v": "-1" if i + j > 2 else "1"}
                    for i in range(1, m + 1) for j in range(1, n + 1)]
@@ -231,8 +232,8 @@ class TestGenClassifyProbe:
         code, out, _ = run(capsys, "probe", str(path), "--trace")
         assert code == 1
         report = parse(out)
-        assert (report["status"], report["iterations"], report["trace"]) == ("infeasible_suspected", 0, [])
-        assert (report["residual_affine"], report["residual_psd"]) == (0.0, 1.0)
+        assert (report["status"], report["iterations"], report["trace"]) == ("not_sos", 0, [])
+        assert (report["s"], report["bound"], report["certified"]) == (None, None, False)
 
     def test_sweep_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"
@@ -241,7 +242,7 @@ class TestGenClassifyProbe:
                            "-o", str(csv_path))
         assert code == 0
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "trial,seed,status,iterations,residual_affine,residual_psd"
+        assert lines[0] == "trial,seed,status,iterations,s,bound"
         assert [line.split(",")[:2] for line in lines[1:]] == [[str(k), "3"] for k in range(5)]
         report = parse(out)
         assert report["trials"] == 5

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 from contextlib import redirect_stdout
 
 import pytest
@@ -149,14 +150,14 @@ GOLDEN = {
     "gen-dd44": ("49af5e5c90ba033b361f7d0e95890818548fd171f895b31a7e61d084754c63f4", 0),
     "gen-z23": ("ac71a07c57bc5a961f88d767efc2e80e1d1f4ad17092b495cc30562e00f0392a", 0),
     "gen-z33": ("7c91e5a0ded5419190f2e0670145d808e7c8fa1d173d167bc1f3e5934fed619f", 0),
-    "probe-dd22": ("4a216068e7bbe87723c637594f04e311e79ae56d2c2d37f0648f95b2151add65", 0),
-    "probe-dd33": ("622a8e72fde3a688e9fff1500315698d23f02ea9c2874023bca606a4f73b7cea", 0),
-    "probe-sos22": ("e18dfd4a49d33c47a9fbc1e0d0330dafea299f2760da0481b3a85730c8ccdb47", 0),
-    "probe-sos33": ("b784dbc66d09c4c2fce14f294196a92513656497c8bc5196b1c7e1736cab5f39", 0),
-    "probe-trace-choi": ("23c78fc974bd68f1e23b9f13ebc0952ff1baa025d6e39e223bf8444e37e45e5f", 1),
-    "probe-trace-rank1": ("b4fd4f79fd4c6cc4fb2b4295f2d163e27ffd8fb20d288181169faa8371fad86a", 0),
-    "probe-trace-sos33": ("dcfdc3d02d230719ce6acd0a0e5a9edc1048530d96cbac50ff51720b806799f4", 0),
-    "sweep-m_tensor22": ("6b821fb31c345f9e5c82404622e6a4c09c33c8c8c3fb34375ec921f6bf082812", 0),
+    "probe-dd22": ("a554819320e24dd0caa6771829a1c99f68001d0e088c99dc69f0f5f078225798", 0),
+    "probe-dd33": ("50902035f566cac263c256d17b7c4d58866be19ef48b019fc292206b0b767eca", 0),
+    "probe-sos22": ("d1eecc053fcf9beea7d42fc5788e587b63e9ef516746fffb737525e4cdf14e29", 0),
+    "probe-sos33": ("d9d010fdf1757fbf0dc7298238cb17c40f24b19f17cc62b081fcba1b0c2b39d8", 0),
+    "probe-trace-choi": ("03f2d11e59dd773ecde7fc8cef8d891d432c60584b16782c5d3433a0710c6d7d", 1),
+    "probe-trace-rank1": ("e25342f84900139fd9355bb660ea2c13cead330c429bb02648614cf080cd57b5", 0),
+    "probe-trace-sos33": ("5619d1ba3a6bb02425ace8742741b6aa40a753d155740afdfd5bb01208f84bea", 0),
+    "sweep-m_tensor22": ("5c78f585f858f2998be8fcb7b75920e18424af56e7671209846322841f6f6be9", 0),
     "verify-match-22": ("2dc6f13146065ccd2a11894f170a19ad0cb9e5d727b158a3c7aac0918e6018a6", 0),
     "verify-match-33": ("2dc6f13146065ccd2a11894f170a19ad0cb9e5d727b158a3c7aac0918e6018a6", 0),
     "verify-mismatch": ("0a0b5710ef96a6702d5fc7b595a7a96356c8800475b75cc6c0fa54274bb93bb6", 1),
@@ -208,6 +209,17 @@ def test_every_case_is_recorded():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_and_exit_code(name, paths):
     assert digest(CASES[name], paths) == GOLDEN[name]
+
+
+def strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(name for name, argv in CASES.items() if argv[0] != "sweep"))
+def test_reports_are_strict_json(name, paths):
+    # json.dumps writes inf and nan as Infinity and NaN, which JSON has not
+    out, _ = run(substitute(CASES[name], paths))
+    json.loads(out, parse_constant=strict_constant)
 
 
 if __name__ == "__main__":

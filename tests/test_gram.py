@@ -3,6 +3,7 @@ integer rounding of Gram points, the log-barrier probe and its Newton
 system, and conjecture sweeps."""
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -41,6 +42,7 @@ from conftest import (
     ldl_pivots,
     random_symmetric_tensor,
 )
+from test_cli_golden import LITERALS as GOLDEN_LITERALS
 
 
 def rank_one_sos_tensor():
@@ -289,8 +291,8 @@ class TestSOSProbe:
         res = sos_probe(choi_form(), max_iter=2000, tol=1e-9)
         assert res.status == "infeasible_suspected"
         assert res.certificate is None
-        assert res.residuals.residual_affine > 1e-3 or res.residuals.residual_psd > 1e-3
-        # residual trace is recorded every iteration
+        assert res.residuals.s < -1e-3 and res.residuals.bound < -1e-9
+        # s is recorded every iteration
         assert len(res.trace) == res.iterations
 
     def test_barrier_path_rationalizes(self):
@@ -349,20 +351,24 @@ class TestSOSProbe:
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 1)])
     def test_no_free_direction_is_refused_without_a_solve(self, m, n, monkeypatch):
         # K = 0: the family is the flattening alone, indefinite by 1e-12,
-        # which the exact LDL^T has already refused
+        # which the exact LDL^T has already refused; the form is x1^2 y^T A y
+        # (or its mirror), so that refusal proves it neither PSD nor SOS
         def unreachable(*args):
-            raise AssertionError("ran with no free direction")
+            raise AssertionError("ran a float step with no free direction")
 
-        monkeypatch.setattr(gram, "_barrier_max_min_eig", unreachable)
-        monkeypatch.setattr(gram, "_round_at", unreachable)
         near = 1 + F(1, 10**12)
         t = SymmetricBiquadraticTensor(m, n, np.array([1, near, near, 1], dtype=object).reshape(m, n, m, n))
         assert kernels.gram_directions(m, n)[0].size == 0
+        for name in ("_barrier_max_min_eig", "_round_at"):
+            monkeypatch.setattr(gram, name, unreachable)
+        monkeypatch.setattr(kernels, "gram_directions", unreachable)
+        monkeypatch.setattr(SymmetricBiquadraticTensor, "to_float", unreachable)
         res = sos_probe(t)
-        assert (res.status, res.certificate, res.iterations, res.trace) == ("infeasible_suspected", None, 0, [])
-        # lambda_min of [[1, 1 + e], [1 + e, 1]] is -e, with e = 1e-12 in float64
-        assert res.residuals.residual_affine == 0.0
-        assert res.residuals.residual_psd == pytest.approx(1e-12, rel=1e-3)
+        assert (res.status, res.certificate, res.iterations, res.trace) == ("not_sos", None, 0, [])
+        assert res.residuals == (None, None) and not res.certified
+        # the refusal is right: the form is -2e-12 at x = (1,), y = (1, -1)
+        x, y = ([1], [1, -1]) if m == 1 else ([1, -1], [1])
+        assert evaluate(t, x, y) == -2 * F(1, 10**12)
 
     def test_ladder_is_nonempty_and_increasing(self):
         # the early stop at s >= mn / D0 reads the first rung unguarded
@@ -374,9 +380,39 @@ class TestSOSProbe:
     def test_choi_optimum(self):
         # max over the Gram family of lambda_min is 1 - 2/sqrt(3) for Choi
         res = sos_probe(choi_form())
-        assert abs(res.trace[-1] - (1 - 2 / math.sqrt(3))) < 1e-7
-        assert res.residuals.residual_psd == pytest.approx(2 / math.sqrt(3) - 1, abs=1e-7)
-        assert res.residuals.residual_affine < 1e-12
+        assert res.residuals.s == res.trace[-1]
+        assert abs(res.residuals.s - (1 - 2 / math.sqrt(3))) < 1e-7
+
+    @pytest.mark.parametrize("name", ["choi", "rank1", "sos22", "sos33", "choi+I/100", "choi, 3 steps",
+                                      "dd22", "1x2"])
+    def test_the_evidence_decides_the_status(self, name):
+        # the reported (s, bound) are the numbers the status ladder read;
+        # Choi cut to 3 Newton steps is inconclusive before its first centre
+        choi = choi_form()
+        tensors = {
+            **{key: jsonio.tensor_from_dict(json.loads(GOLDEN_LITERALS[key]))
+               for key in ("rank1", "sos22", "sos33")},
+            "choi": choi,
+            "choi+I/100": SymmetricBiquadraticTensor(
+                3, 3, choi.entries + m_identity(3, 3).entries * F(1, 100)),
+            "choi, 3 steps": choi,
+            "dd22": gen_tensor("dd", 2, 2, np.random.default_rng(21)),
+            "1x2": SymmetricBiquadraticTensor(1, 2, np.array([1, 0, 0, -1], dtype=object).reshape(1, 2, 1, 2)),
+        }
+        tol = 1e-9
+        res = sos_probe(tensors[name], max_iter=3 if name == "choi, 3 steps" else 5000, tol=tol)
+        s, bound = res.residuals
+        if res.status in ("flattening_psd", "not_sos"):
+            assert (s, bound) == (None, None)
+            return
+        assert s == res.trace[-1]
+        if res.status in ("sos_certified", "feasible_numerical"):
+            assert s >= -tol
+        elif res.status == "infeasible_suspected":
+            assert s < -tol and bound is not None and bound < -tol
+        else:
+            assert res.status == "inconclusive"
+            assert s < -tol and (bound is None or bound >= -tol)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 4)])
     def test_random_integer_squares_certified(self, m, n):

@@ -108,7 +108,7 @@ def test_no_module_imports_dataclasses(path):
 
 # Functions the library no longer calls, kept only because the benchmark's
 # tracer names them; removed together with this set once it stops naming them.
-BENCHMARK_ONLY = {"kernels.project_affine", "gram.gram_project_psd"}
+BENCHMARK_ONLY = {"kernels.project_affine", "kernels.affine_residual", "gram.gram_project_psd"}
 
 
 def referenced_names(tree: ast.Module) -> set[str]:

@@ -77,6 +77,16 @@ def test_probe_of_a_psd_flattening_runs_without_numpy(files):
     assert proc.stderr == "numpy loaded: False\n"
 
 
+def test_probe_without_free_directions_runs_without_numpy(tmp_path):
+    # with n = 1 the exact LDL^T's refusal of diag(1, -1) proves the form not SOS
+    entries = [{"i": i, "j": 1, "k": i, "l": 1, "v": v} for i, v in ((1, "1"), (2, "-1"))]
+    (tmp_path / "t.json").write_text(json.dumps({"m": 2, "n": 1, "entries": entries}))
+    proc = python("-c", DRIVER, "probe", str(tmp_path / "t.json"))
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["status"] == "not_sos"
+    assert proc.stderr == "numpy loaded: False\n"
+
+
 def test_a_float_command_loads_numpy(tmp_path):
     # Choi's flattening is not PSD, so probe runs the float barrier
     jsonio.save_tensor(gram.choi_form(), tmp_path / "choi.json")
