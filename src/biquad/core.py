@@ -30,7 +30,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from operator import add, floordiv, mul
 
 from . import exactla, kernels
@@ -358,6 +358,7 @@ class SOSCertificate(_Frozen):
 
     ``terms`` is a tuple of (weight, form) pairs. All weights must be
     nonnegative rationals and all forms must share the certificate's (m, n).
+    A weight's sign is read on the numerator slot of its ``rational``.
     The expansion (``expand_certificate``) is the symmetric tensor this
     certificate proves nonnegative.
     """
@@ -366,7 +367,7 @@ class SOSCertificate(_Frozen):
         check_dims(m, n)
         terms = tuple((rational(w), f) for (w, f) in terms)
         for w, f in terms:
-            if w < 0:
+            if w._numerator < 0:
                 raise ValueError(f"certificate weight {w} is negative")
             if f.m != m or f.n != n:
                 raise ValueError(f"form dimensions ({f.m},{f.n}) != certificate ({m},{n})")
@@ -382,15 +383,18 @@ def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
     of its denominators) and its weight to c_p / L_p^2. Over the common
     denominator D of those weights, the flattened tensor
     sum_p c_p vec(W_p) vec(W_p)^T is G / D with G = U^T diag(c) U in
-    integers, each entry one ``sum(map(mul, ...))`` over two columns of U.
-    G is symmetric, so its orbit sum is 2 (G + G with i and k swapped), and
-    each entry is Fraction(g, 2 D), built once per distinct g.
+    integers. Row p of G's upper triangle sums only over the terms whose
+    entry in column p is nonzero (a dominance certificate's forms have one
+    or two nonzero entries; a dense column keeps every term), each entry one
+    ``sum(map(mul, ...))``. G is symmetric, so its orbit sum is
+    2 (G + G with i and k swapped), and each entry is Fraction(g, 2 D),
+    built once per distinct g.
     """
     m, n = cert.m, cert.n
     mn = m * n
-    terms = [(weight, form) for weight, form in cert.terms if weight != 0]
+    # Fraction's slots, as in rational; weights and forms hold only Python-int parts
+    terms = [(weight, form) for weight, form in cert.terms if weight._numerator]
     entries = list(chain.from_iterable(chain.from_iterable(form.rows for _, form in terms)))
-    # Fraction's slots, as in rational; forms hold only Python-int parts
     nums, dens = [v._numerator for v in entries], [v._denominator for v in entries]
     U = list(zip(*[iter(nums)] * mn))
     weights = [weight for weight, _ in terms]
@@ -398,12 +402,16 @@ def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
         dens = list(zip(*[iter(dens)] * mn))
         L = [math.lcm(*row) for row in dens]
         U = [list(map(mul, u, map(floordiv, repeat(l), d))) for u, d, l in zip(U, dens, L)]
-        weights = [w if l == 1 else Fraction(w.numerator, w.denominator * l * l)
+        weights = [w if l == 1 else Fraction(w._numerator, w._denominator * l * l)
                    for w, l in zip(weights, L)]
     c, D = exactla.common_denominator(weights)
-    cols = list(zip(*U)) if U else [()] * mn
-    upper = [[sum(map(mul, wp, col)) for col in cols[p:]]
-             for p, wp in enumerate([list(map(mul, c, col)) for col in cols])]
+    upper = []
+    for p, col in enumerate(zip(*U) if U else [()] * mn):
+        rows = list(compress(U, col))  # the terms whose entry in column p is nonzero
+        cp = list(map(mul, compress(c, col), filter(None, col)))
+        # their columns one at a time: a list of them all fragments the heap
+        cols = zip(*rows) if rows else repeat((), mn)
+        upper.append([sum(map(mul, cp, q)) for q in islice(cols, p, None)])
     G = list(chain.from_iterable([upper[q][p - q] for q in range(p)] + row for p, row in enumerate(upper)))
     sym = list(map(add, G, map(G.__getitem__, _symmetries(m, n)[0])))
     fractions = {v: Fraction(v, 2 * D) for v in set(sym)}
@@ -411,10 +419,18 @@ def expand_certificate(cert: SOSCertificate) -> SymmetricBiquadraticTensor:
 
 
 def tensors_equal(s: SymmetricBiquadraticTensor, t: SymmetricBiquadraticTensor) -> bool:
-    """Exact entrywise equality of two symmetric tensors of the same shape."""
+    """Exact entrywise equality of two symmetric tensors of the same shape.
+
+    Every constructor stores normalized Fractions with Python-int parts, so
+    two entries are equal exactly when their slot pairs (numerator,
+    denominator) are, compared without Fraction's Python ``__eq__``.
+    """
     if (s.m, s.n) != (t.m, t.n):
         raise ValueError(f"shape mismatch: ({s.m},{s.n}) vs ({t.m},{t.n})")
-    return s.rows == t.rows
+    if s is t:
+        return True
+    return ([(v._numerator, v._denominator) for row in s.rows for v in row]
+            == [(v._numerator, v._denominator) for row in t.rows for v in row])
 
 
 def sample_min(t: SymmetricBiquadraticTensor, trials: int, seed: int):

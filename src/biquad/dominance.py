@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import exactla
 from .core import (
     MINUS_ONE,
     ONE,
@@ -51,9 +52,15 @@ def offdiag_row_sums(M) -> list[Fraction]:
     """Off-diagonal absolute row sums sum_{q != p} |M[p][q]|, one per row p.
 
     For a symmetric tensor the sum at row p = (i-1)*n + (j-1) is the row
-    bound r_ij of the paper's dominance condition.
+    bound r_ij of the paper's dominance condition. Each row is summed in
+    integers, its entries written over their common denominator D
+    (``exactla.common_denominator``), and becomes one Fraction(S, D).
     """
-    return [sum(map(abs, row)) - abs(row[p]) for p, row in enumerate(M)]
+    sums = []
+    for p, row in enumerate(M):
+        nums, D = exactla.common_denominator(row)
+        sums.append(Fraction(sum(map(abs, nums)) - abs(nums[p]), D))
+    return sums
 
 
 def row_bound(t: SymmetricBiquadraticTensor, i: int, j: int) -> Fraction:
@@ -94,22 +101,26 @@ def dd_sos_decompose(t: SymmetricBiquadraticTensor) -> SOSCertificate:
     unit terms; zero weights are dropped. The expansion of the result equals
     ``t`` exactly. Raises :class:`NotDiagonallyDominantError` (identifying the
     violating rows) when ``t`` is not diagonally dominated.
+
+    Zero tests and signs read each Fraction's numerator slot, and a pair
+    weight is M[p,q] itself or its negation, never a call of ``abs``.
     """
     M = t.rows
     alphas = [row[p] - bound for p, (row, bound) in enumerate(zip(M, offdiag_row_sums(M)))]
-    if any(alpha < 0 for alpha in alphas):
+    if any(alpha._numerator < 0 for alpha in alphas):
         raise NotDiagonallyDominantError(dominance_violations(M))
     m, n = t.m, t.n
     terms = []
     for p, row in enumerate(M):
         for q in range(p + 1, m * n):
-            if row[q] != 0:
+            v = row[q]
+            if v._numerator:
                 W = [ZERO] * (m * n)
                 W[p] = ONE
-                W[q] = ONE if row[q] > 0 else MINUS_ONE
-                terms.append((abs(row[q]), BilinearForm.from_flat(m, n, W)))
+                W[q], weight = (ONE, v) if v._numerator > 0 else (MINUS_ONE, -v)
+                terms.append((weight, BilinearForm.from_flat(m, n, W)))
     for p, alpha in enumerate(alphas):
-        if alpha != 0:
+        if alpha._numerator:
             W = [ZERO] * (m * n)
             W[p] = ONE
             terms.append((alpha, BilinearForm.from_flat(m, n, W)))

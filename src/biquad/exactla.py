@@ -4,7 +4,9 @@ Results are decisions, not tolerances: inputs and outputs are
 ``fractions.Fraction`` scalars. Inside, the hot paths avoid Fraction
 arithmetic, whose every operation pays an object allocation and a gcd.
 ``common_denominator`` writes a sequence of rationals as Python-int
-numerators over one denominator, and ``ldlt_psd`` eliminates on them as
+numerators over one denominator: it reads a Fraction's slots where both
+parts are Python ints and applies ``int`` to the parts of anything else
+(``core.rational``'s rule). ``ldlt_psd`` eliminates on those integers as
 plain lists of Python-int rows B (the lower triangle) over a scalar
 denominator q, the true matrix being B / q; numpy object arrays cost more in
 indexing than the arithmetic does.
@@ -30,10 +32,15 @@ def common_denominator(values) -> tuple[list[int], int]:
 
     Returns (numerators, D) with D the lcm of the denominators, so that
     values[k] == numerators[k] / D. This is where the exact layer turns
-    Fractions into integers, read as Python ints by ``core.rational``'s rule
-    (numpy-integer parts overflow in the products that follow).
+    Fractions into integers, as Python ints by ``core.rational``'s rule: a
+    Fraction with two Python-int parts is read from its slots (its
+    properties cost four times as much), and anything else (an int, a numpy
+    integer, a Fraction with a numpy-integer part) through ``int`` of its
+    parts, which would overflow in the products that follow.
     """
-    return pairs_over_lcm([(int(v.numerator), int(v.denominator)) for v in values])
+    return pairs_over_lcm([(v._numerator, v._denominator)
+                           if type(v) is Fraction and type(v._numerator) is int is type(v._denominator)
+                           else (int(v.numerator), int(v.denominator)) for v in values])
 
 
 def pairs_over_lcm(pairs) -> tuple[list[int], int]:

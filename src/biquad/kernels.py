@@ -14,6 +14,8 @@ are kept only because the benchmark's tracer names them.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["random_unit_pairs", "refine_batch", "refine_best", "gram_directions",
@@ -109,6 +111,7 @@ def refine_best(a4, starts, seed, maximize):
     return float(vals[best]), xs[best].copy(), ys[best].copy()
 
 
+@lru_cache(maxsize=64)
 def gram_directions(m, n):
     """Flat index arrays (p, q, r, u) of the K = C(m,2) C(n,2) free directions
     of the Gram affine family, one per i < k and j < l.
@@ -116,13 +119,17 @@ def gram_directions(m, n):
     Direction N_k adds 1 at the matrix positions (p, q) = ((i,j), (k,l)) and
     (q, p), and subtracts 1 at (r, u) = ((i,l), (k,j)) and (u, r), so every
     constraint G[(i,j),(k,l)] + G[(i,l),(k,j)] = 2 a[i,j,k,l] keeps its sum.
-    The 4K positions are distinct.
+    The 4K positions are distinct. Built once per shape and shared by every
+    caller, so the arrays are read-only.
     """
     i, k = np.triu_indices(m, 1)
     j, l = np.triu_indices(n, 1)
     i, k = np.repeat(i, j.size), np.repeat(k, j.size)
     j, l = np.tile(j, m * (m - 1) // 2), np.tile(l, m * (m - 1) // 2)
-    return i * n + j, k * n + l, i * n + l, k * n + j
+    dirs = i * n + j, k * n + l, i * n + l, k * n + j
+    for a in dirs:
+        a.setflags(write=False)
+    return dirs
 
 
 def barrier_newton_system(W, dirs):

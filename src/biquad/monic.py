@@ -203,25 +203,31 @@ def merge_proportional(cert: SOSCertificate) -> SOSCertificate:
     as it is when lead_p is 1), with weight sum_p c_p * lead_p^2. Zero
     weights and zero forms are dropped. The expansion is unchanged. This is
     a cheap tidy-up, not rank minimization.
+
+    Zero weights are found on the numerator slot, and lead_p is 1 when its
+    numerator over the form's common denominator D is D. A group's first
+    member sets its weight; only a later member adds to it.
     """
     groups: dict[tuple, Fraction] = {}
     reps: dict[tuple, BilinearForm] = {}
     for weight, form in cert.terms:
-        if weight == 0:
+        if not weight._numerator:
             continue
         values = list(chain.from_iterable(form.rows))
-        u, _ = exactla.common_denominator(values)
+        u, D = exactla.common_denominator(values)
         k = next((k for k, v in enumerate(u) if v), None)
         if k is None:  # the zero form
             continue
         g = math.gcd(*u) if u[k] > 0 else -math.gcd(*u)
         key = tuple(v // g for v in u)
-        lead = values[k]
-        if key not in groups:
-            groups[key] = Fraction(0)
-            reps[key] = form if lead == 1 else BilinearForm.from_flat(
-                cert.m, cert.n, [v / lead for v in values])
-        groups[key] += weight if lead == 1 else weight * lead * lead
+        lead, unit = values[k], u[k] == D  # unit: lead_p is 1
+        if not unit:
+            weight = weight * lead * lead
+        if key in groups:
+            groups[key] += weight
+        else:
+            groups[key] = weight
+            reps[key] = form if unit else BilinearForm.from_flat(cert.m, cert.n, [v / lead for v in values])
     return SOSCertificate(cert.m, cert.n, tuple((groups[k], reps[k]) for k in groups))
 
 

@@ -5,8 +5,12 @@ system, and conjecture sweeps."""
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,8 @@ from conftest import (
     random_symmetric_tensor,
 )
 from test_cli_golden import LITERALS as GOLDEN_LITERALS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def rank_one_sos_tensor():
@@ -255,6 +261,44 @@ class TestBarrierNewtonSystem:
         G = np.array(t.rows, dtype=np.float64) + np.tensordot(
             rng.standard_normal(math.comb(m, 2) * math.comb(n, 2)), gram_direction_stack(m, n), 1)
         assert kernels.affine_residual(G, a4) < 1e-12
+
+
+class TestGramDirections:
+    @pytest.mark.parametrize("m,n", list(itertools.product(range(1, 5), repeat=2)))
+    def test_read_only_formula_built_once(self, m, n):
+        dirs = kernels.gram_directions(m, n)
+        pairs = [(i, k, j, l) for i, k in itertools.combinations(range(m), 2)
+                 for j, l in itertools.combinations(range(n), 2)]
+        assert [a.tolist() for a in dirs] == [
+            [i * n + j for i, k, j, l in pairs], [k * n + l for i, k, j, l in pairs],
+            [i * n + l for i, k, j, l in pairs], [k * n + j for i, k, j, l in pairs]]
+        assert all(a.dtype.kind == "i" and not a.flags.writeable for a in dirs)
+        assert kernels.gram_directions(m, n) is dirs
+        for a in dirs:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_benchmark_probe_pool_splits_50_14(self):
+        # the benchmark's probe pool (perfbench.workloads.Probe), base inputs:
+        # 64 sums of nine squares that share one direction set
+        proc = subprocess.run([sys.executable, "-c", """
+from collections import Counter
+import numpy as np
+from biquad import gram, kernels
+from biquad.core import SymmetricBiquadraticTensor
+from perfbench import forms
+from perfbench.workloads import POOL_SEED, Probe
+tally = Counter()
+for k in range(Probe.POOL):
+    rng = np.random.default_rng([POOL_SEED, 2, k])
+    poly = forms.poly_from_squares(forms.random_squares(3, 3, Probe.SQUARES, rng))
+    t = SymmetricBiquadraticTensor(3, 3, np.array(forms.symmetric_entries(3, 3, poly), dtype=object))
+    tally[gram.sos_probe(t).status] += 1
+print(sorted(tally.items()), kernels.gram_directions.cache_info().misses)
+"""], cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[('flattening_psd', 14), ('sos_certified', 50)] 1\n"
 
 
 class TestPSDProjection:
